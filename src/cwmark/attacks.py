@@ -36,8 +36,11 @@ def prune(weights, rate: float) -> tuple[np.ndarray, PruneSpec]:
     n = w.size
     p = min(int(math.floor(rate * n)), n - 1)
     mag = np.abs(w)
-    cutoff = float(np.partition(mag, p)[p])
-    mask = mag < cutoff
+    mag.partition(p)
+    cutoff = float(mag[p])
+    # Partitioning scrambled mag; refill it rather than hold a second vector.
+    mask = np.abs(w, out=mag) < cutoff
+    del mag
     out = w.copy()
     out[mask] = 0.0
     return out, PruneSpec(

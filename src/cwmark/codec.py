@@ -40,7 +40,9 @@ class CodeParams:
             raise ValueError("k must be >= 1")
         if not 1 <= self.alpha <= self.L:
             raise ValueError("alpha must satisfy 1 <= alpha <= L")
-        if binomial(self.L, self.alpha) < (1 << self.k):
+        # binomial(L, alpha) < 2**L, so k >= L never fits; testing that
+        # first keeps an oversized k from building a k-bit integer.
+        if self.k >= self.L or binomial(self.L, self.alpha) < (1 << self.k):
             raise CapacityError(
                 f"binomial({self.L}, {self.alpha}) < 2**{self.k}: "
                 "code cannot hold a k-bit payload"

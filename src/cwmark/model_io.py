@@ -37,13 +37,15 @@ _HEADER = struct.Struct("<4sHQ")
 SPEC_FORMAT = "cwmark-spec/1"
 
 
-def _atomic_write_bytes(path, data: bytes) -> None:
+def _atomic_write_bytes(path, *chunks) -> None:
+    """Write the byte buffers in order to a temp file, then move it to path."""
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".cwmark-")
     try:
         with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
+            for chunk in chunks:
+                handle.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -57,38 +59,50 @@ def write_weights(path, weights) -> None:
     """Serialize a weight vector; read_weights(write_weights(w)) is bit-identical.
 
     Rejects vectors the reader would refuse, so every written file parses.
+    The payload is written straight from the array's buffer, without a
+    bytes copy.
     """
-    w = np.ascontiguousarray(as_weight_vector(weights))
+    w = np.ascontiguousarray(as_weight_vector(weights), dtype="<f4")
     header = _HEADER.pack(MAGIC, VERSION, w.size)
-    payload = w.astype("<f4", copy=False).tobytes()
-    _atomic_write_bytes(path, header + payload)
+    _atomic_write_bytes(path, header, memoryview(w).cast("B"))
 
 
 def read_weights(path) -> np.ndarray:
+    """Parse a weight file into a binary32 vector.
+
+    The header, truncation and trailing-data checks run on the header and
+    the file size alone, before the payload is allocated, which is then
+    read straight into the returned array.
+    """
     with open(path, "rb") as handle:
-        blob = handle.read()
-    if len(blob) < _HEADER.size:
+        header = handle.read(_HEADER.size)
+        size = os.fstat(handle.fileno()).st_size
+        if len(header) < _HEADER.size:
+            raise TruncatedPayloadError(
+                f"file is {size} bytes, shorter than the {_HEADER.size}-byte header"
+            )
+        magic, version, n = _HEADER.unpack(header)
+        if magic != MAGIC:
+            raise BadMagicError(f"bad magic {magic!r}, expected {MAGIC!r}")
+        if version != VERSION:
+            raise UnsupportedVersionError(f"unsupported format version {version}")
+        expected = _HEADER.size + 4 * n
+        if size < expected:
+            raise TruncatedPayloadError(
+                f"header declares {n} weights ({expected} bytes) but file has {size}"
+            )
+        if size > expected:
+            raise TrailingDataError(f"{size - expected} trailing bytes after payload")
+        w = np.empty(n, dtype="<f4")
+        got = handle.readinto(memoryview(w).cast("B"))
+    if got != w.nbytes:
         raise TruncatedPayloadError(
-            f"file is {len(blob)} bytes, shorter than the {_HEADER.size}-byte header"
+            f"header declares {n} weights ({expected} bytes) but only "
+            f"{_HEADER.size + got} could be read"
         )
-    magic, version, n = _HEADER.unpack_from(blob)
-    if magic != MAGIC:
-        raise BadMagicError(f"bad magic {magic!r}, expected {MAGIC!r}")
-    if version != VERSION:
-        raise UnsupportedVersionError(f"unsupported format version {version}")
-    expected = _HEADER.size + 4 * n
-    if len(blob) < expected:
-        raise TruncatedPayloadError(
-            f"header declares {n} weights ({expected} bytes) but file has {len(blob)}"
-        )
-    if len(blob) > expected:
-        raise TrailingDataError(f"{len(blob) - expected} trailing bytes after payload")
-    w = np.frombuffer(blob, dtype="<f4", offset=_HEADER.size).astype(
-        np.float32, copy=True
-    )
     if not np.all(np.isfinite(w)):
         raise NonFiniteWeightError("payload contains NaN or infinity")
-    return w
+    return w.astype(np.float32, copy=False)
 
 
 @dataclass(frozen=True)
@@ -215,12 +229,18 @@ def _parse_positions(name: str, value: str) -> tuple[int, ...]:
 def read_spec(path) -> SpecDocument:
     """Parse a spec document back into SpecDocument, validating as it goes.
 
-    Structural problems raise SpecFormatError; semantically invalid values
-    (t0 >= t1, weight/length mismatches) surface as the constructors'
-    ValueError subclasses.
+    Every malformed document raises SpecFormatError: structural problems,
+    non-ASCII bytes, and values the constructors refuse (t0 >= t1, a
+    negative key, alpha > L, duplicate positions, too little capacity).
+    Each position list must hold exactly L entries before the code is
+    built, so L, and with it the capacity check's work (CodeParams refuses
+    any k >= L up front), is bounded by the size of the file.
     """
-    with open(path, "r", encoding="ascii") as handle:
-        text = handle.read()
+    try:
+        with open(path, "r", encoding="ascii") as handle:
+            text = handle.read()
+    except UnicodeDecodeError as exc:
+        raise SpecFormatError(f"spec is not ASCII text: {exc}") from None
     fields = _parse_fields(text)
     fmt = _require(fields, "format")
     if fmt != SPEC_FORMAT:
@@ -247,11 +267,19 @@ def read_spec(path) -> SpecDocument:
         ]
     if fields:
         raise SpecFormatError(f"unknown fields: {sorted(fields)}")
+    for positions in position_lists:
+        if len(positions) != big_l:
+            raise SpecFormatError(
+                f"{len(positions)} positions for codeword length {big_l}"
+            )
 
-    params = CodeParams(k=k, alpha=alpha, L=big_l)
-    thresholds = ThresholdPair(t0=t0, t1=t1)
-    specs = tuple(
-        EmbedSpec(key=key, params=params, thresholds=thresholds, positions=positions)
-        for positions in position_lists
-    )
-    return SpecDocument(specs=specs, sigma=sigma, rate=rate, total_bits=total_bits)
+    try:
+        params = CodeParams(k=k, alpha=alpha, L=big_l)
+        thresholds = ThresholdPair(t0=t0, t1=t1)
+        specs = tuple(
+            EmbedSpec(key=key, params=params, thresholds=thresholds, positions=pos)
+            for pos in position_lists
+        )
+        return SpecDocument(specs=specs, sigma=sigma, rate=rate, total_bits=total_bits)
+    except ValueError as exc:
+        raise SpecFormatError(str(exc)) from exc

@@ -132,12 +132,41 @@ def design_thresholds(
     return ThresholdPair(t0=t0_fraction * t1, t1=t1)
 
 
+# Largest piece of the vector estimate_sigma squares at once (8 MiB of binary64).
+_SIGMA_CHUNK = 1 << 20
+
+
+def _sum_squares(w: np.ndarray, start: int, stop: int) -> np.float64:
+    """Binary64 sum of w[start:stop]**2, split where numpy's pairwise sum splits.
+
+    np.add.reduce over a contiguous binary64 vector of n > 128 values sums
+    its first half, n // 2 rounded down to a multiple of 8, and its second
+    half recursively, then adds the two. Splitting at exactly those points
+    until a piece fits in _SIGMA_CHUNK, and adding the pieces in the same
+    tree order, gives the same bits as reducing the whole squared vector.
+    """
+    n = stop - start
+    if n <= _SIGMA_CHUNK:
+        return np.add.reduce(np.square(w[start:stop], dtype=np.float64))
+    half = n // 2
+    half -= half % 8
+    return _sum_squares(w, start, start + half) + _sum_squares(w, start + half, stop)
+
+
 def estimate_sigma(weights) -> float:
-    """Sample standard deviation about zero, sqrt(mean(w**2))."""
-    w = np.asarray(weights, dtype=np.float64)
+    """Sample standard deviation about zero, sqrt(mean(w**2)).
+
+    Bit-identical to np.sqrt(np.mean(np.square(np.asarray(w, np.float64))))
+    but never holds more than one chunk of squares (see _sum_squares), so
+    a binary32 vector is not widened as a whole.
+    """
+    w = np.asarray(weights)
+    if w.dtype != np.float32:
+        w = np.asarray(w, dtype=np.float64)
+    w = w.ravel()
     if w.size == 0:
         raise ValueError("cannot estimate sigma from an empty vector")
-    return float(np.sqrt(np.mean(np.square(w))))
+    return float(np.sqrt(_sum_squares(w, 0, w.size) / w.size))
 
 
 def standard_normals(n: int, seed: int) -> np.ndarray:

@@ -18,7 +18,7 @@ from .errors import (
     PositionRangeError,
     SelectionRatioError,
 )
-from .rng import MASK64, SplitMix64, mix64
+from .rng import GOLDEN_GAMMA, MASK64, SplitMix64, mix64
 from .stats import ThresholdPair
 
 # Positions must cover at most 1/DENSITY_LIMIT of the host vector so the
@@ -112,9 +112,14 @@ def embed(weights, codeword, spec: EmbedSpec) -> tuple[np.ndarray, EmbedReceipt]
     |w| > t0 becomes sgn(w) * t0, everything else is untouched;
     sgn(0) = +1. Comparisons run in binary64 after widening; results are
     stored back as binary32. All non-selected entries are bit-identical
-    to the input.
+    to the input, which is left unchanged.
     """
-    w = as_weight_vector(weights)
+    out = as_weight_vector(weights).copy()
+    return out, _project(out, codeword, spec)
+
+
+def _project(w: np.ndarray, codeword, spec: EmbedSpec) -> EmbedReceipt:
+    """embed's projection, written into the finite binary32 vector w in place."""
     pos = _positions_array(spec, w.size)
     bits = as_bits(codeword, expect_len=spec.params.L)
     if int(bits.sum()) != spec.params.alpha:
@@ -132,12 +137,11 @@ def embed(weights, codeword, spec: EmbedSpec) -> tuple[np.ndarray, EmbedReceipt]
     zeros_over = ~ones & (mag > t0)
     new[zeros_over] = sign[zeros_over] * t0
 
-    out = w.copy()
-    out[pos] = new.astype(np.float32)
-    stored = out[pos]
+    w[pos] = new.astype(np.float32)
+    stored = w[pos]
     modified = int(np.count_nonzero(stored.view(np.uint32) != old.view(np.uint32)))
     max_pert = float(np.max(np.abs(stored.astype(np.float64) - vals)))
-    return out, EmbedReceipt(spec=spec, modified_count=modified, max_perturbation=max_pert)
+    return EmbedReceipt(spec=spec, modified_count=modified, max_perturbation=max_pert)
 
 
 def extract(weights, spec: EmbedSpec) -> np.ndarray:
@@ -214,10 +218,13 @@ def _block_selection_seed(key: int, block_index: int, attempt: int) -> int:
 
     Block j starts from mix64(key XOR j); each rejected attempt re-mixes
     the previous seed, so the draw sequence is fixed by the key alone.
+    mix64 is a bijection with mix64(0) == 0, so only the chain of key == j
+    could repeat one seed forever; a zero seed re-mixes GOLDEN_GAMMA
+    instead, and every other chain is unaffected.
     """
     seed = mix64((key ^ block_index) & MASK64)
     for _ in range(attempt):
-        seed = mix64(seed)
+        seed = mix64(seed or GOLDEN_GAMMA)
     return seed
 
 
@@ -236,6 +243,8 @@ def embed_message_blocks(
     positions with _block_selection_seed(key, j, attempt), re-drawing on
     any collision with earlier blocks until the sets are disjoint. The
     density limit applies to the total position count across blocks.
+    The blocks are projected into one copy of the input, so the result
+    equals chaining embed block by block.
     """
     w = as_weight_vector(weights)
     bits = as_bits(message)
@@ -249,6 +258,7 @@ def embed_message_blocks(
             f"{total} total positions in a vector of {w.size} exceeds the "
             f"1/{DENSITY_LIMIT} density limit; pass allow_dense to override"
         )
+    out = w.copy()
     taken: set[int] = set()
     specs: list[EmbedSpec] = []
     receipts: list[EmbedReceipt] = []
@@ -266,10 +276,9 @@ def embed_message_blocks(
         spec = EmbedSpec(
             key=key, params=params, thresholds=thresholds, positions=tuple(positions)
         )
-        w, receipt = embed(w, encode(block, params), spec)
+        receipts.append(_project(out, encode(block, params), spec))
         specs.append(spec)
-        receipts.append(receipt)
-    return w, specs, receipts
+    return out, specs, receipts
 
 
 def extract_message_blocks(weights, specs, total_bits: int) -> np.ndarray:

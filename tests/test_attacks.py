@@ -48,6 +48,15 @@ def test_prune_ties_at_cutoff_survive():
     assert np.array_equal(out, w)
 
 
+def test_prune_leaves_input_unchanged():
+    w = sample_gaussian_weights(10_000, 0.01, seed=6)
+    before = w.copy()
+    out, spec = prune(w, 0.9)
+    assert spec.zeroed > 0
+    assert np.array_equal(w.view(np.uint32), before.view(np.uint32))
+    assert np.count_nonzero(out == 0) == spec.zeroed
+
+
 def test_prune_rate_validation():
     w = np.ones(4, dtype=np.float32)
     for bad in (-0.1, 1.0, 1.5):

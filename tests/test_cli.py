@@ -198,6 +198,23 @@ def test_embed_block_mode_roundtrip(capsys, tmp_path):
     assert out.strip() == long_message
 
 
+def test_block_mode_roundtrip_when_key_equals_a_block_index(capsys, tmp_path):
+    # Block 1's seed is mix64(1 ^ 1) == 0 and its first draw collides with
+    # block 0, so it must re-draw away from the zero seed.
+    long_message = "ab" * 128  # 1024 bits, eight 128-bit blocks
+    weights = make_weights(tmp_path, n=2_000_000, seed=5)
+    spec, marked = tmp_path / "mark.spec", tmp_path / "marked.cwcw"
+    code, _, _ = run(
+        capsys, "--quiet", "embed", str(weights), str(spec), str(marked),
+        "--message", long_message, "--key", "1", "-a", "20",
+        "--block-bits", "128", "--rate", "0.95", "--two-sided",
+    )
+    assert code == 0
+    code, out, _ = run(capsys, "--quiet", "extract", str(marked), str(spec))
+    assert code == 0
+    assert out.strip() == long_message
+
+
 def test_extract_all_zero_weights_decodes_zero_message(capsys, tmp_path):
     code, _, _, spec, marked = embed_ok(capsys, tmp_path, "--rate", "0.95")
     assert code == 0
@@ -362,12 +379,51 @@ def test_corrupt_weight_file_exits_3(capsys, tmp_path):
     assert code == 3
 
 
-def test_corrupt_spec_file_exits_3(capsys, tmp_path):
+def set_field(name, value):
+    def edit(text):
+        return "".join(
+            f"{name}: {value}\n" if line.startswith(f"{name}:") else line
+            for line in text.splitlines(keepends=True)
+        )
+    return edit
+
+
+def repeat_first_position(text):
+    head, _, positions = text.rpartition("positions: ")
+    first, _, *rest = positions.split()
+    return head + "positions: " + " ".join([first, first, *rest]) + "\n"
+
+
+def drop_last_position(text):
+    return text.rstrip().rsplit(" ", 1)[0] + "\n"
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda text: text + "k: 64\n",
+        set_field("t0", "1.0"),
+        set_field("key", "-4"),
+        lambda text: text + "# caf\u00e9\n",
+        set_field("alpha", "400"),
+        repeat_first_position,
+        drop_last_position,
+        set_field("alpha", "1"),
+        set_field("k", "1" + "0" * 4000),
+    ],
+    ids=[
+        "duplicate-field", "t0-not-below-t1", "negative-key", "non-ascii",
+        "L-below-alpha", "duplicate-positions", "position-count", "capacity",
+        "oversized-k",
+    ],
+)
+def test_corrupt_spec_file_exits_3(capsys, tmp_path, edit):
     code, _, _, spec, marked = embed_ok(capsys, tmp_path, "--rate", "0.95")
     assert code == 0
-    spec.write_text(spec.read_text() + "k: 64\n")
-    code, _, _ = run(capsys, "extract", str(marked), str(spec))
+    spec.write_bytes(edit(spec.read_text()).encode("utf-8"))
+    code, _, err = run(capsys, "extract", str(marked), str(spec))
     assert code == 3
+    assert err.startswith("cwmark: error:")
 
 
 def test_spec_position_out_of_range_exits_3(capsys, tmp_path):

@@ -114,6 +114,11 @@ def test_code_params_validation():
         CodeParams(k=1, alpha=3, L=2)
     with pytest.raises(CapacityError):
         CodeParams(k=10, alpha=1, L=4)  # binomial(4,1)=4 < 2**10
+    # binomial(L, alpha) < 2**L, so k >= L is refused before 2**k is built.
+    with pytest.raises(CapacityError):
+        CodeParams(k=10**4000, alpha=2, L=4)
+    with pytest.raises(CapacityError):
+        CodeParams(k=3, alpha=1, L=3)
 
 
 def test_encode_known_small_values():

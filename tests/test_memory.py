@@ -1,0 +1,75 @@
+"""Peak memory of the whole-vector layers, as multiples of the payload.
+
+tracemalloc sees numpy's data buffers, so the traced peak during a call,
+above what was traced when the call began, is what the call allocates:
+its result plus its temporaries. Inputs are built before tracing starts.
+Each bound sits between the layer's measured peak and the peak of the
+version that held whole-vector temporaries (shown per test).
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from cwmark import (
+    design_thresholds,
+    embed_message_blocks,
+    estimate_sigma,
+    prune,
+    read_weights,
+    sample_gaussian_weights,
+    write_weights,
+)
+from cwmark.rng import random_bits
+
+N = 1 << 22
+PAYLOAD = 4 * N  # bytes of binary32 weights
+
+
+@pytest.fixture(scope="module")
+def weights():
+    return sample_gaussian_weights(N, 0.01, seed=21)
+
+
+def peak_over_payload(fn, *args, **kwargs) -> float:
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn(*args, **kwargs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return (peak - base) / PAYLOAD
+
+
+def test_read_weights_peak(tmp_path, weights):
+    # The result plus the non-finite mask: 1.25 (a blob and its copy: 2.25).
+    path = tmp_path / "w.cwcw"
+    write_weights(path, weights)
+    assert peak_over_payload(read_weights, path) <= 1.5
+
+
+def test_write_weights_peak(tmp_path, weights):
+    # The non-finite mask alone: 0.25 (payload bytes plus header concat: 2.0).
+    assert peak_over_payload(write_weights, tmp_path / "w.cwcw", weights) <= 0.5
+
+
+def test_estimate_sigma_peak(weights):
+    # One chunk of binary64 squares: 0.5 (widened vector and its squares: 4.0).
+    assert peak_over_payload(estimate_sigma, weights) <= 1.0
+
+
+def test_prune_peak(weights):
+    # Magnitudes, then the result, each beside the mask: 1.25 (2.25).
+    assert peak_over_payload(prune, weights, 0.9) <= 1.5
+
+
+def test_embed_message_blocks_peak(weights):
+    # One copy for all blocks: 1.03 (a copy per block, two alive: 2.03).
+    pair = design_thresholds(0.01, 0.95, two_sided=True)
+    ratio = peak_over_payload(
+        embed_message_blocks, weights, random_bits(3, 256), key=77,
+        thresholds=pair, alpha=10, k_block=64,
+    )
+    assert ratio <= 1.5

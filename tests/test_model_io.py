@@ -108,6 +108,28 @@ def test_weights_truncated_payload(tmp_path):
         read_weights(path)
 
 
+def test_weights_huge_declared_count_refused_before_allocation(tmp_path):
+    path = tmp_path / "w.cwcw"
+    path.write_bytes(b"CWCW" + struct.pack("<HQ", 1, 2**60))
+    with pytest.raises(TruncatedPayloadError):
+        read_weights(path)
+
+
+def test_weights_short_read_is_truncation(tmp_path, monkeypatch):
+    # The file shrinks after its size was taken: the read comes up short.
+    path = tmp_path / "w.cwcw"
+    path.write_bytes(b"CWCW" + struct.pack("<HQ", 1, 10) + b"\x00" * 20)
+    real_fstat = os.fstat
+
+    def stale_fstat(fd):
+        st = real_fstat(fd)
+        return os.stat_result((*st[:6], 14 + 40, *st[7:]))
+
+    monkeypatch.setattr(os, "fstat", stale_fstat)
+    with pytest.raises(TruncatedPayloadError):
+        read_weights(path)
+
+
 def test_weights_trailing_data(tmp_path):
     path = tmp_path / "w.cwcw"
     write_weights(path, np.ones(2, dtype=np.float32))

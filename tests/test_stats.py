@@ -19,6 +19,7 @@ from cwmark import (
     q_inverse,
     sample_gaussian_weights,
     standard_normals,
+    stats,
 )
 from cwmark.rng import random_bits
 
@@ -134,6 +135,40 @@ def test_estimate_sigma():
 def test_estimate_sigma_converges():
     w = sample_gaussian_weights(400_000, 0.01, seed=11)
     assert estimate_sigma(w) == pytest.approx(0.01, rel=0.01)
+
+
+def sigma_oracle(weights) -> float:
+    """The whole-vector form estimate_sigma must match bit for bit."""
+    return float(np.sqrt(np.mean(np.square(np.asarray(weights, np.float64)))))
+
+
+def normal_weights(n: int) -> np.ndarray:
+    return np.random.default_rng(n).standard_normal(n).astype(np.float32)
+
+
+def test_estimate_sigma_matches_whole_vector_mean_bit_for_bit():
+    for n in range(1, 301):
+        w = normal_weights(n)
+        assert estimate_sigma(w) == sigma_oracle(w), n
+    # Around the 2**20 chunk, and a length whose first split needs the
+    # multiple-of-8 rounding (half of 2**21 + 7 is 1048579).
+    for n in (2**20 - 1, 2**20, 2**20 + 1, 2**21 + 7):
+        w = normal_weights(n)
+        assert estimate_sigma(w) == sigma_oracle(w), n
+    wide = normal_weights(1000).astype(np.float64) * 1.1
+    assert estimate_sigma(wide) == sigma_oracle(wide)
+    values = normal_weights(257).tolist()
+    assert estimate_sigma(values) == sigma_oracle(values)
+
+
+@pytest.mark.parametrize("chunk", [128, 1024])
+def test_estimate_sigma_small_chunks_split_like_numpy(monkeypatch, chunk):
+    # Small chunks put many splits in short vectors; a split anywhere but
+    # numpy's changes the rounding of some of these sums.
+    monkeypatch.setattr(stats, "_SIGMA_CHUNK", chunk)
+    for n in [*range(chunk - 8, 301 + chunk), 8193, 65537, 10**6 + 3]:
+        w = normal_weights(n)
+        assert estimate_sigma(w) == sigma_oracle(w), n
 
 
 def test_standard_normals_deterministic_and_seed_sensitive():

@@ -29,7 +29,8 @@ from cwmark import (
     select_positions,
     split_blocks,
 )
-from cwmark.rng import random_bits
+from cwmark.rng import MASK64, mix64, random_bits, splitmix64_stream
+from cwmark.watermark import _block_selection_seed
 
 PAIR = ThresholdPair(t0=0.5, t1=2.0)
 
@@ -328,6 +329,59 @@ def test_block_mode_roundtrip_disjoint_deterministic():
     )
     assert np.array_equal(marked.view(np.uint32), again.view(np.uint32))
     assert [s.positions for s in specs2] == [s.positions for s in specs]
+
+
+def test_block_mode_equals_chained_embed_and_keeps_input():
+    rng = np.random.default_rng(17)
+    weights = rng.normal(0, 0.01, size=200_000).astype(np.float32)
+    before = weights.copy()
+    pair = ThresholdPair(t0=0.01, t1=0.02)
+    message = random_bits(8, 200)  # four 64-bit blocks, the last one padded
+    marked, specs, receipts = embed_message_blocks(
+        weights, message, key=2024, thresholds=pair, alpha=10, k_block=64
+    )
+    assert np.array_equal(weights.view(np.uint32), before.view(np.uint32))
+    chained = weights
+    for spec, block, receipt in zip(specs, split_blocks(message, 64), receipts):
+        chained, again = embed(chained, encode(block, spec.params), spec)
+        assert again == receipt
+    assert np.array_equal(marked.view(np.uint32), chained.view(np.uint32))
+
+
+def test_embed_leaves_input_unchanged():
+    weights = np.random.default_rng(19).normal(0, 0.01, size=5000).astype(np.float32)
+    before = weights.copy()
+    spec = small_spec(5000, alpha=2, L=4, k=2, positions=(3, 70, 4000, 12))
+    marked, receipt = embed(weights, [1, 0, 1, 0], spec)
+    assert receipt.modified_count > 0
+    assert np.array_equal(weights.view(np.uint32), before.view(np.uint32))
+    assert not np.array_equal(marked.view(np.uint32), before.view(np.uint32))
+
+
+def old_block_selection_seed(key: int, block_index: int, attempt: int) -> int:
+    """The re-draw chain before a zero seed re-mixed GOLDEN_GAMMA."""
+    seed = mix64((key ^ block_index) & MASK64)
+    for _ in range(attempt):
+        seed = mix64(seed)
+    return seed
+
+
+def test_block_selection_seed_matches_old_chain_off_zero():
+    keys = splitmix64_stream(31, 200).tolist() + list(range(8))
+    for key in keys:
+        for j in range(6):
+            if key == j:
+                continue
+            for attempt in range(4):
+                new = _block_selection_seed(key, j, attempt)
+                assert new == old_block_selection_seed(key, j, attempt)
+
+
+def test_block_selection_seed_redraws_when_key_equals_block_index():
+    for j in range(4):
+        seeds = [_block_selection_seed(j, j, attempt) for attempt in range(20)]
+        assert seeds[0] == old_block_selection_seed(j, j, 0) == 0
+        assert len(set(seeds)) == 20
 
 
 def test_block_mode_density_checks_total():
