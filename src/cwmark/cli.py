@@ -3,6 +3,12 @@
 Verbs: params, encode, decode, embed, extract, prune, noise, attack, eval.
 Global flags (before the verb): --seed, --quiet, --json.
 
+Each verb reads its inputs, makes one library call for the work (embed,
+extract, prune, ...; eval makes its calls once per trial) and writes the
+result. The pipeline and its checks live in the library, not here. A
+spec file of one codeword is a one-block document, so extract takes one
+path for every spec.
+
 Exit codes: 0 success, 2 usage error, 3 unreadable or malformed data,
 4 verification failure (failed range check or failed recovery trial).
 
@@ -51,44 +57,32 @@ CSV_HEADER = (
 )
 
 
-def _u64(text: str) -> int:
-    try:
-        value = int(text, 0)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if not 0 <= value <= MASK64:
-        raise argparse.ArgumentTypeError("value must fit in 64 unsigned bits")
-    return value
+def _number(parse, ok, rule: str):
+    """argparse type: parse the text, then require ok(value), else report rule."""
+    noun = "a number" if parse is float else "an integer"
+
+    def convert(text: str):
+        try:
+            value = parse(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not {noun}: {text!r}") from None
+        if not ok(value):
+            raise argparse.ArgumentTypeError(rule)
+        return value
+
+    return convert
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text, 10)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError("value must be >= 1")
-    return value
-
-
-def _nonneg_int(text: str) -> int:
-    try:
-        value = int(text, 10)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError("value must be >= 0")
-    return value
-
-
-def _unit_rate(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if not 0.0 <= value < 1.0:
-        raise argparse.ArgumentTypeError("rate must lie in [0, 1)")
-    return value
+_u64 = _number(
+    lambda text: int(text, 0),
+    lambda v: 0 <= v <= MASK64,
+    "value must fit in 64 unsigned bits",
+)
+_positive_int = _number(int, lambda v: v >= 1, "value must be >= 1")
+_nonneg_int = _number(int, lambda v: v >= 0, "value must be >= 0")
+_unit_rate = _number(float, lambda v: 0.0 <= v < 1.0, "rate must lie in [0, 1)")
+_positive_float = _number(float, lambda v: v > 0, "value must be > 0")
+_nonneg_float = _number(float, lambda v: v >= 0, "value must be >= 0")
 
 
 def _rate_list(text: str) -> list[float]:
@@ -96,26 +90,6 @@ def _rate_list(text: str) -> list[float]:
     if not items:
         raise argparse.ArgumentTypeError("empty rate list")
     return [_unit_rate(token.strip()) for token in items]
-
-
-def _positive_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if not value > 0:
-        raise argparse.ArgumentTypeError("value must be > 0")
-    return value
-
-
-def _nonneg_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError("value must be >= 0")
-    return value
 
 
 def _hex_message(text: str) -> str:
@@ -268,6 +242,8 @@ def cmd_embed(args, console: _Console) -> int:
     sigma = stats.estimate_sigma(weights)
     thresholds, rate = _design_from_args(args, sigma)
 
+    # Single mode seeds selection with the key itself, block j with
+    # mix64(key ^ j), so the two stay separate calls.
     if args.block_bits is not None and args.block_bits < bits.size:
         marked, specs, receipts = watermark.embed_message_blocks(
             weights,
@@ -278,19 +254,17 @@ def cmd_embed(args, console: _Console) -> int:
             k_block=args.block_bits,
             allow_dense=args.force,
         )
-        doc = model_io.SpecDocument(
-            specs=tuple(specs), sigma=sigma, rate=rate, total_bits=int(bits.size)
-        )
-        modified = sum(r.modified_count for r in receipts)
-        max_pert = max(r.max_perturbation for r in receipts)
     else:
         params = codec.find_params(bits.size, args.alpha).params
         marked, receipt = watermark.embed_message(
             weights, bits, args.key, thresholds, params, allow_dense=args.force
         )
-        doc = model_io.SpecDocument.single(receipt.spec, sigma=sigma, rate=rate)
-        modified = receipt.modified_count
-        max_pert = receipt.max_perturbation
+        specs, receipts = [receipt.spec], [receipt]
+    doc = model_io.SpecDocument(
+        specs=specs, sigma=sigma, rate=rate, total_bits=int(bits.size)
+    )
+    modified = sum(r.modified_count for r in receipts)
+    max_pert = max(r.max_perturbation for r in receipts)
 
     model_io.write_weights(args.weights_out, marked)
     model_io.write_spec(args.spec_out, doc)
@@ -311,29 +285,21 @@ def cmd_embed(args, console: _Console) -> int:
 def cmd_extract(args, console: _Console) -> int:
     weights = model_io.read_weights(args.weights_in)
     doc = model_io.read_spec(args.spec_in)
-    words = [watermark.extract(weights, spec) for spec in doc.specs]
-    blocks = []
-    range_ok = True
-    for spec, word in zip(doc.specs, words):
-        try:
-            blocks.append(codec.decode(word, spec.params))
-        except MessageRangeError:
-            range_ok = False
-            blocks.append(None)
-    console.put(weight_ok=True, range_ok=range_ok)
-    if range_ok:
-        try:
-            joined = watermark.join_blocks(blocks, doc.total_bits)
-        except ValueError:
-            range_ok = False
-            console.put(range_ok=False)
-    if not range_ok:
+    try:
+        joined = watermark.extract_message_blocks(weights, doc.specs, doc.total_bits)
+    except MessageRangeError:
+        # Every codeword is extracted before the first is printed, so a
+        # position error in a later block still leaves stdout empty.
+        words = [watermark.extract(weights, spec) for spec in doc.specs]
+        console.put(weight_ok=True, range_ok=False)
         for word in words:
             console.result(f"codeword: {codeword_str(word)}")
         console.result("range check: failed")
         return EXIT_VERIFY
     message = bits_to_hex(joined, doc.total_bits)
-    console.put(message=message, total_bits=doc.total_bits)
+    console.put(
+        weight_ok=True, range_ok=True, message=message, total_bits=doc.total_bits
+    )
     console.info("codeword weight check: ok  range check: ok")
     console.result(message)
     return EXIT_OK
@@ -390,20 +356,13 @@ def _eval_rows(args):
         message_seed = sub.next_u64()
         weights = stats.sample_gaussian_weights(args.n, args.sigma, weight_seed)
         message = random_bits(message_seed, args.k)
+        marked, receipt = watermark.embed_message(
+            weights, message, key, thresholds, params, allow_dense=args.force
+        )
         codeword = codec.encode(message, params)
-        positions = watermark.select_positions(
-            key, args.n, params.L, allow_dense=args.force
-        )
-        spec = watermark.EmbedSpec(
-            key=key,
-            params=params,
-            thresholds=thresholds,
-            positions=tuple(positions),
-        )
-        marked, receipt = watermark.embed(weights, codeword, spec)
         for rate in args.attack_rates:
             pruned, report = attacks.prune(marked, rate)
-            recovered = watermark.extract(pruned, spec)
+            recovered = watermark.extract(pruned, receipt.spec)
             errors = int(np.count_nonzero(recovered != codeword))
             yield {
                 "seed": trial_seed,

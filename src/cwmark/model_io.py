@@ -26,6 +26,7 @@ from .errors import (
     TrailingDataError,
     TruncatedPayloadError,
     UnsupportedVersionError,
+    WeightFileError,
 )
 from .stats import ThresholdPair
 from .watermark import EmbedSpec, as_weight_vector
@@ -86,6 +87,8 @@ def read_weights(path) -> np.ndarray:
             raise BadMagicError(f"bad magic {magic!r}, expected {MAGIC!r}")
         if version != VERSION:
             raise UnsupportedVersionError(f"unsupported format version {version}")
+        if n == 0:
+            raise WeightFileError("header declares no weights")
         expected = _HEADER.size + 4 * n
         if size < expected:
             raise TruncatedPayloadError(

@@ -15,6 +15,7 @@ import numpy as np
 from .codec import CodeParams, as_bits, decode, encode, find_params
 from .errors import (
     MalformedCodewordError,
+    MessageRangeError,
     PositionRangeError,
     SelectionRatioError,
 )
@@ -97,12 +98,13 @@ class EmbedReceipt:
 
 
 def _positions_array(spec: EmbedSpec, n: int) -> np.ndarray:
-    pos = np.asarray(spec.positions, dtype=np.int64)
-    if pos.max() >= n:
+    # Bounded on the Python ints, so a position past int64 is a range error.
+    top = max(spec.positions)
+    if top >= n:
         raise PositionRangeError(
-            f"spec position {pos.max()} out of range for vector of length {n}"
+            f"spec position {top} out of range for vector of length {n}"
         )
-    return pos
+    return np.asarray(spec.positions, dtype=np.int64)
 
 
 def embed(weights, codeword, spec: EmbedSpec) -> tuple[np.ndarray, EmbedReceipt]:
@@ -151,7 +153,11 @@ def extract(weights, spec: EmbedSpec) -> np.ndarray:
     lower position-list index (stable sort), so the output weight is
     always exactly alpha even on corrupted input.
     """
-    w = as_weight_vector(weights)
+    return _extract(as_weight_vector(weights), spec)
+
+
+def _extract(w: np.ndarray, spec: EmbedSpec) -> np.ndarray:
+    """extract on the finite binary32 vector w."""
     pos = _positions_array(spec, w.size)
     mag = np.abs(w[pos].astype(np.float64))
     order = np.argsort(-mag, kind="stable")
@@ -175,7 +181,8 @@ def embed_message(
     spec = EmbedSpec(
         key=key, params=params, thresholds=thresholds, positions=tuple(positions)
     )
-    return embed(w, codeword, spec)
+    out = w.copy()
+    return out, _project(out, codeword, spec)
 
 
 def extract_message(weights, spec: EmbedSpec) -> np.ndarray:
@@ -202,14 +209,18 @@ def split_blocks(message, k_block: int) -> list[np.ndarray]:
 
 
 def join_blocks(blocks, total_bits: int) -> np.ndarray:
-    """Inverse of split_blocks given the original bit length."""
+    """Inverse of split_blocks given the original bit length.
+
+    Nonzero padding means the message does not fit in total_bits, so it
+    raises MessageRangeError, as an out-of-range block does.
+    """
     if total_bits < 1:
         raise ValueError("total_bits must be >= 1")
     joined = np.concatenate([as_bits(b) for b in blocks])
     if joined.size < total_bits:
         raise ValueError(f"blocks hold {joined.size} bits, need {total_bits}")
     if np.any(joined[total_bits:]):
-        raise ValueError("padding bits beyond total_bits must be zero")
+        raise MessageRangeError("padding bits beyond total_bits must be zero")
     return joined[:total_bits]
 
 
@@ -247,8 +258,7 @@ def embed_message_blocks(
     equals chaining embed block by block.
     """
     w = as_weight_vector(weights)
-    bits = as_bits(message)
-    blocks = split_blocks(bits, k_block)
+    blocks = split_blocks(message, k_block)
     params = find_params(k_block, alpha).params
     total = len(blocks) * params.L
     if total > w.size:
@@ -282,6 +292,11 @@ def embed_message_blocks(
 
 
 def extract_message_blocks(weights, specs, total_bits: int) -> np.ndarray:
-    """Extract and rejoin a block-embedded message."""
-    blocks = [extract_message(weights, spec) for spec in specs]
+    """Extract, decode and rejoin a message; one spec is the single-codeword case.
+
+    Raises MessageRangeError when a block decodes out of range or the
+    padding beyond total_bits is nonzero.
+    """
+    w = as_weight_vector(weights)
+    blocks = [decode(_extract(w, spec), spec.params) for spec in specs]
     return join_blocks(blocks, total_bits)

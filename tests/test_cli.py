@@ -1,13 +1,32 @@
 """End-to-end CLI coverage: verbs, exit codes, JSON mode, determinism."""
 
+import contextlib
+import functools
+import io
 import json
+import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cwmark import read_spec, read_weights, sample_gaussian_weights, write_weights
+from cwmark import (
+    SpecDocument,
+    SpecFormatError,
+    WeightFileError,
+    design_thresholds,
+    embed_message_blocks,
+    int_to_bits,
+    read_spec,
+    read_weights,
+    sample_gaussian_weights,
+    write_spec,
+    write_weights,
+)
 from cwmark.cli import main
 
 MSG64 = "deadbeef01234567"
@@ -98,6 +117,30 @@ def test_decode_range_failure_exits_4(capsys):
     code, out, err = run(capsys, "decode", "--codeword", "0011", "-k", "2")
     assert code == 4
     assert "range" in err
+
+
+@pytest.mark.parametrize(
+    "argv, option, out_of_range, rule, noun",
+    [
+        ("embed w s o --key {}", "--key", "-1",
+         "value must fit in 64 unsigned bits", "an integer"),
+        ("--seed {} params --grid", "--seed", str(2**64),
+         "value must fit in 64 unsigned bits", "an integer"),
+        ("params -k {}", "-k", "0", "value must be >= 1", "an integer"),
+        ("eval --trials {}", "--trials", "-1", "value must be >= 0", "an integer"),
+        ("embed w s o --rate {}", "--rate", "1.0", "rate must lie in [0, 1)", "a number"),
+        ("embed w s o --t0 {}", "--t0", "0", "value must be > 0", "a number"),
+        ("noise a b --level {}", "--level", "-0.1", "value must be >= 0", "a number"),
+    ],
+    ids=["u64-key", "u64-seed", "positive-int", "nonneg-int", "unit-rate",
+         "positive-float", "nonneg-float"],
+)
+def test_number_arguments_refused_with_exit_2(capsys, argv, option, out_of_range, rule, noun):
+    for value, message in (("x", f"not {noun}: 'x'"), (out_of_range, rule)):
+        with pytest.raises(SystemExit) as err:
+            main(argv.format(value).split())
+        assert err.value.code == 2
+        assert f"error: argument {option}: {message}" in capsys.readouterr().err
 
 
 def test_encode_bad_hex_rejected(capsys):
@@ -238,6 +281,57 @@ def test_extract_range_failure_exits_4(capsys, tmp_path):
     assert code == 4
     assert "range check: failed" in out
     assert "codeword:" in out
+
+
+LONG128 = "deadbeef01234567cafef00d89abcdef"
+
+
+def block_out_of_range(spec, marked, block=1):
+    # Ones packed at the block's last positions give an index >= 2**k.
+    doc = read_spec(spec)
+    w = read_weights(marked)
+    pos = np.asarray(doc.specs[block].positions)
+    w[pos] = np.linspace(0.1, 1.0, pos.size, dtype=np.float32)
+    write_weights(marked, w)
+
+
+def nonzero_padding(spec, marked):
+    # Bits 100..127 of LONG128 are nonzero, so they cannot be padding.
+    spec.write_text(set_field("total_bits", "100")(spec.read_text()))
+
+
+@pytest.mark.parametrize(
+    "corrupt", [block_out_of_range, nonzero_padding],
+    ids=["block-out-of-range", "nonzero-padding"],
+)
+def test_block_extract_range_failure_exits_4(capsys, tmp_path, corrupt):
+    code, _, _, spec, marked = embed_ok(
+        capsys, tmp_path, "--rate", "0.95", "--block-bits", "64", message=LONG128
+    )
+    assert code == 0
+    corrupt(spec, marked)
+    code, out, _ = run(capsys, "extract", str(marked), str(spec))
+    assert code == 4
+    lines = out.splitlines()
+    assert len(lines) == 3
+    assert all(line.startswith("codeword: ") for line in lines[:2])
+    assert lines[2] == "range check: failed"
+    code, out, _ = run(capsys, "--json", "extract", str(marked), str(spec))
+    assert code == 4
+    assert json.loads(out) == {"weight_ok": True, "range_ok": False}
+
+
+def test_block_extract_position_error_after_range_failure_exits_3(capsys, tmp_path):
+    code, _, _, spec, marked = embed_ok(
+        capsys, tmp_path, "--rate", "0.95", "--block-bits", "64", message=LONG128
+    )
+    assert code == 0
+    block_out_of_range(spec, marked, block=0)
+    spec.write_text(with_first_position("100000", "positions.1")(spec.read_text()))
+    code, out, err = run(capsys, "extract", str(marked), str(spec))
+    assert code == 3
+    assert out == ""
+    assert "out of range" in err
 
 
 # --- prune / noise / attack wrappers -----------------------------------------
@@ -398,6 +492,15 @@ def drop_last_position(text):
     return text.rstrip().rsplit(" ", 1)[0] + "\n"
 
 
+def with_first_position(value, field="positions"):
+    # The field must be the spec's last line, as the last block's list is.
+    def edit(text):
+        head, _, positions = text.rpartition(f"{field}: ")
+        _, *rest = positions.split()
+        return head + f"{field}: " + " ".join([value, *rest]) + "\n"
+    return edit
+
+
 @pytest.mark.parametrize(
     "edit",
     [
@@ -410,11 +513,12 @@ def drop_last_position(text):
         drop_last_position,
         set_field("alpha", "1"),
         set_field("k", "1" + "0" * 4000),
+        with_first_position(str(2**63)),
     ],
     ids=[
         "duplicate-field", "t0-not-below-t1", "negative-key", "non-ascii",
         "L-below-alpha", "duplicate-positions", "position-count", "capacity",
-        "oversized-k",
+        "oversized-k", "position-past-int64",
     ],
 )
 def test_corrupt_spec_file_exits_3(capsys, tmp_path, edit):
@@ -433,6 +537,69 @@ def test_spec_position_out_of_range_exits_3(capsys, tmp_path):
     write_weights(short, np.zeros(50, dtype=np.float32))
     code, _, _ = run(capsys, "extract", str(short), str(spec))
     assert code == 3
+
+
+@functools.lru_cache(maxsize=None)
+def fuzz_inputs():
+    """Bytes of a marked 400-weight file and of its one- and two-block specs."""
+    weights = sample_gaussian_weights(400, sigma=0.01, seed=0)
+    pair = design_thresholds(0.01, 0.95)
+    marked, specs, _ = embed_message_blocks(
+        weights, int_to_bits(0xBEEF, 16), 3, pair, alpha=2, k_block=8, allow_dense=True
+    )
+    docs = {
+        1: SpecDocument.single(specs[0], sigma=0.01, rate=0.95),
+        2: SpecDocument(specs=specs, sigma=0.01, rate=0.95, total_bits=16),
+    }
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "f")
+        write_weights(path, marked)
+        with open(path, "rb") as handle:
+            weight_bytes = handle.read()
+        spec_bytes = {}
+        for blocks, doc in docs.items():
+            write_spec(path, doc)
+            with open(path, "rb") as handle:
+                spec_bytes[blocks] = handle.read()
+    return weight_bytes, spec_bytes
+
+
+def mutate(data, blob: bytes) -> bytes:
+    """Up to three bit flips, truncations or inserted digit runs, often near the start."""
+    out = bytearray(blob)
+    for _ in range(data.draw(st.integers(0, 3))):
+        if not out:
+            break
+        last = len(out) - 1
+        at = data.draw(st.integers(0, min(31, last)) | st.integers(0, last))
+        kind = data.draw(st.sampled_from(("flip", "truncate", "digits")))
+        if kind == "flip":
+            out[at] ^= 1 << data.draw(st.integers(0, 7))
+        elif kind == "truncate":
+            del out[at:]
+        else:
+            digit = data.draw(st.sampled_from(b"0123456789"))
+            out[at:at] = bytes([digit]) * data.draw(st.integers(1, 24))
+    return bytes(out)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), blocks=st.sampled_from((1, 2)))
+def test_fuzzed_files_raise_typed_errors_and_extract_exits_0_3_or_4(data, blocks):
+    weight_bytes, spec_bytes = fuzz_inputs()
+    with tempfile.TemporaryDirectory() as tmp:
+        weights, spec = os.path.join(tmp, "w.cwcw"), os.path.join(tmp, "s.spec")
+        with open(weights, "wb") as handle:
+            handle.write(mutate(data, weight_bytes))
+        with open(spec, "wb") as handle:
+            handle.write(mutate(data, spec_bytes[blocks]))
+        with contextlib.suppress(WeightFileError):
+            read_weights(weights)
+        with contextlib.suppress(SpecFormatError):
+            read_spec(spec)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(["extract", weights, spec])
+    assert code in (0, 3, 4)
 
 
 # --- entry point -------------------------------------------------------------

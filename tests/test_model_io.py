@@ -148,6 +148,15 @@ def test_weights_nonfinite_rejected_both_ways(tmp_path):
         read_weights(path)
 
 
+def test_weights_empty_rejected_both_ways(tmp_path):
+    path = tmp_path / "w.cwcw"
+    with pytest.raises(ValueError):
+        write_weights(path, np.zeros(0, dtype=np.float32))
+    path.write_bytes(b"CWCW" + struct.pack("<HQ", 1, 0))
+    with pytest.raises(WeightFileError):
+        read_weights(path)
+
+
 def test_weights_parse_errors_are_distinct_and_grouped():
     kinds = [
         BadMagicError,
