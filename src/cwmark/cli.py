@@ -34,7 +34,7 @@ from .errors import (
     SpecFormatError,
     WeightFileError,
 )
-from .rng import MASK64, SplitMix64, random_bits, splitmix64_stream
+from .rng import MASK64, random_bits, splitmix64_stream
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -348,12 +348,8 @@ def _eval_rows(args):
     thresholds = stats.design_thresholds(
         args.sigma, args.design_rate, two_sided=args.two_sided
     )
-    for trial_seed in splitmix64_stream(args.seed, args.trials):
-        trial_seed = int(trial_seed)
-        sub = SplitMix64(trial_seed)
-        weight_seed = sub.next_u64()
-        key = sub.next_u64()
-        message_seed = sub.next_u64()
+    for trial_seed in splitmix64_stream(args.seed, args.trials).tolist():
+        weight_seed, key, message_seed = splitmix64_stream(trial_seed, 3).tolist()
         weights = stats.sample_gaussian_weights(args.n, args.sigma, weight_seed)
         message = random_bits(message_seed, args.k)
         marked, receipt = watermark.embed_message(

@@ -24,39 +24,14 @@ def mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
-class SplitMix64:
-    """Sequential SplitMix64 generator.
-
-    next_u64() advances the state by GOLDEN_GAMMA and returns mix64(state),
-    so the j-th output (1-based) equals mix64(seed + j * GOLDEN_GAMMA).
-    """
-
-    __slots__ = ("_state",)
-
-    def __init__(self, seed: int):
-        self._state = seed & MASK64
-
-    def next_u64(self) -> int:
-        self._state = (self._state + GOLDEN_GAMMA) & MASK64
-        return mix64(self._state)
-
-    def next_below(self, bound: int) -> int:
-        """Uniform draw in [0, bound) by modulo reduction.
-
-        The reduction bias (< bound / 2**64) is accepted; determinism and
-        cross-implementation agreement matter more here than perfect
-        uniformity.
-        """
-        if bound <= 0:
-            raise ValueError("bound must be positive")
-        return self.next_u64() % bound
-
-
 def splitmix64_stream(seed: int, count: int) -> np.ndarray:
-    """First `count` outputs of SplitMix64(seed) as a uint64 array.
+    """First `count` outputs of the SplitMix64 stream of `seed`, as uint64.
 
-    Vectorized counter form of the sequential generator; identical to
-    calling SplitMix64(seed).next_u64() `count` times.
+    SplitMix64 is counter-based: output j (1-based) is
+    mix64(seed + j * GOLDEN_GAMMA mod 2**64), so the stream is computed
+    for all j at once and no state is carried between draws. This is the
+    sequential generator's output, which advances its state by
+    GOLDEN_GAMMA and mixes it (Steele, Lea & Flood, OOPSLA 2014).
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
@@ -88,7 +63,7 @@ def _lane_constants(n: int) -> tuple:
 
 
 def random_bits(seed: int, count: int) -> np.ndarray:
-    """`count` uniform bits from SplitMix64(seed), little-endian within words.
+    """`count` bits of the SplitMix64 stream of `seed`, little-endian in each word.
 
     The first ceil(count / 64) outputs are made together: lane j - 1 of
     one Python int holds the state for output j, 128 bits per lane, so

@@ -19,7 +19,7 @@ from .errors import (
     PositionRangeError,
     SelectionRatioError,
 )
-from .rng import GOLDEN_GAMMA, MASK64, SplitMix64, mix64
+from .rng import GOLDEN_GAMMA, MASK64, mix64, splitmix64_stream
 from .stats import ThresholdPair
 
 # Positions must cover at most 1/DENSITY_LIMIT of the host vector so the
@@ -42,9 +42,11 @@ def as_weight_vector(values) -> np.ndarray:
 def select_positions(key: int, n: int, l: int, allow_dense: bool = False) -> np.ndarray:
     """l distinct indices in [0, n), deterministic in (key, n, l).
 
-    Partial Fisher-Yates shuffle over 0..n-1 driven by SplitMix64(key),
-    with index draws by modulo reduction; uniform without replacement and
-    bit-exact across implementations. Output order is selection order.
+    Partial Fisher-Yates shuffle over 0..n-1: step i swaps index i with
+    index i + (d_i mod (n - i)), where d_i = mix64(key + (i + 1) * GOLDEN_GAMMA)
+    is output i of splitmix64_stream(key, l). Uniform without replacement
+    up to the modulo bias (< n / 2**64), which is accepted for bit-exact
+    agreement across implementations. Output order is selection order.
     """
     if l < 1:
         raise ValueError("must select at least one position")
@@ -55,14 +57,13 @@ def select_positions(key: int, n: int, l: int, allow_dense: bool = False) -> np.
             f"{l} positions in a vector of {n} exceeds the 1/{DENSITY_LIMIT} "
             "density limit; pass allow_dense/--force to override"
         )
-    rng = SplitMix64(key)
     swapped: dict[int, int] = {}
-    out = np.empty(l, dtype=np.int64)
-    for i in range(l):
-        j = i + rng.next_below(n - i)
-        out[i] = swapped.get(j, j)
+    out = []
+    for i, draw in enumerate(splitmix64_stream(key, l).tolist()):
+        j = i + draw % (n - i)
+        out.append(swapped.get(j, j))
         swapped[j] = swapped.get(i, i)
-    return out
+    return np.array(out, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -174,10 +175,14 @@ def embed_message(
     params: CodeParams,
     allow_dense: bool = False,
 ) -> tuple[np.ndarray, EmbedReceipt]:
-    """encode -> select_positions -> embed, returning the new vector and receipt."""
+    """select_positions -> encode -> embed, returning the new vector and receipt.
+
+    Positions are selected first, so a code too long or too dense for the
+    vector is refused before its ladder is built.
+    """
     w = as_weight_vector(weights)
-    codeword = encode(message, params)
     positions = select_positions(key, w.size, params.L, allow_dense=allow_dense)
+    codeword = encode(message, params)
     spec = EmbedSpec(
         key=key, params=params, thresholds=thresholds, positions=tuple(positions)
     )

@@ -36,7 +36,7 @@ from cwmark import (
     write_weights,
 )
 from cwmark.codec import decode_index, encode_index
-from cwmark.rng import SplitMix64, random_bits, splitmix64_stream
+from cwmark.rng import random_bits, splitmix64_stream
 
 # The published 20-row parameter grid: (k, alpha, L, tolerance to 4 d.p.).
 PUBLISHED_GRID = (
@@ -145,10 +145,7 @@ def _prune_recovery_trials(two_sided: bool, master_seed: int):
     recovered = dict.fromkeys(rates, 0)
     bit_errors = dict.fromkeys(rates, 0)
     for trial_seed in splitmix64_stream(master_seed, 100):
-        sub = SplitMix64(int(trial_seed))
-        weight_seed = sub.next_u64()
-        key = sub.next_u64()
-        message_seed = sub.next_u64()
+        weight_seed, key, message_seed = splitmix64_stream(int(trial_seed), 3).tolist()
         weights = sample_gaussian_weights(1_000_000, sigma, weight_seed)
         message = random_bits(message_seed, 64)
         codeword = encode(message, params)
@@ -203,12 +200,11 @@ def test_a4_exactness_without_attack():
     failures = 0
     seeds = splitmix64_stream(41, 1000)
     for i, seed in enumerate(seeds):
-        sub = SplitMix64(int(seed))
-        key = sub.next_u64()
-        message = random_bits(sub.next_u64(), 16)
+        key, message_seed, host_seed = splitmix64_stream(int(seed), 3).tolist()
+        message = random_bits(message_seed, 16)
         host = ("gauss", "zeros", "equal", "alternating")[i % 4]
         if host == "gauss":
-            rng = np.random.default_rng(sub.next_u64())
+            rng = np.random.default_rng(host_seed)
             weights = rng.normal(0, 1, n).astype(np.float32)
         elif host == "zeros":
             weights = np.zeros(n, dtype=np.float32)

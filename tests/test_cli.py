@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cwmark
 from cwmark import (
     SpecDocument,
     SpecFormatError,
@@ -224,6 +225,20 @@ def test_embed_density_limit_and_force(capsys, tmp_path):
     assert code == 0
     code, out, _ = run(capsys, "--quiet", "extract", str(marked), str(spec))
     assert code == 0 and out.strip() == MSG64
+
+
+def test_embed_refuses_oversized_code_before_encoding(capsys, tmp_path):
+    # k=64 at alpha=1 needs L = 2**64 + 1 positions. The L <= n check
+    # refuses it before encode would try to build a ladder row that long.
+    weights = make_weights(tmp_path)
+    spec, out = tmp_path / "mark.spec", tmp_path / "marked.cwcw"
+    code, stdout, stderr = run(
+        capsys, "embed", str(weights), str(spec), str(out),
+        "--message", "ffffffffffffffff", "--key", "1", "-a", "1", "--rate", "0.95",
+    )
+    assert code == 2
+    assert "cannot select" in stderr
+    assert stdout == "" and not spec.exists() and not out.exists()
 
 
 def test_embed_block_mode_roundtrip(capsys, tmp_path):
@@ -606,9 +621,12 @@ def test_fuzzed_files_raise_typed_errors_and_extract_exits_0_3_or_4(data, blocks
 
 
 def test_module_entry_point():
+    # The child imports the same package as this process, installed or not.
+    root = os.path.dirname(os.path.dirname(cwmark.__file__))
+    path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "cwmark.cli", "--quiet", "params", "-k", "64", "-a", "10"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "393" in proc.stdout

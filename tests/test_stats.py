@@ -21,7 +21,7 @@ from cwmark import (
     standard_normals,
     stats,
 )
-from cwmark.rng import random_bits
+from cwmark.rng import random_bits, splitmix64_stream
 
 # Frozen from the quadrature oracle (tests/reference.py normal_quantile_tail).
 Q_INV_005 = 1.6448536269514722
@@ -204,6 +204,20 @@ def test_random_bits_matches_sequential_reference(seed, count):
     got = random_bits(seed, count)
     assert got.dtype == np.uint8
     assert got.tolist() == want
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**63 + 12345, 2**64 - 1])
+@pytest.mark.parametrize("count", [0, 1, 3, 1000])
+def test_splitmix64_stream_matches_sequential_reference(seed, count):
+    got = splitmix64_stream(seed, count)
+    assert got.dtype == np.uint64
+    assert got.tolist() == ref.splitmix64_sequential(seed, count)
+
+
+def test_splitmix64_stream_matches_published_seed0_vectors():
+    want = list(ref.SPLITMIX64_SEED0_FIRST3)
+    assert ref.splitmix64_sequential(0, 3) == want
+    assert splitmix64_stream(0, 3).tolist() == want
 
 
 def test_standard_normals_moments():

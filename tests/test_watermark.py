@@ -22,6 +22,7 @@ from cwmark import (
     extract,
     extract_message,
     extract_message_blocks,
+    find_params,
     int_to_bits,
     join_blocks,
     q_function,
@@ -68,10 +69,13 @@ def test_select_positions_key_sensitivity():
     assert not np.array_equal(a, b)
 
 
-def test_select_positions_matches_sequential_reference():
+@pytest.mark.parametrize(
+    "key, n, l", [(77, 10_000, 60), (0, 1_000_000, 393), (2**64 - 1, 2_000_000, 12955)]
+)
+def test_select_positions_matches_sequential_reference(key, n, l):
     # Independent replay: partial Fisher-Yates with modulo draws from the
-    # sequential generator, no shared code with the package.
-    key, n, l = 77, 10_000, 60
+    # sequential generator, no shared code with the package. The last two
+    # cases are the benchmark's L=393 and L=12955 shapes.
     draws = ref.splitmix64_sequential(key, l)
     swapped = {}
     want = []
@@ -280,6 +284,18 @@ def test_embed_message_modification_statistics():
         touched += int(changed.sum())
         total += len(ones)
     assert touched / total == pytest.approx(expected, abs=0.08)
+
+
+def test_embed_message_selects_before_encoding():
+    # k=64 at alpha=1 needs L = 2**64 + 1 positions: select_positions
+    # refuses it at once, before encode would build a ladder row that long.
+    params = find_params(64, 1).params
+    assert params.L > 2**64
+    with pytest.raises(ValueError, match="cannot select"):
+        embed_message(
+            np.zeros(1000, dtype=np.float32), random_bits(0, 64), 1,
+            ThresholdPair(t0=0.5, t1=2.0), params,
+        )
 
 
 # --- blocks ------------------------------------------------------------------
