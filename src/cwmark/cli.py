@@ -23,6 +23,7 @@ import argparse
 import csv
 import json
 import sys
+from contextlib import nullcontext
 
 import numpy as np
 
@@ -385,16 +386,13 @@ def cmd_eval(args, console: _Console) -> int:
         if row["recovered"] == "no"
         and float(row["attack_rate"]) <= args.design_rate - 0.01 + 1e-12
     ]
-    if args.out is not None:
-        with open(args.out, "w", newline="") as handle:
+    console.put(rows=rows, trials=args.trials, failures=len(failures))
+    if args.out is not None or not console.json:  # --out "" is an error, not stdout
+        out = open(args.out, "w", newline="") if args.out is not None else None
+        with out or nullcontext(sys.stdout) as handle:
             writer = csv.writer(handle, lineterminator="\n")
             writer.writerow(CSV_HEADER)
             writer.writerows([row[name] for name in CSV_HEADER] for row in rows)
-    console.put(rows=rows, trials=args.trials, failures=len(failures))
-    if args.out is None and not console.json:
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
-        writer.writerows([row[name] for name in CSV_HEADER] for row in rows)
     if not args.quiet:
         recovered = sum(1 for row in rows if row["recovered"] == "yes")
         print(
@@ -512,6 +510,10 @@ def main(argv=None) -> int:
         return EXIT_DATA
     except (CwmarkError, ValueError) as exc:
         print(f"cwmark: error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:
+        reason = str(exc) or "allocation failed"
+        print(f"cwmark: error: out of memory: {reason}", file=sys.stderr)
         return EXIT_USAGE
     console.flush()
     return code

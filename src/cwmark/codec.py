@@ -95,6 +95,26 @@ def int_to_bits(value: int, k: int) -> np.ndarray:
     return np.unpackbits(data, count=k, bitorder="little")
 
 
+# Largest ladder _weight_rows may build, by _ladder_bytes' estimate. The
+# largest grid ladder, (L=12955, alpha=127), is estimated at 174 MiB and
+# measures 158 MiB (tracemalloc). Its lru_cache(maxsize=2) therefore holds
+# at most two ladders of up to 256 MiB each, 512 MiB by the estimate.
+_LADDER_LIMIT = 256 << 20
+
+
+def _ladder_bytes(L: int, alpha: int) -> float:
+    """Upper estimate of _weight_rows(L, alpha)'s memory, in floating point.
+
+    Entry n of row l is binomial(n, l) <= binomial(L, l): an 8-byte list
+    slot, a 24-byte int header and a 4-byte digit per 30 bits, plus one.
+    """
+    top = math.lgamma(L + 1)
+    return (L + 1) * sum(
+        36 + (top - math.lgamma(l + 1) - math.lgamma(L - l + 1)) / math.log(2) / 7.5
+        for l in range(alpha + 1)
+    )
+
+
 @lru_cache(maxsize=2)
 def _weight_rows(L: int, alpha: int) -> tuple:
     """Per-weight binomial lookup: rows[l][n] = binomial(n, l) for n in 0..L.
@@ -106,8 +126,16 @@ def _weight_rows(L: int, alpha: int) -> tuple:
     n, which the search in _codeword relies on. Cached because the
     largest grid ladder, (L=12955, alpha=127), takes 0.2-0.25 s and
     158 MiB (tracemalloc) to build on a 2-CPU Xeon, and encode/decode
-    for one parameter set reuse the same rows.
+    for one parameter set reuse the same rows. A ladder past
+    _LADDER_LIMIT raises CapacityError before anything is allocated.
     """
+    # 36 bytes per entry is a floor of the estimate, and keeps its loop short.
+    entries = (alpha + 1) * (L + 1)
+    if 36 * entries > _LADDER_LIMIT or _ladder_bytes(L, alpha) > _LADDER_LIMIT:
+        raise CapacityError(
+            f"coding table for L={L}, alpha={alpha} is past the "
+            f"{_LADDER_LIMIT >> 20} MiB limit"
+        )
     row = [1] * (L + 1)
     rows = [row]
     for _ in range(alpha):

@@ -29,7 +29,7 @@ from .errors import (
     WeightFileError,
 )
 from .stats import ThresholdPair
-from .watermark import EmbedSpec, as_weight_vector
+from .watermark import EmbedSpec, _all_finite, as_weight_vector
 
 MAGIC = b"CWCW"
 VERSION = 1
@@ -73,7 +73,8 @@ def read_weights(path) -> np.ndarray:
 
     The header, truncation and trailing-data checks run on the header and
     the file size alone, before the payload is allocated, which is then
-    read straight into the returned array.
+    read straight into the returned array. Its min and max then refuse a
+    NaN or an infinity (NonFiniteWeightError) without an n-byte mask.
     """
     with open(path, "rb") as handle:
         header = handle.read(_HEADER.size)
@@ -103,7 +104,7 @@ def read_weights(path) -> np.ndarray:
             f"header declares {n} weights ({expected} bytes) but only "
             f"{_HEADER.size + got} could be read"
         )
-    if not np.all(np.isfinite(w)):
+    if not _all_finite(w):
         raise NonFiniteWeightError("payload contains NaN or infinity")
     return w.astype(np.float32, copy=False)
 
@@ -178,12 +179,14 @@ def write_spec(path, doc: SpecDocument) -> None:
         f"blocks: {len(doc.specs)}",
         f"total_bits: {doc.total_bits}",
     ]
-    if len(doc.specs) == 1:
-        lines.append("positions: " + " ".join(map(str, first.positions)))
-    else:
-        for j, spec in enumerate(doc.specs):
-            lines.append(f"positions.{j}: " + " ".join(map(str, spec.positions)))
+    for name, spec in zip(_position_fields(len(doc.specs)), doc.specs):
+        lines.append(f"{name}: " + " ".join(map(str, spec.positions)))
     _atomic_write_bytes(path, ("\n".join(lines) + "\n").encode("ascii"))
+
+
+def _position_fields(blocks: int):
+    """Position field names in block order, made lazily so a huge count is free."""
+    return ("positions",) if blocks == 1 else (f"positions.{j}" for j in range(blocks))
 
 
 def _parse_fields(text: str) -> dict[str, str]:
@@ -261,13 +264,10 @@ def read_spec(path) -> SpecDocument:
         raise SpecFormatError(f"blocks must be >= 1, got {blocks}")
     total_bits = _parse_int("total_bits", fields.pop("total_bits", str(blocks * k)))
 
-    if blocks == 1:
-        position_lists = [_parse_positions("positions", _require(fields, "positions"))]
-    else:
-        position_lists = [
-            _parse_positions(f"positions.{j}", _require(fields, f"positions.{j}"))
-            for j in range(blocks)
-        ]
+    position_lists = [
+        _parse_positions(name, _require(fields, name))
+        for name in _position_fields(blocks)
+    ]
     if fields:
         raise SpecFormatError(f"unknown fields: {sorted(fields)}")
     for positions in position_lists:

@@ -8,6 +8,7 @@ that removes small magnitudes without touching large ones.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,16 +28,32 @@ from .stats import ThresholdPair
 DENSITY_LIMIT = 100
 
 
+def _all_finite(w: np.ndarray) -> bool:
+    """No NaN or infinity in the nonempty w: min and max propagate both, mask-free."""
+    return math.isfinite(w.min()) and math.isfinite(w.max())
+
+
 def as_weight_vector(values) -> np.ndarray:
-    """Coerce to a finite one-dimensional binary32 vector."""
+    """Coerce to a nonempty one-dimensional binary32 vector that _all_finite accepts."""
     w = np.asarray(values, dtype=np.float32)
     if w.ndim != 1:
         raise ValueError("weight vector must be one-dimensional")
     if w.size < 1:
         raise ValueError("weight vector must not be empty")
-    if not np.all(np.isfinite(w)):
+    if not _all_finite(w):
         raise ValueError("weight vector must be finite")
     return w
+
+
+def _check_selection(l: int, n: int, allow_dense: bool) -> None:
+    """Refuse l positions in a vector of n: more than n, or past the density limit."""
+    if l > n:
+        raise ValueError(f"cannot select {l} positions from {n}")
+    if not allow_dense and l * DENSITY_LIMIT > n:
+        raise SelectionRatioError(
+            f"{l} positions in a vector of {n} exceeds the 1/{DENSITY_LIMIT} "
+            "density limit; pass allow_dense/--force to override"
+        )
 
 
 def select_positions(key: int, n: int, l: int, allow_dense: bool = False) -> np.ndarray:
@@ -50,13 +67,7 @@ def select_positions(key: int, n: int, l: int, allow_dense: bool = False) -> np.
     """
     if l < 1:
         raise ValueError("must select at least one position")
-    if l > n:
-        raise ValueError(f"cannot select {l} positions from {n}")
-    if not allow_dense and l * DENSITY_LIMIT > n:
-        raise SelectionRatioError(
-            f"{l} positions in a vector of {n} exceeds the 1/{DENSITY_LIMIT} "
-            "density limit; pass allow_dense/--force to override"
-        )
+    _check_selection(l, n, allow_dense)
     swapped: dict[int, int] = {}
     out = []
     for i, draw in enumerate(splitmix64_stream(key, l).tolist()):
@@ -133,13 +144,9 @@ def _project(w: np.ndarray, codeword, spec: EmbedSpec) -> EmbedReceipt:
     old = w[pos]
     vals = old.astype(np.float64)
     mag = np.abs(vals)
-    sign = np.where(vals >= 0.0, 1.0, -1.0)
-    ones = bits == 1
-    new = vals.copy()
-    new[ones & (mag < t1)] = sign[ones & (mag < t1)] * t1
-    zeros_over = ~ones & (mag > t0)
-    new[zeros_over] = sign[zeros_over] * t0
-
+    # Clamp each magnitude: a 1 up to at least t1, a 0 down to at most t0.
+    target = np.where(bits == 1, np.maximum(mag, t1), np.minimum(mag, t0))
+    new = np.where(target == mag, vals, np.where(vals >= 0.0, target, -target))
     w[pos] = new.astype(np.float32)
     stored = w[pos]
     modified = int(np.count_nonzero(stored.view(np.uint32) != old.view(np.uint32)))
@@ -265,14 +272,7 @@ def embed_message_blocks(
     w = as_weight_vector(weights)
     blocks = split_blocks(message, k_block)
     params = find_params(k_block, alpha).params
-    total = len(blocks) * params.L
-    if total > w.size:
-        raise ValueError(f"{total} positions exceed vector length {w.size}")
-    if not allow_dense and total * DENSITY_LIMIT > w.size:
-        raise SelectionRatioError(
-            f"{total} total positions in a vector of {w.size} exceeds the "
-            f"1/{DENSITY_LIMIT} density limit; pass allow_dense to override"
-        )
+    _check_selection(len(blocks) * params.L, w.size, allow_dense)
     out = w.copy()
     taken: set[int] = set()
     specs: list[EmbedSpec] = []

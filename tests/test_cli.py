@@ -144,6 +144,26 @@ def test_number_arguments_refused_with_exit_2(capsys, argv, option, out_of_range
         assert f"error: argument {option}: {message}" in capsys.readouterr().err
 
 
+def test_encode_oversized_code_refused_with_exit_2(capsys):
+    # k=64 at alpha=1 needs L = 2**64 + 1; the ladder bound refuses it
+    # from its size estimate, before a row of that length is built.
+    code, out, err = run(capsys, "encode", "--message", "ffffffffffffffff", "-a", "1")
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and "MiB limit" in err
+
+
+def test_memory_error_exits_2_with_one_line(capsys, monkeypatch):
+    def exhausted(args, console):
+        raise MemoryError()
+
+    monkeypatch.setattr(cwmark.cli, "cmd_eval", exhausted)
+    code, out, err = run(capsys, "eval", "--trials", "1")
+    assert code == 2
+    assert out == ""
+    assert err == "cwmark: error: out of memory: allocation failed\n"
+
+
 def test_encode_bad_hex_rejected(capsys):
     with pytest.raises(SystemExit) as err:
         run(capsys, "encode", "--message", "zz", "-a", "2")
@@ -216,15 +236,25 @@ def test_embed_explicit_thresholds_record_rate_zero(capsys, tmp_path):
     assert code == 0 and out.strip() == MSG64
 
 
-def test_embed_density_limit_and_force(capsys, tmp_path):
-    code, _, _, _, _ = embed_ok(capsys, tmp_path, "--rate", "0.95", n=30_000)
+@pytest.mark.parametrize(
+    "message, extra",
+    [(MSG64, ()), (MSG64 + "cafef00d89abcdef", ("--block-bits", "64"))],
+    ids=["single", "block"],
+)
+def test_embed_density_limit_and_force(capsys, tmp_path, message, extra):
+    # 393 positions (single) or 2 x 393 (block) need n >= 39300 or 78600.
+    code, _, stderr, _, _ = embed_ok(
+        capsys, tmp_path, "--rate", "0.95", *extra, message=message, n=30_000
+    )
     assert code == 2
+    assert "density limit" in stderr and "--force" in stderr
     code, _, _, spec, marked = embed_ok(
-        capsys, tmp_path, "--rate", "0.95", "--force", n=30_000
+        capsys, tmp_path, "--rate", "0.95", "--force", *extra,
+        message=message, n=30_000,
     )
     assert code == 0
     code, out, _ = run(capsys, "--quiet", "extract", str(marked), str(spec))
-    assert code == 0 and out.strip() == MSG64
+    assert code == 0 and out.strip() == message
 
 
 def test_embed_refuses_oversized_code_before_encoding(capsys, tmp_path):

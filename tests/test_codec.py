@@ -21,7 +21,10 @@ from cwmark import (
     find_params_for_tolerance,
     int_to_bits,
 )
+from cwmark import codec
+from cwmark.cli import DEMO_PARAM_GRID
 from cwmark.codec import as_bits, decode_index, encode_index, _weight_rows
+from cwmark.rng import random_bits
 
 
 def test_binomial_matches_math_comb():
@@ -53,6 +56,20 @@ def test_weight_rows_match_comb():
     for ell in (1, 2, 63, 126, 127):
         for n in (0, ell - 1, ell, ell + 1, 6477, 12954, 12955):
             assert rows[ell][n] == math.comb(n, ell), (ell, n)
+
+
+def test_ladder_limit_admits_grid_and_refuses_before_building(monkeypatch):
+    for k, alpha in DEMO_PARAM_GRID:
+        L = find_params(k, alpha).params.L
+        assert codec._ladder_bytes(L, alpha) <= codec._LADDER_LIMIT, (k, alpha)
+    with pytest.raises(CapacityError):
+        encode_index(0, 1, 2**64 + 1)  # a row this long could never be built
+    params = find_params(64, 10).params  # (L=393, alpha=10), about 0.2 MiB
+    word = encode(random_bits(5, 64), params)
+    _weight_rows.cache_clear()
+    monkeypatch.setattr(codec, "_LADDER_LIMIT", 1 << 16)
+    with pytest.raises(CapacityError, match="MiB limit"):
+        decode(word, params)
 
 
 @pytest.mark.parametrize("L, alpha", [(12955, 127), (4323, 170), (3000, 250)])

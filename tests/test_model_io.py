@@ -12,6 +12,7 @@ from cwmark import (
     BadMagicError,
     CodeParams,
     EmbedSpec,
+    NonFiniteWeightError,
     PositionRangeError,
     SpecDocument,
     SpecFormatError,
@@ -138,13 +139,17 @@ def test_weights_trailing_data(tmp_path):
         read_weights(path)
 
 
-def test_weights_nonfinite_rejected_both_ways(tmp_path):
+@pytest.mark.parametrize("index", [0, 2, 4], ids=["first", "middle", "last"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_weights_nonfinite_rejected_both_ways(tmp_path, bad, index):
+    values = np.array([1.0, -2.0, 0.5, -0.25, 3.0], dtype=np.float32)
+    values[index] = bad
     path = tmp_path / "w.cwcw"
-    with pytest.raises(ValueError):
-        write_weights(path, np.array([1.0, np.nan], dtype=np.float32))
-    blob = b"CWCW" + struct.pack("<HQ", 1, 2) + struct.pack("<2f", 1.0, np.inf)
-    path.write_bytes(blob)
-    with pytest.raises(WeightFileError):
+    with pytest.raises(ValueError, match="finite"):
+        write_weights(path, values)
+    assert not path.exists()
+    path.write_bytes(b"CWCW" + struct.pack("<HQ", 1, 5) + values.astype("<f4").tobytes())
+    with pytest.raises(NonFiniteWeightError):
         read_weights(path)
 
 

@@ -128,17 +128,26 @@ def test_embed_spec_validation():
 
 def test_embed_projection_cases():
     # One 1-position and one 0-position per input of interest.
-    weights = np.array([3.0, -1.0, 0.0, 0.9, -0.9, 0.4], dtype=np.float32)
-    codeword = [1, 1, 1, 0, 0, 0]
-    spec = small_spec(6, alpha=3, L=6, k=2, positions=tuple(range(6)))
+    tiny = np.float32(1e-45)  # the smallest binary32 subnormal
+    weights = np.array(
+        [3.0, -1.0, 0.0, 2.0, -tiny, 0.9, -0.9, 0.4, -0.0, 0.5, tiny],
+        dtype=np.float32,
+    )
+    codeword = [1, 1, 1, 1, 1, 0, 0, 0, 0, 0, 0]
+    spec = small_spec(11, alpha=5, L=11, k=2, positions=tuple(range(11)))
     out, receipt = embed(weights, codeword, spec)
     assert out[0] == np.float32(3.0)  # c=1, already >= t1
     assert out[1] == np.float32(-2.0)  # c=1, raised, sign kept
     assert out[2] == np.float32(2.0)  # c=1 at zero, sgn(0)=+1
-    assert out[3] == np.float32(0.5)  # c=0, capped down
-    assert out[4] == np.float32(-0.5)  # c=0, capped, sign kept
-    assert out[5] == np.float32(0.4)  # c=0, already <= t0
-    assert receipt.modified_count == 4
+    assert out[3] == np.float32(2.0)  # c=1 exactly at t1, untouched
+    assert out[4] == np.float32(-2.0)  # c=1 subnormal, raised, sign kept
+    assert out[5] == np.float32(0.5)  # c=0, capped down
+    assert out[6] == np.float32(-0.5)  # c=0, capped, sign kept
+    assert out[7] == np.float32(0.4)  # c=0, already <= t0
+    assert out[8:].view(np.uint32).tolist() == weights[8:].view(np.uint32).tolist()
+    assert out.view(np.uint32)[8] == 0x80000000  # c=0 at -0.0 keeps its sign bit
+    # out[9]: c=0 exactly at t0; out[10]: c=0 subnormal; both untouched.
+    assert receipt.modified_count == 5
     assert receipt.max_perturbation == pytest.approx(2.0)
 
 
