@@ -22,6 +22,31 @@ class PruneSpec:
     zeroed: int
 
 
+# Weights prune zeroes at once (256 KiB of binary32 and its 64 KiB mask).
+_PRUNE_CHUNK = 1 << 16
+
+
+def _cutoffs(mag: np.ndarray, rates) -> list[tuple[int, float]]:
+    """(p, cutoff) for each rate, in the given order, over the magnitudes mag.
+
+    p = min(floor(rate * n), n - 1) and the cutoff is the p-th smallest
+    magnitude (0-indexed). mag is partitioned in place: the distinct p are
+    visited in ascending order, and each partitions only the tail
+    mag[p_prev:], which after the partition at p_prev holds exactly the
+    values of rank >= p_prev, so its (p - p_prev)-th smallest is the p-th.
+    """
+    n = mag.size
+    ps = [min(int(math.floor(rate * n)), n - 1) for rate in rates]
+    cutoff = {}
+    prev = 0
+    for p in sorted(set(ps)):
+        tail = mag[prev:]
+        tail.partition(p - prev)
+        cutoff[p] = float(tail[p - prev])
+        prev = p
+    return [(p, cutoff[p]) for p in ps]
+
+
 def prune(weights, rate: float) -> tuple[np.ndarray, PruneSpec]:
     """Zero the weights whose magnitude falls below the rate quantile.
 
@@ -33,19 +58,18 @@ def prune(weights, rate: float) -> tuple[np.ndarray, PruneSpec]:
     w = as_weight_vector(weights)
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"prune rate must be in [0, 1), got {rate}")
-    n = w.size
-    p = min(int(math.floor(rate * n)), n - 1)
-    mag = np.abs(w)
-    mag.partition(p)
-    cutoff = float(mag[p])
-    # Partitioning scrambled mag; refill it rather than hold a second vector.
-    mask = np.abs(w, out=mag) < cutoff
-    del mag
-    out = w.copy()
-    out[mask] = 0.0
-    return out, PruneSpec(
-        rate=rate, p=p, cutoff=cutoff, zeroed=int(np.count_nonzero(mask))
-    )
+    out = np.abs(w)
+    [(p, cutoff)] = _cutoffs(out, [rate])
+    # Partitioning scrambled the magnitudes; refill the buffer with w and
+    # zero it a chunk at a time rather than hold an n-sized mask.
+    np.copyto(out, w)
+    zeroed = 0
+    for start in range(0, out.size, _PRUNE_CHUNK):
+        chunk = out[start : start + _PRUNE_CHUNK]
+        mask = np.abs(chunk) < cutoff
+        chunk[mask] = 0.0
+        zeroed += int(np.count_nonzero(mask))
+    return out, PruneSpec(rate=rate, p=p, cutoff=cutoff, zeroed=zeroed)
 
 
 def add_noise(weights, sigma_noise: float, seed: int) -> np.ndarray:

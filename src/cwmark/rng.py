@@ -35,11 +35,15 @@ def splitmix64_stream(seed: int, count: int) -> np.ndarray:
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
-    idx = np.arange(1, count + 1, dtype=np.uint64)
-    z = np.uint64(seed & MASK64) + idx * np.uint64(GOLDEN_GAMMA)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
+    z = np.arange(1, count + 1, dtype=np.uint64)
+    z *= np.uint64(GOLDEN_GAMMA)
+    z += np.uint64(seed & MASK64)
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return z
 
 
 def u64_to_unit(values: np.ndarray) -> np.ndarray:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ThresholdDesignError
-from .rng import splitmix64_stream, u64_to_unit
+from .rng import GOLDEN_GAMMA, MASK64, splitmix64_stream, u64_to_unit
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -169,6 +169,30 @@ def estimate_sigma(weights) -> float:
     return float(np.sqrt(_sum_squares(w, 0, w.size) / w.size))
 
 
+# Most Box-Muller pairs drawn at once (2**16 stream words, 512 KiB).
+_NORMAL_CHUNK = 1 << 15
+
+
+def _normal_chunks(n: int, seed: int):
+    """standard_normals(n, seed) in order, as (start, values) of at most
+    2 * _NORMAL_CHUNK values each.
+
+    The stream is counter-based, so the words from 2a + 1 on are those of
+    the seed advanced by 2a * GOLDEN_GAMMA; each chunk draws only its own.
+    """
+    pairs = (n + 1) // 2
+    for a in range(0, pairs, _NORMAL_CHUNK):
+        b = min(a + _NORMAL_CHUNK, pairs)
+        words = splitmix64_stream((seed + 2 * a * GOLDEN_GAMMA) & MASK64, 2 * (b - a))
+        u = u64_to_unit(words)
+        radius = np.sqrt(-2.0 * np.log(u[0::2]))
+        angle = (2.0 * np.pi) * u[1::2]
+        out = np.empty(2 * (b - a), dtype=np.float64)
+        out[0::2] = radius * np.cos(angle)
+        out[1::2] = radius * np.sin(angle)
+        yield 2 * a, out[: n - 2 * a]
+
+
 def standard_normals(n: int, seed: int) -> np.ndarray:
     """n i.i.d. standard normal doubles, deterministic per seed.
 
@@ -179,22 +203,30 @@ def standard_normals(n: int, seed: int) -> np.ndarray:
         out[2i+1] = sqrt(-2 ln u1) * sin(2 pi u2)
     and the sequence is truncated to n. The u64 stream is bit-exact across
     implementations; the float outputs are only comparable within normal
-    transcendental-function tolerances.
+    transcendental-function tolerances. Outputs are produced in chunks of
+    at most 2**16 values (see _normal_chunks), with the same bits as the
+    whole-vector transform.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    pairs = (n + 1) // 2
-    u = u64_to_unit(splitmix64_stream(seed, 2 * pairs))
-    radius = np.sqrt(-2.0 * np.log(u[0::2]))
-    angle = (2.0 * np.pi) * u[1::2]
-    out = np.empty(2 * pairs, dtype=np.float64)
-    out[0::2] = radius * np.cos(angle)
-    out[1::2] = radius * np.sin(angle)
-    return out[:n]
+    out = np.empty(n, dtype=np.float64)
+    for start, values in _normal_chunks(n, seed):
+        out[start : start + values.size] = values
+    return out
 
 
 def sample_gaussian_weights(n: int, sigma: float, seed: int) -> np.ndarray:
-    """n weights drawn i.i.d. from N(0, sigma**2), as binary32."""
+    """n weights drawn i.i.d. from N(0, sigma**2), as binary32.
+
+    Each value is sigma * standard_normals(n, seed)[i] in binary64, rounded
+    once to binary32; only one chunk of doubles is held at a time.
+    """
     if not sigma > 0:
         raise ValueError("sigma must be positive")
-    return (sigma * standard_normals(n, seed)).astype(np.float32)
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    out = np.empty(n, dtype=np.float32)
+    for start, values in _normal_chunks(n, seed):
+        values *= sigma
+        out[start : start + values.size] = values
+    return out

@@ -167,10 +167,14 @@ def extract(weights, spec: EmbedSpec) -> np.ndarray:
 def _extract(w: np.ndarray, spec: EmbedSpec) -> np.ndarray:
     """extract on the finite binary32 vector w."""
     pos = _positions_array(spec, w.size)
-    mag = np.abs(w[pos].astype(np.float64))
+    return _top_alpha(np.abs(w[pos].astype(np.float64)), spec.params.alpha)
+
+
+def _top_alpha(mag: np.ndarray, alpha: int) -> np.ndarray:
+    """Ones at the alpha largest of mag; ties go to the lower index (stable sort)."""
     order = np.argsort(-mag, kind="stable")
-    bits = np.zeros(spec.params.L, dtype=np.uint8)
-    bits[order[: spec.params.alpha]] = 1
+    bits = np.zeros(mag.size, dtype=np.uint8)
+    bits[order[:alpha]] = 1
     return bits
 
 

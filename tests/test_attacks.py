@@ -9,6 +9,7 @@ from cwmark import (
     CodeParams,
     ThresholdPair,
     add_noise,
+    attacks,
     design_thresholds,
     embed_message,
     encode,
@@ -110,6 +111,42 @@ def test_prune_invariants_property(n, seed, rate, quantize):
     assert spec.p - ties <= spec.zeroed <= spec.p
     again, _ = prune(out, rate)
     assert np.array_equal(again.view(np.uint32), out.view(np.uint32))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=3000),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    rates=st.lists(st.floats(min_value=0.0, max_value=0.999), min_size=1, max_size=6),
+    quantize=st.booleans(),
+)
+def test_cutoffs_one_partition_matches_sort(n, seed, rates, quantize):
+    # Unsorted and repeated rates over one shrinking partition give the
+    # p-th smallest magnitude of each, as a full sort does.
+    rng = np.random.default_rng(seed)
+    w = rng.normal(0, 1, n).astype(np.float32)
+    if quantize:  # force magnitude ties
+        w = np.round(w * 4) / 4
+    ordered = np.sort(np.abs(w))
+    want = [(p, float(ordered[p])) for p in (min(int(r * n), n - 1) for r in rates)]
+    assert attacks._cutoffs(np.abs(w), rates) == want
+
+
+@pytest.mark.parametrize("rate", [0.0, 0.5, 0.9, 0.99])
+@pytest.mark.parametrize("n", [1, 5, 1000, 2**12 + 3])
+def test_prune_chunks_match_whole_vector(monkeypatch, n, rate):
+    # Chunk edges at every 7 weights; zeros, -0.0 and ties at the cutoff.
+    monkeypatch.setattr(attacks, "_PRUNE_CHUNK", 7)
+    w = np.round(np.random.default_rng(n).normal(0, 1, n) * 4).astype(np.float32) / 4
+    w[::5] = 0.0
+    w[1::11] = -0.0
+    out, spec = prune(w, rate)
+    mask = np.abs(w) < np.float32(spec.cutoff)
+    want = w.copy()
+    want[mask] = 0.0
+    assert out.tobytes() == want.tobytes()
+    assert spec.zeroed == int(np.count_nonzero(mask))
+    assert spec.cutoff == float(np.sort(np.abs(w))[spec.p])
 
 
 def test_prune_zeroed_fraction_bound():

@@ -2,6 +2,7 @@
 
 import contextlib
 import functools
+import hashlib
 import io
 import json
 import os
@@ -20,15 +21,22 @@ from cwmark import (
     SpecFormatError,
     WeightFileError,
     design_thresholds,
+    embed_message,
     embed_message_blocks,
+    encode,
+    extract,
+    find_params,
     int_to_bits,
+    prune,
     read_spec,
     read_weights,
     sample_gaussian_weights,
     write_spec,
     write_weights,
 )
+from cwmark import cli
 from cwmark.cli import main
+from cwmark.rng import random_bits, splitmix64_stream
 
 MSG64 = "deadbeef01234567"
 
@@ -450,6 +458,54 @@ def test_eval_deterministic_csv_bytes(capsys, tmp_path):
     c = tmp_path / "c.csv"
     assert run(capsys, "--seed", "10", *EVAL_SMALL, "--out", str(c))[0] == 0
     assert a.read_bytes() != c.read_bytes()
+
+
+# sha256 of the --seed 9 CSV at three unsorted attack rates. It pins eval's
+# output bytes: a faster harness must reproduce them exactly.
+EVAL_SEED9_SHA256 = "cc7d577dba4f0873e98ab79d61d0f88ba6c31e7a763647029a70bfbd5bcc1ee0"
+
+
+def test_eval_csv_bytes_pinned(capsys, tmp_path):
+    out = tmp_path / "e.csv"
+    argv = (*EVAL_SMALL[:-1], "0.94,0.5,0.9", "--out", str(out))
+    assert run(capsys, "--seed", "9", *argv)[0] == 4  # 0.94 is a protected rate
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == EVAL_SEED9_SHA256
+
+
+@pytest.mark.parametrize("step", [None, 0.002])
+def test_eval_rows_agree_with_prune_and_extract(monkeypatch, step):
+    # The harness reads only the selected weights; each row must still be
+    # what prune followed by extract gives. step quantizes the sampled
+    # weights, so selected magnitudes tie with the cutoff.
+    sample = cli.stats.sample_gaussian_weights
+    if step is not None:
+        monkeypatch.setattr(
+            cli.stats, "sample_gaussian_weights",
+            lambda *a: (np.round(sample(*a) / step) * step).astype(np.float32),
+        )
+    rates = [0.9, 0.5, 0.0, 0.9, 0.94]
+    argv = ["--seed", "5", *EVAL_SMALL[:-1], "0.9,0.5,0.0,0.9,0.94"]
+    rows = list(cli._eval_rows(cli.build_parser().parse_args(argv)))
+    assert [float(row["attack_rate"]) for row in rows] == rates * 2
+
+    params = find_params(16, 8).params
+    pair = design_thresholds(0.01, 0.95)
+    want, ties = [], 0
+    for trial_seed in splitmix64_stream(5, 2).tolist():
+        weight_seed, key, message_seed = splitmix64_stream(trial_seed, 3).tolist()
+        message = random_bits(message_seed, 16)
+        weights = cli.stats.sample_gaussian_weights(20000, 0.01, weight_seed)
+        marked, receipt = embed_message(weights, message, key, pair, params)
+        codeword = encode(message, params)
+        selected = np.abs(marked[list(receipt.spec.positions)])
+        for rate in rates:
+            pruned, report = prune(marked, rate)
+            errors = int(np.count_nonzero(extract(pruned, receipt.spec) != codeword))
+            want.append((repr(report.cutoff), errors, "yes" if errors == 0 else "no"))
+            ties += int(np.count_nonzero(selected == np.float32(report.cutoff)))
+    got = [(row["cutoff"], row["bit_errors"], row["recovered"]) for row in rows]
+    assert got == want
+    assert (ties > 0) == (step is not None)
 
 
 def test_eval_trials_zero_header_only(capsys):

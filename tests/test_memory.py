@@ -64,8 +64,15 @@ def test_estimate_sigma_peak(weights):
 
 
 def test_prune_peak(weights):
-    # Magnitudes, then the result, each beside the mask: 1.25 (2.25).
-    assert peak_over_payload(prune, weights, 0.9) <= 1.5
+    # One buffer, magnitudes then the result, and one chunk's mask: 1.02
+    # (with an n-byte mask: 1.25; a mask and a copy beside it: 2.25).
+    assert peak_over_payload(prune, weights, 0.9) <= 1.1
+
+
+def test_sample_gaussian_weights_peak():
+    # The result and one chunk of draws: 1.19 (the whole stream, its
+    # uniforms, radius, angle and doubles at once: 7.0).
+    assert peak_over_payload(sample_gaussian_weights, N, 0.01, seed=21) <= 1.5
 
 
 def test_embed_message_blocks_peak(weights):

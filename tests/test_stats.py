@@ -21,7 +21,7 @@ from cwmark import (
     standard_normals,
     stats,
 )
-from cwmark.rng import random_bits, splitmix64_stream
+from cwmark.rng import random_bits, splitmix64_stream, u64_to_unit
 
 # Frozen from the quadrature oracle (tests/reference.py normal_quantile_tail).
 Q_INV_005 = 1.6448536269514722
@@ -193,6 +193,43 @@ def test_standard_normals_matches_reference_transform():
         want.append(r * math.sin(2.0 * math.pi * u[i + 1]))
     got = standard_normals(n, seed=123)
     assert got == pytest.approx(want, rel=1e-12)
+
+
+def whole_vector_normals(n: int, seed: int) -> np.ndarray:
+    # The documented recipe over the whole stream at once.
+    pairs = (n + 1) // 2
+    u = u64_to_unit(splitmix64_stream(seed, 2 * pairs))
+    radius = np.sqrt(-2.0 * np.log(u[0::2]))
+    angle = (2.0 * np.pi) * u[1::2]
+    out = np.empty(2 * pairs, dtype=np.float64)
+    out[0::2] = radius * np.cos(angle)
+    out[1::2] = radius * np.sin(angle)
+    return out[:n]
+
+
+CHUNK = 2 * stats._NORMAL_CHUNK  # values per chunk
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+@pytest.mark.parametrize(
+    "n", [CHUNK - 2, CHUNK - 1, CHUNK, CHUNK + 1, CHUNK + 2, CHUNK + 3, 2 * CHUNK + 1]
+)
+def test_sampler_chunks_match_whole_vector_bit_for_bit(n, seed):
+    want = whole_vector_normals(n, seed)
+    got = standard_normals(n, seed)
+    assert got.shape == (n,) and got.tobytes() == want.tobytes()
+    weights = sample_gaussian_weights(n, 0.01, seed)
+    assert weights.dtype == np.float32
+    assert weights.tobytes() == (0.01 * want).astype(np.float32).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 6, 7, 100])
+def test_sampler_small_chunks_match_whole_vector(monkeypatch, n):
+    monkeypatch.setattr(stats, "_NORMAL_CHUNK", 3)
+    want = whole_vector_normals(n, 77)
+    assert standard_normals(n, 77).tobytes() == want.tobytes()
+    got = sample_gaussian_weights(n, 2.5, 77)
+    assert got.tobytes() == (2.5 * want).astype(np.float32).tobytes()
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2**63 + 12345, 2**64 - 1])
