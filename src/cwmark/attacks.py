@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rng import splitmix64_stream
-from .stats import estimate_sigma, standard_normals
+from .stats import _normal_chunks, estimate_sigma
 from .watermark import as_weight_vector
 
 
@@ -76,15 +76,19 @@ def add_noise(weights, sigma_noise: float, seed: int) -> np.ndarray:
     """Add i.i.d. zero-mean Gaussian noise with the given standard deviation.
 
     Noise is drawn by the deterministic generator behind standard_normals,
-    added in binary64, and rounded back to binary32.
+    added in binary64 one chunk at a time, and rounded back to binary32.
     """
     w = as_weight_vector(weights)
     if sigma_noise < 0.0:
         raise ValueError(f"noise level must be nonnegative, got {sigma_noise}")
+    out = w.copy()
     if sigma_noise == 0.0:
-        return w.copy()
-    noise = standard_normals(w.size, seed) * sigma_noise
-    return (w.astype(np.float64) + noise).astype(np.float32)
+        return out
+    for start, values in _normal_chunks(w.size, seed):
+        values *= sigma_noise
+        values += w[start : start + values.size]
+        out[start : start + values.size] = values
+    return out
 
 
 def targeted_flip_attack(
@@ -105,26 +109,22 @@ def targeted_flip_attack(
         raise ValueError(f"budget {budget} exceeds vector length {w.size}")
     if budget == 0:
         return w.copy(), np.empty(0, dtype=np.int64)
-    mag = np.abs(w.astype(np.float64))
-    out = w.copy()
+    mag = np.abs(w)  # binary32 keeps the order and ties of the binary64 widening
     if strategy == "suppress":
-        order = np.argsort(-mag, kind="stable")
+        order = np.argsort(np.negative(mag, out=mag), kind="stable")
         idx = order[:budget]
-        boundary = mag[order[budget]] if budget < w.size else 0.0
-        signs = np.where(w[idx] >= 0, 1.0, -1.0)
-        out[idx] = (signs * boundary).astype(np.float32)
+        value = -mag[order[budget]] if budget < w.size else 0.0
     elif strategy == "inflate":
-        scale = estimate_sigma(w)
-        if scale == 0.0:
-            scale = 1.0
-        candidates = np.flatnonzero(mag <= scale / 2.0)
+        scale = estimate_sigma(w) or 1.0
+        # In binary64: scale / 2 rounded to binary32 may admit a weight above it.
+        candidates = np.flatnonzero(mag <= np.float64(scale / 2.0))
         if candidates.size < budget:
             candidates = np.argsort(mag, kind="stable")[:budget]
         keys = splitmix64_stream(seed, candidates.size)
-        chosen = candidates[np.argsort(keys, kind="stable")[:budget]]
-        signs = np.where(w[chosen] >= 0, 1.0, -1.0)
-        out[chosen] = (signs * 2.0 * scale).astype(np.float32)
-        idx = chosen
+        idx = candidates[np.argsort(keys, kind="stable")[:budget]]
+        value = 2.0 * scale
     else:
         raise ValueError(f"unknown attack strategy {strategy!r}")
+    out = w.copy()
+    out[idx] = np.where(w[idx] >= 0, value, -value)
     return out, np.sort(idx)

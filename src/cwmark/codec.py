@@ -279,6 +279,12 @@ def decode(codeword, params: CodeParams) -> np.ndarray:
     return int_to_bits(value, params.k)
 
 
+# Largest bit length of find_params' target 2**k * alpha!. Codes whose ladder
+# fits _LADDER_LIMIT need under 8,900 bits and the grid at most 2,043. Codes
+# with a small target but a huge table (k = 64, alpha = 1) are refused later.
+_TARGET_BITS = 1 << 14
+
+
 @dataclass(frozen=True)
 class ParamSearchResult:
     """Outcome of the minimal-length search for a (k, alpha) code."""
@@ -309,12 +315,21 @@ def find_params(k: int, alpha: int) -> ParamSearchResult:
 
     The tightness flag reports whether the true capacity also stays below
     2**(k+1); large-alpha choices can overshoot that bound, which is
-    harmless for correctness.
+    harmless for correctness. A target 2**k * alpha! past _TARGET_BITS
+    bits raises CapacityError before any big-integer work.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if alpha < 1:
         raise ValueError("alpha must be >= 1")
+    # Bounded on the ints first: a k of 309 or more digits has no float.
+    if max(k, alpha) > _TARGET_BITS or (
+        k + math.lgamma(alpha + 1) / math.log(2) > _TARGET_BITS
+    ):
+        raise CapacityError(
+            f"2**k * alpha! would pass {_TARGET_BITS} bits: no coding table "
+            f"within the {_LADDER_LIMIT >> 20} MiB limit holds such a code"
+        )
     target = (1 << k) * math.factorial(alpha)
     hi = 1
     while hi**alpha < target:

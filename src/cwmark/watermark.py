@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -128,18 +129,19 @@ def embed(weights, codeword, spec: EmbedSpec) -> tuple[np.ndarray, EmbedReceipt]
     stored back as binary32. All non-selected entries are bit-identical
     to the input, which is left unchanged.
     """
-    out = as_weight_vector(weights).copy()
-    return out, _project(out, codeword, spec)
-
-
-def _project(w: np.ndarray, codeword, spec: EmbedSpec) -> EmbedReceipt:
-    """embed's projection, written into the finite binary32 vector w in place."""
+    w = as_weight_vector(weights)
     pos = _positions_array(spec, w.size)
     bits = as_bits(codeword, expect_len=spec.params.L)
     if int(bits.sum()) != spec.params.alpha:
         raise MalformedCodewordError(
             f"codeword weight {int(bits.sum())} != alpha {spec.params.alpha}"
         )
+    out = w.copy()
+    return out, _project(out, pos, bits, spec)
+
+
+def _project(w: np.ndarray, pos, bits, spec: EmbedSpec) -> EmbedReceipt:
+    """embed's projection into w in place; trusts the positions and the bits."""
     t0, t1 = spec.thresholds
     old = w[pos]
     vals = old.astype(np.float64)
@@ -178,6 +180,21 @@ def _top_alpha(mag: np.ndarray, alpha: int) -> np.ndarray:
     return bits
 
 
+def _embed_block(out, bits, key, seeds, params, thresholds, taken) -> EmbedReceipt:
+    """Project encode(bits, params) into out at the first seed's positions
+    that miss every index in taken, and add them to taken."""
+    for seed in seeds:
+        positions = select_positions(seed, out.size, params.L, allow_dense=True)
+        chosen = positions.tolist()
+        if taken.isdisjoint(chosen):
+            break
+    else:
+        raise SelectionRatioError("could not find disjoint positions for all blocks")
+    taken.update(chosen)
+    spec = EmbedSpec(key=key, params=params, thresholds=thresholds, positions=chosen)
+    return _project(out, positions, encode(bits, params), spec)
+
+
 def embed_message(
     weights,
     message,
@@ -188,17 +205,14 @@ def embed_message(
 ) -> tuple[np.ndarray, EmbedReceipt]:
     """select_positions -> encode -> embed, returning the new vector and receipt.
 
-    Positions are selected first, so a code too long or too dense for the
-    vector is refused before its ladder is built.
+    The one-block case of embed_message_blocks, with the key as the only
+    selection seed. Positions are selected first, so a code too long or
+    too dense for the vector is refused before its ladder is built.
     """
     w = as_weight_vector(weights)
-    positions = select_positions(key, w.size, params.L, allow_dense=allow_dense)
-    codeword = encode(message, params)
-    spec = EmbedSpec(
-        key=key, params=params, thresholds=thresholds, positions=tuple(positions)
-    )
+    _check_selection(params.L, w.size, allow_dense)
     out = w.copy()
-    return out, _project(out, codeword, spec)
+    return out, _embed_block(out, message, key, [key], params, thresholds, set())
 
 
 def extract_message(weights, spec: EmbedSpec) -> np.ndarray:
@@ -213,15 +227,9 @@ def split_blocks(message, k_block: int) -> list[np.ndarray]:
         raise ValueError("message must not be empty")
     if k_block < 1:
         raise ValueError("k_block must be >= 1")
-    blocks = []
-    for start in range(0, bits.size, k_block):
-        block = bits[start : start + k_block]
-        if block.size < k_block:
-            block = np.concatenate(
-                [block, np.zeros(k_block - block.size, dtype=np.uint8)]
-            )
-        blocks.append(block)
-    return blocks
+    padded = np.zeros(-(-bits.size // k_block) * k_block, dtype=np.uint8)
+    padded[: bits.size] = bits
+    return list(padded.reshape(-1, k_block))
 
 
 def join_blocks(blocks, total_bits: int) -> np.ndarray:
@@ -279,25 +287,11 @@ def embed_message_blocks(
     _check_selection(len(blocks) * params.L, w.size, allow_dense)
     out = w.copy()
     taken: set[int] = set()
-    specs: list[EmbedSpec] = []
-    receipts: list[EmbedReceipt] = []
+    receipts = []
     for j, block in enumerate(blocks):
-        for attempt in range(1000):
-            seed = _block_selection_seed(key, j, attempt)
-            positions = select_positions(seed, w.size, params.L, allow_dense=True)
-            if taken.isdisjoint(positions.tolist()):
-                break
-        else:
-            raise SelectionRatioError(
-                "could not find disjoint positions for all blocks"
-            )
-        taken.update(positions.tolist())
-        spec = EmbedSpec(
-            key=key, params=params, thresholds=thresholds, positions=tuple(positions)
-        )
-        receipts.append(_project(out, encode(block, params), spec))
-        specs.append(spec)
-    return out, specs, receipts
+        seeds = map(partial(_block_selection_seed, key, j), range(1000))
+        receipts.append(_embed_block(out, block, key, seeds, params, thresholds, taken))
+    return out, [r.spec for r in receipts], receipts
 
 
 def extract_message_blocks(weights, specs, total_bits: int) -> np.ndarray:

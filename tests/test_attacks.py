@@ -1,5 +1,7 @@
 """Magnitude pruning, Gaussian noise, and keyless targeted-flip attacks."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,11 +16,15 @@ from cwmark import (
     embed_message,
     encode,
     extract,
+    estimate_sigma,
     prune,
     sample_gaussian_weights,
+    standard_normals,
+    stats,
     targeted_flip_attack,
 )
-from cwmark.rng import random_bits
+from cwmark.rng import random_bits, splitmix64_stream
+from cwmark.stats import _NORMAL_CHUNK
 
 # --- prune -------------------------------------------------------------------
 
@@ -297,3 +303,125 @@ def test_flip_attack_full_budget_destroys_watermark():
     assert extract(wrecked, receipt.spec).tolist() != encode(
         message, params
     ).tolist()
+
+
+# --- against the binary64 recipes ---------------------------------------------
+
+
+def old_add_noise(w, sigma_noise, seed):
+    """add_noise as one whole-vector binary64 sum."""
+    if sigma_noise == 0.0:
+        return w.copy()
+    noise = standard_normals(w.size, seed) * sigma_noise
+    return (w.astype(np.float64) + noise).astype(np.float32)
+
+
+def old_flip(w, budget, seed, strategy):
+    """targeted_flip_attack on binary64 magnitudes, one signed write per strategy."""
+    if budget == 0:
+        return w.copy(), np.empty(0, dtype=np.int64)
+    mag = np.abs(w.astype(np.float64))
+    out = w.copy()
+    if strategy == "suppress":
+        order = np.argsort(-mag, kind="stable")
+        idx = order[:budget]
+        boundary = mag[order[budget]] if budget < w.size else 0.0
+        signs = np.where(w[idx] >= 0, 1.0, -1.0)
+        out[idx] = (signs * boundary).astype(np.float32)
+    else:
+        scale = estimate_sigma(w)
+        if scale == 0.0:
+            scale = 1.0
+        candidates = np.flatnonzero(mag <= scale / 2.0)
+        if candidates.size < budget:
+            candidates = np.argsort(mag, kind="stable")[:budget]
+        keys = splitmix64_stream(seed, candidates.size)
+        idx = candidates[np.argsort(keys, kind="stable")[:budget]]
+        signs = np.where(w[idx] >= 0, 1.0, -1.0)
+        out[idx] = (signs * 2.0 * scale).astype(np.float32)
+    return out, np.sort(idx)
+
+
+# Magnitude ties on a grid, both zeros, and the smallest subnormals.
+SPECIAL_WEIGHTS = [0.0, -0.0, 0.25, -0.25, 0.5, -0.5, 1.0, -1.0, 1e-45, -1e-45, 1e-40]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_attacks_match_binary64_recipes(data):
+    values = st.one_of(
+        st.sampled_from(SPECIAL_WEIGHTS),
+        st.floats(min_value=-4.0, max_value=4.0, width=32),
+    )
+    w = np.array(data.draw(st.lists(values, min_size=1, max_size=300)), dtype=np.float32)
+    n = w.size
+    budget = data.draw(st.sampled_from([0, 1, n - 1, n]) | st.integers(0, n))
+    seed = data.draw(st.integers(min_value=0, max_value=2**64 - 1))
+    for strategy in ("suppress", "inflate"):
+        out, touched = targeted_flip_attack(w, budget, seed, strategy=strategy)
+        want, want_touched = old_flip(w, budget, seed, strategy)
+        assert out.tobytes() == want.tobytes()
+        assert touched.tolist() == want_touched.tolist()
+    sigma = data.draw(st.sampled_from([0.0, 1e-40, 0.25]) | st.floats(0.0, 10.0))
+    assert add_noise(w, sigma, seed).tobytes() == old_add_noise(w, sigma, seed).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 5, 6, 7, 13, 1001])
+def test_add_noise_small_chunks_match_binary64_recipe(monkeypatch, n):
+    # Chunks of 3 pairs: every edge, and an odd tail.
+    w = np.round(np.random.default_rng(n).normal(0, 1, n) * 4).astype(np.float32) / 4
+    w[::4] = -0.0
+    want = old_add_noise(w, 0.5, seed=n)
+    monkeypatch.setattr(stats, "_NORMAL_CHUNK", 3)
+    assert add_noise(w, 0.5, seed=n).tobytes() == want.tobytes()
+
+
+def bound_above_half_scale(seed):
+    """A vector whose w[0] is float32(scale / 2) but lies above scale / 2,
+    where scale is the RMS of the vector itself; None if the fix-point
+    iteration on w[0] lands on or below it."""
+    w = sample_gaussian_weights(1000, sigma=1.0, seed=seed)
+    for _ in range(100):
+        bound = np.float32(estimate_sigma(w) / 2.0)
+        if w[0] == bound:
+            break
+        w[0] = bound
+    scale = estimate_sigma(w)
+    return w if w[0] == np.float32(scale / 2.0) and float(w[0]) > scale / 2.0 else None
+
+
+def test_inflate_compares_the_bound_in_binary64():
+    # w[0] is no candidate; as the first index it would shift every
+    # candidate's key if a binary32 compare let it in.
+    w = next(w for w in map(bound_above_half_scale, range(40, 80)) if w is not None)
+    out, touched = targeted_flip_attack(w, 5, seed=41, strategy="inflate")
+    want, want_touched = old_flip(w, 5, 41, "inflate")
+    assert 0 not in touched.tolist()
+    assert out.tobytes() == want.tobytes()
+    assert touched.tolist() == want_touched.tolist()
+
+
+# --- output bytes ------------------------------------------------------------
+
+# sha256 of attack outputs on one Gaussian vector. Noise runs at
+# n = 4 * _NORMAL_CHUNK + 3, so its draws span two chunk boundaries and end
+# on an odd count; a flip hashes the attacked vector, then the touched
+# indices. Any rework of the attacks must reproduce these bytes.
+ATTACK_SHA256 = {
+    "noise": "af628361ebf8c9c1a07f4e184c7c4ded4cd38c8fbf00b7f5d0b220cd2f5073de",
+    "suppress": "84af9450bfba6c3087ce10ca916e47e241da9e4b63c8de6181ea8727070fce8d",
+    "inflate": "9f219f933b7352707ad86cd0579547048ed8268c3277d8d8e76d47f7030d8aaa",
+}
+
+
+@pytest.mark.parametrize("case", sorted(ATTACK_SHA256))
+def test_attack_bytes_pinned(case):
+    w = sample_gaussian_weights(4 * _NORMAL_CHUNK + 3, sigma=0.01, seed=31)
+    digest = hashlib.sha256()
+    if case == "noise":
+        digest.update(add_noise(w, 0.003, seed=32).tobytes())
+    else:
+        out, touched = targeted_flip_attack(w, 500, seed=33, strategy=case)
+        digest.update(out.tobytes())
+        digest.update(touched.tobytes())
+    assert digest.hexdigest() == ATTACK_SHA256[case]

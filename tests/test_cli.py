@@ -161,6 +161,26 @@ def test_encode_oversized_code_refused_with_exit_2(capsys):
     assert err.count("\n") == 1 and "MiB limit" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        f"params -k {'9' * 30} -a 10",
+        f"params -k {'9' * 30} --tolerance 0.9",
+        f"eval --trials 1 -k {'9' * 30}",
+        "params -k 20000 -a 10",
+        "encode --message 0 -a 99999999999",
+    ],
+    ids=["params", "tolerance", "eval", "k-20000", "encode"],
+)
+def test_oversized_code_search_refused_with_exit_2(capsys, argv):
+    # find_params refuses a target 2**k * alpha! past 2**14 bits from the
+    # sizes alone, before any big-integer or float work on k.
+    code, out, err = run(capsys, *argv.split())
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and "16384 bits" in err
+
+
 def test_memory_error_exits_2_with_one_line(capsys, monkeypatch):
     def exhausted(args, console):
         raise MemoryError()
@@ -309,6 +329,50 @@ def test_block_mode_roundtrip_when_key_equals_a_block_index(capsys, tmp_path):
     code, out, _ = run(capsys, "--quiet", "extract", str(marked), str(spec))
     assert code == 0
     assert out.strip() == long_message
+
+
+# sha256 of the spec and of the marked weights that embed writes, as
+# (n, key, extra argv, message) -> (spec, weights). Both block cases
+# re-draw: at key 7 and n = 200000 block 1 takes attempt 4, and at key 1
+# and n = 160000 block 1, whose chain starts at mix64(1 ^ 1) == 0, takes
+# attempt 3. Any rework of the embed path must reproduce these bytes.
+EMBED_SHA256 = {
+    "single": (
+        (100_000, "7", (), MSG64),
+        (
+            "8fddd1545babc282ebafbd8da39bffb411e98d5b9dbf1f9738bfcfb1cf518c42",
+            "ae3c730cb6074c575a11e5cbfdaaec83f19a4a7224c3abc85f42c58a14839d2d",
+        ),
+    ),
+    "block": (
+        (200_000, "7", ("--block-bits", "64"), MSG64 * 4),
+        (
+            "8b2c3ea5239e60e8e6364dc91d7bc0b372e936eb462c9f9d92209c575993331e",
+            "58a76f00daa91027fcce3dd5ce74865a7d4a0b548ab8f6603e273f7f4751659e",
+        ),
+    ),
+    "key-equals-block": (
+        (160_000, "1", ("--block-bits", "64"), MSG64 * 4),
+        (
+            "cff513f4034578f4886ae515c3a00f8acbb012d0aa3d5bf378aff34cdd0da45c",
+            "d20749ac8340462413d64d7fcb68cc8fa795268c0df474015021f090e4426bfd",
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EMBED_SHA256))
+def test_embed_bytes_pinned(capsys, tmp_path, case):
+    (n, key, extra, message), digests = EMBED_SHA256[case]
+    weights = make_weights(tmp_path, n=n)
+    spec, marked = tmp_path / "mark.spec", tmp_path / "marked.cwcw"
+    code, _, _ = run(
+        capsys, "--quiet", "embed", str(weights), str(spec), str(marked),
+        "--message", message, "--key", key, "-a", "10", "--rate", "0.95", *extra,
+    )
+    assert code == 0
+    got = tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in (spec, marked))
+    assert got == digests
 
 
 def test_extract_all_zero_weights_decodes_zero_message(capsys, tmp_path):

@@ -1,6 +1,7 @@
 """Enumerative constant-weight codec against literal-scan and brute-force oracles."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -261,6 +262,37 @@ def test_find_params_input_validation():
         find_params(0, 1)
     with pytest.raises(ValueError):
         find_params(1, 0)
+
+
+NINES30 = 10**30 - 1
+
+
+@pytest.mark.parametrize(
+    "k, alpha",
+    [(NINES30, 10), (10**400, 1), (1, 10**400), (20_000, 10), (64, 99_999_999_999),
+     (16_385, 1), (64, 1_800)],
+)
+def test_find_params_refuses_big_targets_at_once(k, alpha):
+    # Past 2**14 bits of 2**k * alpha!, refused from the sizes alone:
+    # no 1 << k, no factorial, no float of a huge k.
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match="16384 bits"):
+            find_params(k, alpha)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
+
+
+def test_find_params_bound_admits_its_edge():
+    # k = 2**14 at alpha = 1 reaches the bound exactly and is still sized.
+    assert find_params(1 << 14, 1).params.L == 2**16384 + 1
+
+
+def test_find_params_for_tolerance_passes_the_refusal_on():
+    with pytest.raises(CapacityError, match="16384 bits"):
+        find_params_for_tolerance(NINES30, 0.9)
 
 
 def test_find_params_for_tolerance():

@@ -13,13 +13,17 @@ import numpy as np
 import pytest
 
 from cwmark import (
+    add_noise,
     design_thresholds,
+    embed_message,
     embed_message_blocks,
     estimate_sigma,
     extract_message_blocks,
+    find_params,
     prune,
     read_weights,
     sample_gaussian_weights,
+    targeted_flip_attack,
     write_weights,
 )
 from cwmark.rng import random_bits
@@ -73,6 +77,30 @@ def test_sample_gaussian_weights_peak():
     # The result and one chunk of draws: 1.19 (the whole stream, its
     # uniforms, radius, angle and doubles at once: 7.0).
     assert peak_over_payload(sample_gaussian_weights, N, 0.01, seed=21) <= 1.5
+
+
+def test_add_noise_peak(weights):
+    # The result and one chunk of draws: 1.19 (whole-vector binary64
+    # noise, widened weights and their sum: 5.0).
+    assert peak_over_payload(add_noise, weights, 0.001, seed=22) <= 1.5
+
+
+@pytest.mark.parametrize("strategy", ["suppress", "inflate"])
+def test_targeted_flip_attack_peak(weights, strategy):
+    # binary32 magnitudes, the int64 order or candidates, then the result:
+    # suppress 4.0, inflate 3.5 (on binary64 magnitudes: 7.0 and 5.3).
+    ratio = peak_over_payload(targeted_flip_attack, weights, 10, seed=23, strategy=strategy)
+    assert ratio <= 4.5
+
+
+def test_embed_message_peak(weights):
+    # One copy and L gathered values: 1.02.
+    pair = design_thresholds(0.01, 0.95, two_sided=True)
+    params = find_params(64, 10).params
+    ratio = peak_over_payload(
+        embed_message, weights, random_bits(3, 64), 77, pair, params
+    )
+    assert ratio <= 1.1
 
 
 def test_embed_message_blocks_peak(weights):

@@ -307,6 +307,25 @@ def test_embed_message_selects_before_encoding():
         )
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(min_value=400, max_value=5000),
+    key=st.integers(min_value=0, max_value=MASK64),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    alpha=st.sampled_from([2, 4, 10]),
+)
+def test_embed_message_is_embed_at_selected_positions(n, key, seed, alpha):
+    params = find_params(16, alpha).params
+    weights = np.random.default_rng(seed).normal(0, 1, n).astype(np.float32)
+    message = random_bits(seed, 16)
+    positions = select_positions(key, n, params.L, allow_dense=True)
+    spec = EmbedSpec(key=key, params=params, thresholds=PAIR, positions=positions)
+    want, want_receipt = embed(weights, encode(message, params), spec)
+    got, receipt = embed_message(weights, message, key, PAIR, params, allow_dense=True)
+    assert got.tobytes() == want.tobytes()
+    assert receipt == want_receipt
+
+
 # --- blocks ------------------------------------------------------------------
 
 
@@ -325,6 +344,17 @@ def test_split_blocks_errors():
         split_blocks([], 64)
     with pytest.raises(ValueError):
         split_blocks([1, 0], 0)
+
+
+@pytest.mark.parametrize("size", [100, 128])
+def test_split_blocks_do_not_alias_the_message(size):
+    message = random_bits(2, size)
+    blocks = split_blocks(message, 64)
+    before = [b.tolist() for b in blocks]
+    message ^= 1
+    assert [b.tolist() for b in blocks] == before
+    blocks[0][:] = 0
+    assert message.tolist() == (random_bits(2, size) ^ 1).tolist()
 
 
 def test_join_blocks_validation():
