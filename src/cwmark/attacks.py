@@ -111,9 +111,17 @@ def targeted_flip_attack(
         return w.copy(), np.empty(0, dtype=np.int64)
     mag = np.abs(w)  # binary32 keeps the order and ties of the binary64 widening
     if strategy == "suppress":
-        order = np.argsort(np.negative(mag, out=mag), kind="stable")
-        idx = order[:budget]
-        value = -mag[order[budget]] if budget < w.size else 0.0
+        if budget < w.size:
+            # A stable descending order takes every magnitude above the
+            # budget-th largest, top, then the lowest-index ties at it.
+            mag.partition(w.size - budget - 1)
+            value, top = mag[w.size - budget - 1], mag[w.size - budget :].min()
+            np.abs(w, out=mag)
+            above = np.flatnonzero(mag > top)
+            ties = np.flatnonzero(mag == top)[: budget - above.size]
+            idx = np.concatenate([above, ties])
+        else:
+            idx, value = np.arange(w.size), 0.0
     elif strategy == "inflate":
         scale = estimate_sigma(w) or 1.0
         # In binary64: scale / 2 rounded to binary32 may admit a weight above it.

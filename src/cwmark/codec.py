@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
 from math import floor
+from operator import getitem
 
 import numpy as np
 
@@ -54,21 +55,31 @@ class CodeParams:
         return binomial(self.L, self.alpha)
 
 
-def as_bits(values, expect_len: int | None = None) -> np.ndarray:
-    """Coerce a 0/1 sequence to a uint8 array, validating contents."""
+def _as_uint8(values) -> np.ndarray:
+    """values as a one-dimensional uint8 array; a uint8 input is not yet checked for 0/1."""
     arr = np.asarray(values)
     if arr.ndim != 1:
         raise ValueError("bit sequence must be one-dimensional")
     if arr.dtype == np.uint8:
-        out = arr
-    else:
-        out = arr.astype(np.uint8)
-        if not np.array_equal(out, arr):
-            raise ValueError("bit sequence must contain only 0 and 1")
-    if out.size and out.max() > 1:
+        return arr
+    out = arr.astype(np.uint8)
+    if not np.array_equal(out, arr):
         raise ValueError("bit sequence must contain only 0 and 1")
-    if expect_len is not None and out.size != expect_len:
-        raise ValueError(f"expected {expect_len} bits, got {out.size}")
+    return out
+
+
+def _check_bits(values: np.ndarray, size: int, expect_len: int | None) -> None:
+    """as_bits' last two checks: values (all, or all nonzero) <= 1, then the length."""
+    if values.size and values.max() > 1:
+        raise ValueError("bit sequence must contain only 0 and 1")
+    if expect_len is not None and size != expect_len:
+        raise ValueError(f"expected {expect_len} bits, got {size}")
+
+
+def as_bits(values, expect_len: int | None = None) -> np.ndarray:
+    """Coerce a 0/1 sequence to a uint8 array, validating contents."""
+    out = _as_uint8(values)
+    _check_bits(out, out.size, expect_len)
     return out
 
 
@@ -115,19 +126,65 @@ def _ladder_bytes(L: int, alpha: int) -> float:
     )
 
 
-@lru_cache(maxsize=2)
-def _weight_rows(L: int, alpha: int) -> tuple:
-    """Per-weight binomial lookup: rows[l][n] = binomial(n, l) for n in 0..L.
+class _CombRow:
+    """Row l of the coding table read through math.comb: row[n] = binomial(n, l)."""
 
-    Row 0 is all ones and each later row is the running sum of the one
-    before, shifted right by one place (the hockey-stick identity
+    __slots__ = ("l",)
+
+    def __init__(self, l: int):
+        self.l = l
+
+    def __getitem__(self, n: int) -> int:
+        return math.comb(n, self.l)
+
+
+class _Rows(list):
+    """rows[l][n] = binomial(n, l) for l in 0..alpha and n in 0..L, and a use count.
+
+    The rows start as _CombRow views, which hold nothing. use() counts
+    one encode or decode and, on the code's second, builds the table in
+    place: row 0 is all ones and each later row is the running sum of the
+    one before, shifted right by one place (the hockey-stick identity
     binomial(n, l) = sum of binomial(m, l - 1) over m < n), so the build
-    takes one big-integer addition per entry. Rows are nondecreasing in
-    n, which the search in _codeword relies on. Cached because the
-    largest grid ladder, (L=12955, alpha=127), takes 0.2-0.25 s and
-    158 MiB (tracemalloc) to build on a 2-CPU Xeon, and encode/decode
-    for one parameter set reuse the same rows. A ladder past
-    _LADDER_LIMIT raises CapacityError before anything is allocated.
+    takes one big-integer addition per entry. The largest grid table,
+    (L=12955, alpha=127), takes 0.2-0.25 s and 158 MiB (tracemalloc) to
+    build on a 2-CPU Xeon, while a single codeword reads only alpha
+    coefficients, about 1 ms through math.comb. So a CLI verb, which codes
+    once, never builds it, and a caller that codes many words builds it
+    after one table-free call.
+    """
+
+    __slots__ = ("L", "uses")
+
+    def __init__(self, L: int, alpha: int):
+        super().__init__(map(_CombRow, range(alpha + 1)))
+        self.L = L
+        self.uses = 0
+
+    def use(self) -> _Rows:
+        """These rows for one encode or decode: the table from the second use on."""
+        self.uses += 1
+        if self.uses == 2:
+            row = [1] * (self.L + 1)
+            table = [row]
+            for _ in range(len(self) - 1):
+                row = [0, *accumulate(row[:-1])]
+                table.append(row)
+            self[:] = table
+        return self
+
+
+@lru_cache(maxsize=2)
+def _weight_rows(L: int, alpha: int) -> _Rows:
+    """Per-weight binomial lookup for one code, and its first-use state.
+
+    rows[l][n] = binomial(n, l) for n in 0..L. Rows are nondecreasing in
+    n, which the search in _codeword relies on. The first encode or decode
+    of the code in a process reads each coefficient through math.comb;
+    its second builds the table (see _Rows). Cached, so cache_clear()
+    returns every code to its first use, as a new process finds it. A
+    code whose table would pass _LADDER_LIMIT raises CapacityError here,
+    before its first use, table-free or not, allocates anything.
     """
     # 36 bytes per entry is a floor of the estimate, and keeps its loop short.
     entries = (alpha + 1) * (L + 1)
@@ -136,12 +193,7 @@ def _weight_rows(L: int, alpha: int) -> tuple:
             f"coding table for L={L}, alpha={alpha} is past the "
             f"{_LADDER_LIMIT >> 20} MiB limit"
         )
-    row = [1] * (L + 1)
-    rows = [row]
-    for _ in range(alpha):
-        row = [0, *accumulate(row[:-1])]
-        rows.append(row)
-    return tuple(rows)
+    return _Rows(L, alpha)
 
 
 @lru_cache(maxsize=2)
@@ -177,8 +229,13 @@ def _codeword(value: int, alpha: int, L: int) -> np.ndarray:
     grid shapes that holds for all but about 1 in 40,000. Otherwise,
     mostly for small indices with ones packed near position 0, the
     exact greedy search (bisect on each row) runs instead.
+
+    Both read the coefficients from _weight_rows(L, alpha).use(): through
+    math.comb on the code's first encode or decode in the process, from
+    the built table on later ones. The table-free first use is about 1 ms
+    at (12955, 127), where building the table takes 0.2 s.
     """
-    rows = _weight_rows(L, alpha)
+    rows = _weight_rows(L, alpha).use()
     word = bytearray(L)
     rest = value
     hi = L
@@ -232,15 +289,27 @@ def encode_index(value: int, alpha: int, L: int) -> np.ndarray:
     return _codeword(value, alpha, L)
 
 
-def _codeword_index(bits: np.ndarray, alpha: int) -> int:
-    """Index of a uint8 0/1 codeword that as_bits already checked."""
-    ones = bits.view(np.bool_).nonzero()[0].tolist()
+def _codeword_ones(codeword, expect_len: int | None = None) -> tuple[int, list]:
+    """(length, positions of the ones) of a codeword, checked as as_bits checks it.
+
+    The 0/1 check reads only the entries that nonzero finds, so a uint8
+    codeword is read once. nonzero runs on a bool view, ten times faster
+    than on uint8, and counts every nonzero byte, 2 to 255 included.
+    """
+    bits = _as_uint8(codeword)
+    ones = bits.view(np.bool_).nonzero()[0]
+    _check_bits(bits[ones], bits.size, expect_len)
+    return bits.size, ones.tolist()
+
+
+def _codeword_index(L: int, ones: list, alpha: int) -> int:
+    """Index of the length-L codeword with ones at the increasing positions ones."""
     if len(ones) != alpha:
         raise MalformedCodewordError(
             f"codeword weight {len(ones)} != alpha {alpha}"
         )
-    rows = _weight_rows(bits.size, alpha)
-    return sum(map(list.__getitem__, rows[1:], ones))
+    rows = _weight_rows(L, alpha).use()
+    return sum(map(getitem, rows[1:], ones))
 
 
 def decode_index(codeword, alpha: int) -> int:
@@ -249,7 +318,7 @@ def decode_index(codeword, alpha: int) -> int:
     The 1 at weight level l (the l-th one from position 0) at position p
     adds binomial(p, l).
     """
-    return _codeword_index(as_bits(codeword), alpha)
+    return _codeword_index(*_codeword_ones(codeword), alpha)
 
 
 def encode(message, params: CodeParams) -> np.ndarray:
@@ -269,8 +338,7 @@ def decode(codeword, params: CodeParams) -> np.ndarray:
     MessageRangeError when the reconstructed index needs more than k bits
     (a corrupted codeword outside the message space).
     """
-    bits = as_bits(codeword, expect_len=params.L)
-    value = _codeword_index(bits, params.alpha)
+    value = _codeword_index(*_codeword_ones(codeword, params.L), params.alpha)
     if value >= (1 << params.k):
         raise MessageRangeError(
             f"decoded index {value} does not fit in {params.k} bits; "
@@ -283,6 +351,27 @@ def decode(codeword, params: CodeParams) -> np.ndarray:
 # fits _LADDER_LIMIT need under 8,900 bits and the grid at most 2,043. Codes
 # with a small target but a huge table (k = 64, alpha = 1) are refused later.
 _TARGET_BITS = 1 << 14
+
+
+def _root_up(target: int, alpha: int, log2_root: float) -> int:
+    """Smallest d with d**alpha >= target, from log2_root, an estimate of log2 of the root.
+
+    Integer Newton steps x -> ((alpha-1) x + target // x**(alpha-1)) // alpha
+    find r = floor(target ** (1/alpha)): by the AM-GM inequality the first
+    step lands at or above r from any x >= 1, and from above r every step
+    falls strictly until it reaches r. Started from the estimate, which
+    is good to more than 30 bits, they converge quadratically: two steps
+    for every grid row, nine for the 8,000-bit root at k = 16000,
+    alpha = 2. Then d = r, or r + 1 when r**alpha < target.
+    """
+    shift = max(0, math.floor(log2_root) - 60)
+    x = (math.floor(2.0 ** (log2_root - shift)) + 1) << shift
+    x = ((alpha - 1) * x + target // x ** (alpha - 1)) // alpha
+    while True:
+        y = ((alpha - 1) * x + target // x ** (alpha - 1)) // alpha
+        if y >= x:
+            return x + (x**alpha < target)
+        x = y
 
 
 @dataclass(frozen=True)
@@ -303,8 +392,9 @@ def find_params(k: int, alpha: int) -> ParamSearchResult:
     the returned L is the smallest with (L - alpha)**alpha >= 2**k * alpha!.
     That certifies the capacity with cheap integer arithmetic (no huge
     binomials during the search); it can run a few positions above the
-    bare minimum L, which only adds margin. Found by doubling then
-    bisecting on L - alpha.
+    bare minimum L, which only adds margin. L - alpha is the alpha-th root
+    of 2**k * alpha!, rounded up; _root_up finds it from the lgamma
+    estimate of its logarithm in a few big-integer steps.
 
     It reproduces 16 of the 20 rows of the published parameter grid. The
     four k=254 rows do not match: alpha = 32, 36, 40, 43 print L = 3307,
@@ -324,24 +414,14 @@ def find_params(k: int, alpha: int) -> ParamSearchResult:
         raise ValueError("alpha must be >= 1")
     # Bounded on the ints first: a k of 309 or more digits has no float.
     if max(k, alpha) > _TARGET_BITS or (
-        k + math.lgamma(alpha + 1) / math.log(2) > _TARGET_BITS
-    ):
+        log2_target := k + math.lgamma(alpha + 1) / math.log(2)
+    ) > _TARGET_BITS:
         raise CapacityError(
             f"2**k * alpha! would pass {_TARGET_BITS} bits: no coding table "
             f"within the {_LADDER_LIMIT >> 20} MiB limit holds such a code"
         )
     target = (1 << k) * math.factorial(alpha)
-    hi = 1
-    while hi**alpha < target:
-        hi *= 2
-    lo = hi // 2
-    while lo + 1 < hi:
-        mid = (lo + hi) // 2
-        if mid**alpha >= target:
-            hi = mid
-        else:
-            lo = mid
-    L = alpha + hi
+    L = alpha + _root_up(target, alpha, log2_target / alpha)
     c = math.comb(L, alpha)
     params = CodeParams(k=k, alpha=alpha, L=L)
     return ParamSearchResult(

@@ -282,8 +282,10 @@ def embed_message_blocks(
     equals chaining embed block by block.
     """
     w = as_weight_vector(weights)
-    blocks = split_blocks(message, k_block)
+    # Sized before the message is padded to whole blocks: an oversized
+    # k_block is refused before a k_block-bit buffer is allocated.
     params = find_params(k_block, alpha).params
+    blocks = split_blocks(message, k_block)
     _check_selection(len(blocks) * params.L, w.size, allow_dense)
     out = w.copy()
     taken: set[int] = set()

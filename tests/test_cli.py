@@ -169,8 +169,9 @@ def test_encode_oversized_code_refused_with_exit_2(capsys):
         f"eval --trials 1 -k {'9' * 30}",
         "params -k 20000 -a 10",
         "encode --message 0 -a 99999999999",
+        "params -k 16000 --tolerance 0.9",
     ],
-    ids=["params", "tolerance", "eval", "k-20000", "encode"],
+    ids=["params", "tolerance", "eval", "k-20000", "encode", "tolerance-k-16000"],
 )
 def test_oversized_code_search_refused_with_exit_2(capsys, argv):
     # find_params refuses a target 2**k * alpha! past 2**14 bits from the

@@ -2,6 +2,8 @@
 
 import math
 import tracemalloc
+from functools import lru_cache
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -95,6 +97,90 @@ def test_encode_matches_scan_oracle_at_large_shapes(L, alpha):
         assert list(word) == ref.scan_encode(bits, alpha, L), index
         assert decode_index(word, alpha) == index
         assert ref.scan_decode(list(word), width) == bits
+
+
+@lru_cache(maxsize=1)
+def _built_rows(L, alpha):
+    rows = codec._Rows(L, alpha)
+    rows.use()
+    rows.use()  # the second use builds the table
+    return rows
+
+
+def _coded_with(rows_for, index, alpha, L):
+    """encode_index and decode_index with _weight_rows(L, alpha) replaced by rows_for."""
+    with mock.patch.object(codec, "_weight_rows", rows_for):
+        word = encode_index(index, alpha, L)
+        return word, decode_index(word, alpha)
+
+
+@pytest.mark.parametrize("L, alpha", [(12955, 127), (4323, 170), (3000, 250)])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_first_use_and_table_code_alike(L, alpha, data):
+    # Random indices, and the boundaries of the scan-oracle test above:
+    # a fresh _Rows per call is always a first use, read through
+    # math.comb; the built table is what every later use reads.
+    capacity = math.comb(L, alpha)
+    boundaries = [0, capacity - 1]
+    for l, n in ((alpha, L - 1), (alpha // 2, L // 2)):
+        boundaries += [math.comb(n, l), math.comb(n, l) - 1]
+    index = data.draw(
+        st.one_of(st.sampled_from(boundaries), st.integers(0, capacity - 1))
+    )
+    cold_word, cold_index = _coded_with(codec._Rows, index, alpha, L)
+    rows = _built_rows(L, alpha)
+    assert type(rows[alpha]) is list
+    word, back = _coded_with(lambda *_: rows, index, alpha, L)
+    assert np.array_equal(cold_word, word)
+    assert cold_index == back == index
+
+
+def _first_use(L, alpha):
+    return all(type(row) is codec._CombRow for row in _weight_rows(L, alpha))
+
+
+def test_second_use_of_a_code_builds_the_table():
+    params = find_params(64, 10).params  # (L=393, alpha=10)
+    message = random_bits(11, 64)
+    _weight_rows.cache_clear()
+    word = encode(message, params)
+    assert _first_use(393, 10)
+    assert np.array_equal(decode(word, params), message)
+    rows = _weight_rows(393, 10)
+    assert rows.uses == 2 and not _first_use(393, 10)
+    for l in (1, 5, 10):
+        assert rows[l] == [math.comb(n, l) for n in range(394)]
+    assert np.array_equal(encode(message, params), word)
+    assert _weight_rows(393, 10) is rows
+
+
+def test_cache_clear_returns_a_code_to_its_first_use():
+    params = find_params(64, 10).params
+    message = random_bits(12, 64)
+    word = encode(message, params)
+    encode(message, params)
+    assert not _first_use(393, 10)
+    _weight_rows.cache_clear()
+    assert _weight_rows(393, 10).uses == 0 and _first_use(393, 10)
+    assert np.array_equal(decode(word, params), message)
+    assert _first_use(393, 10)
+
+
+def test_decode_checks_uint8_words_for_bits_before_length():
+    # The 0/1 check reads only the nonzero entries of a uint8 codeword,
+    # and still comes before the length and weight checks.
+    params = CodeParams(k=2, alpha=2, L=4)
+    for bad in (2, 3, 128, 255):
+        word = np.array([1, bad, 0, 0], dtype=np.uint8)
+        for call in (
+            lambda: decode(word, params),
+            lambda: decode(word[:3], params),
+            lambda: decode(np.array([bad, 0, 0, 0], dtype=np.uint8), params),
+            lambda: decode_index(word, 2),
+        ):
+            with pytest.raises(ValueError, match="only 0 and 1"):
+                call()
 
 
 def test_bits_int_roundtrip():
@@ -246,6 +332,33 @@ def test_find_params_certifies_capacity():
         assert (L - 1 - alpha) ** alpha < 2**k * math.factorial(alpha)
         assert math.comb(L, alpha) >= 2**k
         assert result.tolerance == 1.0 - alpha / L
+
+
+def _doubling_bisect_length(k, alpha):
+    """find_params' L as the doubling-then-bisect search computed it."""
+    target = (1 << k) * math.factorial(alpha)
+    hi = 1
+    while hi**alpha < target:
+        hi *= 2
+    lo = hi // 2
+    while lo + 1 < hi:
+        mid = (lo + hi) // 2
+        if mid**alpha >= target:
+            hi = mid
+        else:
+            lo = mid
+    return alpha + hi
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 4096), st.integers(1, 300))
+def test_find_params_matches_doubling_bisect(k, alpha):
+    assert find_params(k, alpha).params.L == _doubling_bisect_length(k, alpha)
+
+
+def test_find_params_matches_doubling_bisect_on_the_grid():
+    for k, alpha in DEMO_PARAM_GRID:
+        assert find_params(k, alpha).params.L == _doubling_bisect_length(k, alpha)
 
 
 def test_find_params_monotone_in_k():

@@ -14,9 +14,11 @@ import pytest
 
 from cwmark import (
     add_noise,
+    decode,
     design_thresholds,
     embed_message,
     embed_message_blocks,
+    encode,
     estimate_sigma,
     extract_message_blocks,
     find_params,
@@ -26,6 +28,7 @@ from cwmark import (
     targeted_flip_attack,
     write_weights,
 )
+from cwmark.codec import _weight_rows
 from cwmark.rng import random_bits
 
 N = 1 << 22
@@ -87,10 +90,12 @@ def test_add_noise_peak(weights):
 
 @pytest.mark.parametrize("strategy", ["suppress", "inflate"])
 def test_targeted_flip_attack_peak(weights, strategy):
-    # binary32 magnitudes, the int64 order or candidates, then the result:
-    # suppress 4.0, inflate 3.5 (on binary64 magnitudes: 7.0 and 5.3).
+    # suppress: binary32 magnitudes, partitioned in place, then the
+    # result: 2.0 (with an int64 argsort of all n: 4.0). inflate: the
+    # magnitudes, the int64 candidates, then the result: 3.5. On binary64
+    # magnitudes both were 7.0 and 5.3.
     ratio = peak_over_payload(targeted_flip_attack, weights, 10, seed=23, strategy=strategy)
-    assert ratio <= 4.5
+    assert ratio <= {"suppress": 2.5, "inflate": 4.5}[strategy]
 
 
 def test_embed_message_peak(weights):
@@ -120,3 +125,21 @@ def test_extract_message_blocks_peak(weights):
         weights, random_bits(3, 256), key=77, thresholds=pair, alpha=10, k_block=64
     )
     assert peak_over_payload(extract_message_blocks, marked, specs, 256) <= 0.1
+
+
+def test_first_encode_and_decode_build_no_table():
+    # A code's first encode, and its first decode, read alpha binomials
+    # through math.comb: 0.045 MiB at (L=12955, alpha=127), where
+    # the coding table takes 158 MiB. A bound in bytes, not payloads.
+    params = find_params(1024, 127).params
+    message = random_bits(5, 1024)
+    tracemalloc.start()
+    try:
+        _weight_rows.cache_clear()
+        word = encode(message, params)
+        _weight_rows.cache_clear()
+        decode(word, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

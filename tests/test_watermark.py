@@ -1,6 +1,7 @@
 """Keyed selection, two-threshold projection, top-alpha detection, block mode."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 import reference as ref
 from cwmark import (
+    CapacityError,
     CodeParams,
     EmbedSpec,
     MalformedCodewordError,
@@ -437,6 +439,20 @@ def test_block_selection_seed_redraws_when_key_equals_block_index():
         seeds = [_block_selection_seed(j, j, attempt) for attempt in range(20)]
         assert seeds[0] == old_block_selection_seed(j, j, 0) == 0
         assert len(set(seeds)) == 20
+
+
+def test_block_mode_sizes_the_code_before_padding_the_message():
+    # find_params refuses k_block = 5 * 10**7 from its size before
+    # split_blocks pads a 1-bit message to a 50 MB block.
+    w = np.ones(1000, dtype=np.float32)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError):
+            embed_message_blocks(w, [1], key=3, thresholds=PAIR, alpha=10, k_block=50_000_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_block_mode_density_checks_total():
