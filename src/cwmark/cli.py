@@ -97,10 +97,10 @@ def _hex_message(text: str) -> str:
     body = text[2:] if text[:2].lower() == "0x" else text
     if not body:
         raise argparse.ArgumentTypeError("empty message")
-    try:
-        int(body, 16)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a hex string: {text!r}") from None
+    # Only ASCII hex digits: int(body, 16) would also take "_", spaces, a
+    # sign and non-ASCII digits, and each would count as a digit of k.
+    if set(body) - set("0123456789abcdefABCDEF"):
+        raise argparse.ArgumentTypeError(f"not a hex string: {text!r}")
     return body.lower()
 
 
@@ -352,9 +352,12 @@ def _eval_rows(args):
     for trial_seed in splitmix64_stream(args.seed, args.trials).tolist():
         weight_seed, key, message_seed = splitmix64_stream(trial_seed, 3).tolist()
         message = random_bits(message_seed, args.k)
-        marked, receipt = watermark.embed_message(
-            stats.sample_gaussian_weights(args.n, args.sigma, weight_seed),
-            message, key, thresholds, params, allow_dense=args.force,
+        # embed_message's steps, marking the sample itself: nothing else
+        # reads it, so it needs no copy.
+        marked = stats.sample_gaussian_weights(args.n, args.sigma, weight_seed)
+        watermark._check_selection(params.L, marked.size, args.force)
+        receipt = watermark._embed_block(
+            marked, message, key, [key], params, thresholds, set()
         )
         codeword = codec.encode(message, params)
         # prune + extract for every rate, reading only the L selected weights.
@@ -383,6 +386,9 @@ def _eval_rows(args):
                 "t1": repr(thresholds.t1),
                 "modified_count": receipt.modified_count,
             }
+        # Free the buffer before the next sample is drawn, so that one
+        # n-sized vector, not two, is alive at a time.
+        del marked, mag
 
 
 def cmd_eval(args, console: _Console) -> int:

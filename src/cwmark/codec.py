@@ -149,17 +149,23 @@ class _Rows(list):
     takes one big-integer addition per entry. The largest grid table,
     (L=12955, alpha=127), takes 0.2-0.25 s and 158 MiB (tracemalloc) to
     build on a 2-CPU Xeon, while a single codeword reads only alpha
-    coefficients, about 1 ms through math.comb. So a CLI verb, which codes
-    once, never builds it, and a caller that codes many words builds it
-    after one table-free call.
+    coefficients, about 1 ms through math.comb. So coding one word never
+    builds it, and a caller that codes more words with one code, as
+    block-mode embed and extract do, builds it after one table-free call.
     """
 
-    __slots__ = ("L", "uses")
+    __slots__ = ("L", "uses", "search")
 
     def __init__(self, L: int, alpha: int):
         super().__init__(map(_CombRow, range(alpha + 1)))
         self.L = L
         self.uses = 0
+        # _codeword's closed-form constants for levels l = alpha..2:
+        # ((l!)**(1/l), 1/l, (l-1)/2 + 1e-7, (l*l-1)/24).
+        self.search = [
+            (math.exp(math.lgamma(l + 1) / l), 1 / l, (l - 1) / 2 + 1e-7, (l * l - 1) / 24)
+            for l in range(alpha, 1, -1)
+        ]
 
     def use(self) -> _Rows:
         """These rows for one encode or decode: the table from the second use on."""
@@ -194,15 +200,6 @@ def _weight_rows(L: int, alpha: int) -> _Rows:
             f"{_LADDER_LIMIT >> 20} MiB limit"
         )
     return _Rows(L, alpha)
-
-
-@lru_cache(maxsize=2)
-def _search_constants(alpha: int) -> tuple:
-    """((l!)**(1/l), 1/l, (l-1)/2 + 1e-7, (l*l-1)/24) for l = alpha..2."""
-    return tuple(
-        (math.exp(math.lgamma(l + 1) / l), 1 / l, (l - 1) / 2 + 1e-7, (l * l - 1) / 24)
-        for l in range(alpha, 1, -1)
-    )
 
 
 def _codeword(value: int, alpha: int, L: int) -> np.ndarray:
@@ -240,9 +237,7 @@ def _codeword(value: int, alpha: int, L: int) -> np.ndarray:
     rest = value
     hi = L
     try:
-        for row, (root, inv_l, half, c2) in zip(
-            rows[alpha:1:-1], _search_constants(alpha)
-        ):
+        for row, (root, inv_l, half, c2) in zip(rows[alpha:1:-1], rows.search):
             try:
                 m = root * math.pow(rest, inv_l)
             except OverflowError:  # rest >= 2**1024 has no float

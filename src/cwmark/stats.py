@@ -80,9 +80,10 @@ class GaussianModel:
 class ThresholdPair:
     """Classification thresholds 0 < t0 < t1.
 
-    Also requires the two values to remain distinct after rounding to
-    binary32, since embedded weights are stored at that precision and
-    extraction exactness needs strict magnitude separation there.
+    Also requires t1 to round to a finite binary32 value and the two
+    values to remain distinct after that rounding, since embedded weights
+    are stored at that precision and extraction exactness needs strict
+    magnitude separation there.
     """
 
     t0: float
@@ -93,7 +94,11 @@ class ThresholdPair:
             raise ValueError("thresholds must be finite")
         if not 0.0 < self.t0 < self.t1:
             raise ValueError("thresholds must satisfy 0 < t0 < t1")
-        if not np.float32(self.t0) < np.float32(self.t1):
+        with np.errstate(over="ignore"):  # a t1 past binary32 is refused below
+            t0, t1 = np.float32(self.t0), np.float32(self.t1)
+        if math.isinf(t1):
+            raise ValueError("t1 overflows binary32")
+        if not t0 < t1:
             raise ValueError("t0 and t1 collapse to the same binary32 value")
 
     def __iter__(self):

@@ -193,10 +193,27 @@ def test_memory_error_exits_2_with_one_line(capsys, monkeypatch):
     assert err == "cwmark: error: out of memory: allocation failed\n"
 
 
-def test_encode_bad_hex_rejected(capsys):
+@pytest.mark.parametrize(
+    "message",
+    ["zz", "dead_beef", " ff", "ff ", "+ff", "0x_ff", "\u0661\u0662", "\uff46"],
+    ids=["letters", "underscore", "leading-space", "trailing-space", "plus",
+         "prefix-underscore", "arabic-indic-digits", "fullwidth-f"],
+)
+def test_encode_bad_hex_rejected(capsys, message):
+    # int(body, 16) accepts the underscore, space, plus and Arabic-Indic
+    # cases, and each of their characters would count toward k = 4 * len.
     with pytest.raises(SystemExit) as err:
-        run(capsys, "encode", "--message", "zz", "-a", "2")
+        run(capsys, "encode", "--message", message, "-a", "2")
     assert err.value.code == 2
+
+
+def test_embed_bad_hex_rejected_before_writing(capsys, tmp_path):
+    spec, out = tmp_path / "mark.spec", tmp_path / "marked.cwcw"
+    with pytest.raises(SystemExit) as err:
+        run(capsys, "embed", str(make_weights(tmp_path)), str(spec), str(out),
+            "--message", "de_ad", "--key", "7", "-a", "10", "--rate", "0.95")
+    assert err.value.code == 2
+    assert not spec.exists() and not out.exists()
 
 
 # --- embed / extract ---------------------------------------------------------
@@ -251,6 +268,13 @@ def test_embed_threshold_flag_conflicts(capsys, tmp_path):
     assert code == 2
     code, _, _, _, _ = embed_ok(capsys, tmp_path)
     assert code == 2
+
+
+def test_embed_t1_past_binary32_exits_2_before_writing(capsys, tmp_path):
+    code, _, stderr, spec, marked = embed_ok(capsys, tmp_path, "--t0", "1", "--t1", "1e39")
+    assert code == 2
+    assert "binary32" in stderr
+    assert not spec.exists() and not marked.exists()
 
 
 def test_embed_explicit_thresholds_record_rate_zero(capsys, tmp_path):
@@ -680,11 +704,12 @@ def with_first_position(value, field="positions"):
         set_field("alpha", "1"),
         set_field("k", "1" + "0" * 4000),
         with_first_position(str(2**63)),
+        set_field("t1", "1e39"),
     ],
     ids=[
         "duplicate-field", "t0-not-below-t1", "negative-key", "non-ascii",
         "L-below-alpha", "duplicate-positions", "position-count", "capacity",
-        "oversized-k", "position-past-int64",
+        "oversized-k", "position-past-int64", "t1-past-binary32",
     ],
 )
 def test_corrupt_spec_file_exits_3(capsys, tmp_path, edit):

@@ -28,6 +28,7 @@ from cwmark import (
     targeted_flip_attack,
     write_weights,
 )
+from cwmark.cli import _eval_rows, build_parser
 from cwmark.codec import _weight_rows
 from cwmark.rng import random_bits
 
@@ -125,6 +126,16 @@ def test_extract_message_blocks_peak(weights):
         weights, random_bits(3, 256), key=77, thresholds=pair, alpha=10, k_block=64
     )
     assert peak_over_payload(extract_message_blocks, marked, specs, 256) <= 0.1
+
+
+def test_eval_rows_peak():
+    # Three trials, each marking its sample in place and freeing it before
+    # the next is drawn: the sample and one chunk of draws, 1.20 (with a
+    # marked copy: 2.02; with that copy alive into the next trial: 3.02).
+    args = build_parser().parse_args(
+        ["--seed", "24", "eval", "--trials", "3", "--n", str(N), "--two-sided"]
+    )
+    assert peak_over_payload(lambda: list(_eval_rows(args))) <= 1.5
 
 
 def test_first_encode_and_decode_build_no_table():

@@ -116,6 +116,10 @@ def test_threshold_pair_validation():
         ThresholdPair(t0=-0.1, t1=1.0)
     with pytest.raises(ValueError):
         ThresholdPair(t0=0.5, t1=math.inf)
+    # Finite in binary64, infinite once stored as binary32.
+    with pytest.raises(ValueError, match="binary32"):
+        ThresholdPair(t0=1.0, t1=1e39)
+    ThresholdPair(t0=1.0, t1=float(np.finfo(np.float32).max))
     # Distinct in binary64 but identical once stored as binary32.
     with pytest.raises(ValueError):
         ThresholdPair(t0=1.0, t1=1.0 + 1e-12)
@@ -233,7 +237,7 @@ def test_sampler_small_chunks_match_whole_vector(monkeypatch, n):
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2**63 + 12345, 2**64 - 1])
-@pytest.mark.parametrize("count", [1, 63, 64, 65, 1024])
+@pytest.mark.parametrize("count", [0, 1, 63, 64, 65, 1024])
 def test_random_bits_matches_sequential_reference(seed, count):
     # Bit t of word j (little-endian) is bit 64*j + t of the draw.
     words = ref.splitmix64_sequential(seed, (count + 63) // 64)
@@ -241,6 +245,9 @@ def test_random_bits_matches_sequential_reference(seed, count):
     got = random_bits(seed, count)
     assert got.dtype == np.uint8
     assert got.tolist() == want
+    # A numpy seed gives the same bits (np.uint64 + int overflows, so it
+    # must be taken as a Python int first).
+    assert random_bits(np.uint64(seed), count).tolist() == want
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2**63 + 12345, 2**64 - 1])
