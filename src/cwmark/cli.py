@@ -243,31 +243,20 @@ def cmd_embed(args, console: _Console) -> int:
     sigma = stats.estimate_sigma(weights)
     thresholds, rate = _design_from_args(args, sigma)
 
-    # Single mode seeds selection with the key itself, block j with
-    # mix64(key ^ j), so the two stay separate calls.
-    if args.block_bits is not None and args.block_bits < bits.size:
-        marked, specs, receipts = watermark.embed_message_blocks(
-            weights,
-            bits,
-            args.key,
-            thresholds,
-            alpha=args.alpha,
-            k_block=args.block_bits,
-            allow_dense=args.force,
-        )
-    else:
-        params = codec.find_params(bits.size, args.alpha).params
-        marked, receipt = watermark.embed_message(
-            weights, bits, args.key, thresholds, params, allow_dense=args.force
-        )
-        specs, receipts = [receipt.spec], [receipt]
+    blocked = args.block_bits is not None and args.block_bits < bits.size
+    k = args.block_bits if blocked else bits.size
+    params = codec.find_params(k, args.alpha).params
+    receipts, _ = watermark._embed_into(
+        weights, bits, args.key, thresholds, params, blocked, args.force
+    )
     doc = model_io.SpecDocument(
-        specs=specs, sigma=sigma, rate=rate, total_bits=int(bits.size)
+        specs=[r.spec for r in receipts], sigma=sigma, rate=rate,
+        total_bits=int(bits.size),
     )
     modified = sum(r.modified_count for r in receipts)
     max_pert = max(r.max_perturbation for r in receipts)
 
-    model_io.write_weights(args.weights_out, marked)
+    model_io.write_weights(args.weights_out, weights)
     model_io.write_spec(args.spec_out, doc)
     console.put(
         modified_count=modified,
@@ -286,12 +275,10 @@ def cmd_embed(args, console: _Console) -> int:
 def cmd_extract(args, console: _Console) -> int:
     weights = model_io.read_weights(args.weights_in)
     doc = model_io.read_spec(args.spec_in)
+    words: list[np.ndarray] = []
     try:
-        joined = watermark.extract_message_blocks(weights, doc.specs, doc.total_bits)
+        joined = watermark._extract_message(weights, doc.specs, doc.total_bits, words)
     except MessageRangeError:
-        # Every codeword is extracted before the first is printed, so a
-        # position error in a later block still leaves stdout empty.
-        words = [watermark.extract(weights, spec) for spec in doc.specs]
         console.put(weight_ok=True, range_ok=False)
         for word in words:
             console.result(f"codeword: {codeword_str(word)}")
@@ -352,14 +339,10 @@ def _eval_rows(args):
     for trial_seed in splitmix64_stream(args.seed, args.trials).tolist():
         weight_seed, key, message_seed = splitmix64_stream(trial_seed, 3).tolist()
         message = random_bits(message_seed, args.k)
-        # embed_message's steps, marking the sample itself: nothing else
-        # reads it, so it needs no copy.
         marked = stats.sample_gaussian_weights(args.n, args.sigma, weight_seed)
-        watermark._check_selection(params.L, marked.size, args.force)
-        receipt = watermark._embed_block(
-            marked, message, key, [key], params, thresholds, set()
+        [receipt], [codeword] = watermark._embed_into(
+            marked, message, key, thresholds, params, False, args.force
         )
-        codeword = codec.encode(message, params)
         # prune + extract for every rate, reading only the L selected weights.
         # marked is needed only as magnitudes, so they overwrite it; the
         # selected ones are read before _cutoffs partitions that buffer.

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -69,13 +68,25 @@ def select_positions(key: int, n: int, l: int, allow_dense: bool = False) -> np.
     if l < 1:
         raise ValueError("must select at least one position")
     _check_selection(l, n, allow_dense)
-    swapped: dict[int, int] = {}
-    out = []
-    for i, draw in enumerate(splitmix64_stream(key, l).tolist()):
-        j = i + draw % (n - i)
-        out.append(swapped.get(j, j))
-        swapped[j] = swapped.get(i, i)
-    return np.array(out, dtype=np.int64)
+    return np.array(_draw_positions([key], n, l), dtype=np.int64)
+
+
+def _draw_positions(seeds, n: int, l: int, taken=()) -> list[int]:
+    """select_positions' draw for the first seed whose positions miss taken;
+    each draw stops at its first position in taken."""
+    for seed in seeds:
+        swapped: dict[int, int] = {}
+        out = []
+        for i, draw in enumerate(splitmix64_stream(seed, l).tolist()):
+            j = i + draw % (n - i)
+            position = swapped.get(j, j)
+            if taken and position in taken:
+                break
+            out.append(position)
+            swapped[j] = swapped.get(i, i)
+        else:
+            return out
+    raise SelectionRatioError("could not find disjoint positions for all blocks")
 
 
 @dataclass(frozen=True)
@@ -180,19 +191,23 @@ def _top_alpha(mag: np.ndarray, alpha: int) -> np.ndarray:
     return bits
 
 
-def _embed_block(out, bits, key, seeds, params, thresholds, taken) -> EmbedReceipt:
-    """Project encode(bits, params) into out at the first seed's positions
-    that miss every index in taken, and add them to taken."""
-    for seed in seeds:
-        positions = select_positions(seed, out.size, params.L, allow_dense=True)
-        chosen = positions.tolist()
-        if taken.isdisjoint(chosen):
-            break
-    else:
-        raise SelectionRatioError("could not find disjoint positions for all blocks")
-    taken.update(chosen)
-    spec = EmbedSpec(key=key, params=params, thresholds=thresholds, positions=chosen)
-    return _project(out, positions, encode(bits, params), spec)
+def _embed_into(w, message, key, thresholds, params, blocked, allow_dense):
+    """Embed message into the finite binary32 vector w; return the receipts
+    and the projected codewords. Blocked, block j of params.k bits takes the
+    first _block_selection_seeds(key, j) seed whose positions miss the
+    earlier blocks'; unblocked, the message is one codeword at key's."""
+    blocks = split_blocks(message, params.k) if blocked else [message]
+    _check_selection(len(blocks) * params.L, w.size, allow_dense)
+    taken: set[int] = set()
+    receipts, words = [], []
+    for j, block in enumerate(blocks):
+        seeds = _block_selection_seeds(key, j) if blocked else [key]
+        chosen = _draw_positions(seeds, w.size, params.L, taken)
+        taken.update(chosen)
+        spec = EmbedSpec(key=key, params=params, thresholds=thresholds, positions=chosen)
+        words.append(encode(block, params))
+        receipts.append(_project(w, np.array(chosen, dtype=np.int64), words[-1], spec))
+    return receipts, words
 
 
 def embed_message(
@@ -209,10 +224,9 @@ def embed_message(
     selection seed. Positions are selected first, so a code too long or
     too dense for the vector is refused before its ladder is built.
     """
-    w = as_weight_vector(weights)
-    _check_selection(params.L, w.size, allow_dense)
-    out = w.copy()
-    return out, _embed_block(out, message, key, [key], params, thresholds, set())
+    out = as_weight_vector(weights).copy()
+    (receipt,), _ = _embed_into(out, message, key, thresholds, params, False, allow_dense)
+    return out, receipt
 
 
 def extract_message(weights, spec: EmbedSpec) -> np.ndarray:
@@ -248,8 +262,8 @@ def join_blocks(blocks, total_bits: int) -> np.ndarray:
     return joined[:total_bits]
 
 
-def _block_selection_seed(key: int, block_index: int, attempt: int) -> int:
-    """Deterministic per-block, per-attempt selection seed.
+def _block_selection_seeds(key: int, block_index: int):
+    """The 1000 deterministic selection seeds of one block, attempt 0 first.
 
     Block j starts from mix64(key XOR j); each rejected attempt re-mixes
     the previous seed, so the draw sequence is fixed by the key alone.
@@ -258,9 +272,9 @@ def _block_selection_seed(key: int, block_index: int, attempt: int) -> int:
     instead, and every other chain is unaffected.
     """
     seed = mix64((key ^ block_index) & MASK64)
-    for _ in range(attempt):
+    for _ in range(1000):
+        yield seed
         seed = mix64(seed or GOLDEN_GAMMA)
-    return seed
 
 
 def embed_message_blocks(
@@ -275,8 +289,8 @@ def embed_message_blocks(
     """Embed a long message as k_block-bit blocks on disjoint position sets.
 
     Every block uses the same (k_block, alpha, L) code. Block j draws its
-    positions with _block_selection_seed(key, j, attempt), re-drawing on
-    any collision with earlier blocks until the sets are disjoint. The
+    positions with the seeds of _block_selection_seeds(key, j), re-drawing
+    on any collision with earlier blocks until the sets are disjoint. The
     density limit applies to the total position count across blocks.
     The blocks are projected into one copy of the input, so the result
     equals chaining embed block by block.
@@ -285,23 +299,25 @@ def embed_message_blocks(
     # Sized before the message is padded to whole blocks: an oversized
     # k_block is refused before a k_block-bit buffer is allocated.
     params = find_params(k_block, alpha).params
-    blocks = split_blocks(message, k_block)
-    _check_selection(len(blocks) * params.L, w.size, allow_dense)
     out = w.copy()
-    taken: set[int] = set()
-    receipts = []
-    for j, block in enumerate(blocks):
-        seeds = map(partial(_block_selection_seed, key, j), range(1000))
-        receipts.append(_embed_block(out, block, key, seeds, params, thresholds, taken))
+    receipts, _ = _embed_into(out, message, key, thresholds, params, True, allow_dense)
     return out, [r.spec for r in receipts], receipts
+
+
+def _extract_message(w, specs, total_bits: int, words: list) -> np.ndarray:
+    """extract_message_blocks on the finite binary32 vector w; every codeword
+    goes into words before any is decoded, so a MessageRangeError keeps them."""
+    words.extend([_extract(w, spec) for spec in specs])
+    blocks = [decode(word, spec.params) for word, spec in zip(words, specs)]
+    return join_blocks(blocks, total_bits)
 
 
 def extract_message_blocks(weights, specs, total_bits: int) -> np.ndarray:
     """Extract, decode and rejoin a message; one spec is the single-codeword case.
 
     Raises MessageRangeError when a block decodes out of range or the
-    padding beyond total_bits is nonzero.
+    padding beyond total_bits is nonzero. Every block is extracted before
+    any is decoded, so a position past the vector in any block raises
+    PositionRangeError first.
     """
-    w = as_weight_vector(weights)
-    blocks = [decode(_extract(w, spec), spec.params) for spec in specs]
-    return join_blocks(blocks, total_bits)
+    return _extract_message(as_weight_vector(weights), specs, total_bits, [])

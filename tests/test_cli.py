@@ -476,6 +476,44 @@ def test_block_extract_position_error_after_range_failure_exits_3(capsys, tmp_pa
     assert "out of range" in err
 
 
+@pytest.mark.parametrize(
+    "message, extra",
+    [(MSG64, ()), (LONG128, ("--block-bits", "64"))],
+    ids=["single", "block"],
+)
+def test_embed_and_extract_check_each_vector_once(
+    capsys, tmp_path, monkeypatch, message, extra
+):
+    # Each finiteness check reads all n weights. embed checks the vector
+    # it reads and the one it writes; extract checks the one it reads,
+    # also when it prints the codewords of a range failure.
+    weights = make_weights(tmp_path)
+    spec, marked = tmp_path / "mark.spec", tmp_path / "marked.cwcw"
+    check = cli.watermark._all_finite
+    calls = []
+
+    def counted(w):
+        calls.append(w.size)
+        return check(w)
+
+    monkeypatch.setattr(cli.watermark, "_all_finite", counted)
+    monkeypatch.setattr(cli.model_io, "_all_finite", counted)
+    code, _, _ = run(
+        capsys, "embed", str(weights), str(spec), str(marked),
+        "--message", message, "--key", "7", "-a", "10", "--rate", "0.95", *extra,
+    )
+    assert code == 0 and calls == [100_000] * 2
+    calls.clear()
+    code, out, _ = run(capsys, "--quiet", "extract", str(marked), str(spec))
+    assert code == 0 and out.strip() == message
+    assert calls == [100_000]
+    block_out_of_range(spec, marked, block=len(read_spec(spec).specs) - 1)
+    calls.clear()
+    code, out, _ = run(capsys, "extract", str(marked), str(spec))
+    assert code == 4 and out.endswith("range check: failed\n")
+    assert calls == [100_000]
+
+
 # --- prune / noise / attack wrappers -----------------------------------------
 
 

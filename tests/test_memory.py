@@ -28,9 +28,10 @@ from cwmark import (
     targeted_flip_attack,
     write_weights,
 )
-from cwmark.cli import _eval_rows, build_parser
+from cwmark.cli import _eval_rows, build_parser, main
 from cwmark.codec import _weight_rows
 from cwmark.rng import random_bits
+from cwmark.stats import _SIGMA_CHUNK
 
 N = 1 << 22
 PAYLOAD = 4 * N  # bytes of binary32 weights
@@ -117,6 +118,24 @@ def test_embed_message_blocks_peak(weights):
         thresholds=pair, alpha=10, k_block=64,
     )
     assert ratio <= 1.5
+
+
+@pytest.mark.parametrize("blocks", [1, 4], ids=["single", "block"])
+def test_cli_embed_peak(tmp_path, weights, blocks):
+    # The vector read_weights returns, marked in place and written from
+    # its own buffer, beside estimate_sigma's one chunk of squares (8 MiB,
+    # 0.5 at this n): 1.51 (marking a copy of it: 2.02).
+    src = tmp_path / "w.cwcw"
+    write_weights(src, weights)
+    argv = [
+        "--quiet", "embed", str(src), str(tmp_path / "s.spec"), str(tmp_path / "m.cwcw"),
+        "--message", "deadbeef01234567" * blocks, "--key", "7", "-a", "10",
+        "--rate", "0.95", "--block-bits", "64",
+    ]
+    codes = []
+    ratio = peak_over_payload(lambda: codes.append(main(argv)))
+    assert codes == [0]
+    assert ratio <= 1.1 + 8 * _SIGMA_CHUNK / PAYLOAD
 
 
 def test_extract_message_blocks_peak(weights):

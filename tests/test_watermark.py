@@ -1,7 +1,10 @@
 """Keyed selection, two-threshold projection, top-alpha detection, block mode."""
 
+import dataclasses
 import math
 import tracemalloc
+from itertools import islice
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,6 +17,7 @@ from cwmark import (
     CodeParams,
     EmbedSpec,
     MalformedCodewordError,
+    MessageRangeError,
     PositionRangeError,
     SelectionRatioError,
     ThresholdPair,
@@ -32,8 +36,9 @@ from cwmark import (
     select_positions,
     split_blocks,
 )
+from cwmark import watermark
 from cwmark.rng import MASK64, mix64, random_bits, splitmix64_stream
-from cwmark.watermark import _block_selection_seed
+from cwmark.watermark import _block_selection_seeds, _draw_positions
 
 PAIR = ThresholdPair(t0=0.5, t1=2.0)
 
@@ -429,16 +434,79 @@ def test_block_selection_seed_matches_old_chain_off_zero():
         for j in range(6):
             if key == j:
                 continue
-            for attempt in range(4):
-                new = _block_selection_seed(key, j, attempt)
-                assert new == old_block_selection_seed(key, j, attempt)
+            seeds = list(islice(_block_selection_seeds(key, j), 4))
+            assert seeds == [old_block_selection_seed(key, j, a) for a in range(4)]
 
 
 def test_block_selection_seed_redraws_when_key_equals_block_index():
     for j in range(4):
-        seeds = [_block_selection_seed(j, j, attempt) for attempt in range(20)]
+        seeds = list(islice(_block_selection_seeds(j, j), 20))
         assert seeds[0] == old_block_selection_seed(j, j, 0) == 0
         assert len(set(seeds)) == 20
+
+
+def test_draw_with_taken_is_select_positions_or_a_refusal():
+    # A draw refused at its first position in taken is refused exactly
+    # when the full draw meets taken; an accepted draw is the full one.
+    rng = np.random.default_rng(29)
+    outcomes = set()
+    for _ in range(300):
+        n = int(rng.integers(20, 3000))
+        l = int(rng.integers(1, min(n, 80) + 1))
+        seed = int(rng.integers(0, 1 << 64, dtype=np.uint64))
+        size = int(rng.integers(0, n // 8 + 1))
+        taken = set(rng.choice(n, size=size, replace=False).tolist())
+        full = select_positions(seed, n, l, allow_dense=True).tolist()
+        if taken.isdisjoint(full):
+            assert _draw_positions([seed], n, l, taken) == full
+        else:
+            with pytest.raises(SelectionRatioError):
+                _draw_positions([seed], n, l, taken)
+        outcomes.add(taken.isdisjoint(full))
+    assert outcomes == {True, False}
+
+
+def test_block_refusal_stops_each_redraw_at_its_first_collision(monkeypatch):
+    # Two 393-position blocks in 1000 weights are never disjoint, so block 1
+    # is refused after all 1000 re-draws. Block 0 takes 393 Fisher-Yates
+    # steps; each re-draw meets block 0 after about 1000 / 393 steps, where
+    # running every draw in full takes 393 + 1000 * 393 steps.
+    steps = 0
+    stream = watermark.splitmix64_stream
+
+    def counted(seed, count):
+        def step(word):
+            nonlocal steps
+            steps += 1
+            return word
+
+        words = stream(seed, count).tolist()
+        return SimpleNamespace(tolist=lambda: map(step, words))
+
+    monkeypatch.setattr(watermark, "splitmix64_stream", counted)
+    with pytest.raises(SelectionRatioError, match="disjoint"):
+        embed_message_blocks(
+            np.ones(1000, dtype=np.float32), random_bits(4, 128), key=5,
+            thresholds=PAIR, alpha=10, k_block=64, allow_dense=True,
+        )
+    assert 393 + 1000 <= steps < 393 + 1000 * 10
+
+
+def test_block_extract_checks_every_position_before_decoding():
+    # Block 0 decodes out of range and block 1 has a position past n: the
+    # position error wins, as it does for cwmark extract (exit 3).
+    weights = np.random.default_rng(23).normal(0, 0.01, 80_000).astype(np.float32)
+    pair = ThresholdPair(t0=0.01, t1=0.02)
+    marked, specs, _ = embed_message_blocks(
+        weights, random_bits(6, 128), key=9, thresholds=pair, alpha=10, k_block=64
+    )
+    pos = list(specs[0].positions)
+    marked[pos] = np.linspace(0.1, 1.0, len(pos), dtype=np.float32)
+    with pytest.raises(MessageRangeError):
+        extract_message_blocks(marked, specs, 128)
+    past = dataclasses.replace(specs[1], positions=(marked.size, *specs[1].positions[1:]))
+    with pytest.raises(PositionRangeError):
+        extract_message_blocks(marked, [specs[0], past], 128)
 
 
 def test_block_mode_sizes_the_code_before_padding_the_message():
