@@ -22,13 +22,15 @@ class PruneSpec:
     zeroed: int
 
 
-# Weights prune zeroes at once (256 KiB of binary32 and its 64 KiB mask).
+# Weights each pass of _prune_into reads at once (256 KiB of uint32 patterns).
 _PRUNE_CHUNK = 1 << 16
 
 
 def _cutoffs(mag: np.ndarray, rates) -> list[tuple[int, float]]:
     """(p, cutoff) for each rate, in the given order, over the magnitudes mag.
 
+    This serves the eval harness, which owns a magnitude buffer; prune
+    has none and selects its cutoff from bit patterns (_prune_into).
     p = min(floor(rate * n), n - 1) and the cutoff is the p-th smallest
     magnitude (0-indexed). mag is partitioned in place: the distinct p are
     visited in ascending order, and each partitions only the tail
@@ -58,18 +60,61 @@ def prune(weights, rate: float) -> tuple[np.ndarray, PruneSpec]:
     w = as_weight_vector(weights)
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"prune rate must be in [0, 1), got {rate}")
-    out = np.abs(w)
-    [(p, cutoff)] = _cutoffs(out, [rate])
-    # Partitioning scrambled the magnitudes; refill the buffer with w and
-    # zero it a chunk at a time rather than hold an n-sized mask.
-    np.copyto(out, w)
-    zeroed = 0
-    for start in range(0, out.size, _PRUNE_CHUNK):
-        chunk = out[start : start + _PRUNE_CHUNK]
-        mask = np.abs(chunk) < cutoff
-        chunk[mask] = 0.0
-        zeroed += int(np.count_nonzero(mask))
-    return out, PruneSpec(rate=rate, p=p, cutoff=cutoff, zeroed=zeroed)
+    out = w.copy()
+    return out, _prune_into(out, rate)
+
+
+def _magnitude_patterns(bits: np.ndarray, buf: np.ndarray):
+    """(start, bits & 0x7FFFFFFF) of the binary32 patterns bits, one
+    _PRUNE_CHUNK at a time, written into buf."""
+    for start in range(0, bits.size, _PRUNE_CHUNK):
+        chunk = buf[: min(_PRUNE_CHUNK, bits.size - start)]
+        np.bitwise_and(bits[start : start + chunk.size], 0x7FFFFFFF, out=chunk)
+        yield start, chunk
+
+
+def _bucket_of(counts: np.ndarray, rank: int) -> tuple[int, int]:
+    """The bucket holding the rank-th smallest (0-indexed) of the counted
+    values, and that value's rank among the bucket's own. counts becomes
+    its running sum."""
+    np.cumsum(counts, out=counts)
+    bucket = int(np.searchsorted(counts, rank, side="right"))
+    return bucket, rank - (int(counts[bucket - 1]) if bucket else 0)
+
+
+def _prune_into(w: np.ndarray, rate: float) -> PruneSpec:
+    """prune on the finite binary32 vector w, in place; trusts w and rate.
+
+    Finite magnitudes order like their bit patterns with the sign cleared,
+    and clearing it maps -0.0 to +0.0 as np.abs does. So the cutoff's
+    pattern is found without an n-sized buffer: its high 16 bits by
+    counting the high bits of all n patterns, its low 16 bits by counting
+    the low bits of the patterns that share those high bits. A third pass
+    zeroes every weight whose pattern lies below it, to +0.0.
+    """
+    n = w.size
+    p = min(int(math.floor(rate * n)), n - 1)
+    bits = w.view(np.uint32)
+    buf = np.empty(min(n, _PRUNE_CHUNK), dtype=np.uint32)
+    counts = np.zeros(1 << 16, dtype=np.int64)
+    for _, mag in _magnitude_patterns(bits, buf):
+        mag >>= 16
+        np.add.at(counts, mag, 1)
+    top, rank = _bucket_of(counts, p)
+    counts[:] = 0
+    for _, mag in _magnitude_patterns(bits, buf):
+        mag -= top << 16  # patterns below the bucket wrap past it
+        np.add.at(counts, mag[mag < counts.size], 1)
+    bottom, rank = _bucket_of(counts, rank)
+    pattern = top << 16 | bottom
+    for start, mag in _magnitude_patterns(bits, buf):
+        # 0 below the cutoff's pattern, 1 from it on: the product turns a
+        # pruned weight into +0.0 and keeps every other bit for bit.
+        np.greater_equal(mag, pattern, out=mag, casting="unsafe")
+        bits[start : start + mag.size] *= mag
+    cutoff = float(np.uint32(pattern).view(np.float32))
+    # rank is now p's rank among the ties at the cutoff, which all survive.
+    return PruneSpec(rate=rate, p=p, cutoff=cutoff, zeroed=p - rank)
 
 
 def add_noise(weights, sigma_noise: float, seed: int) -> np.ndarray:
@@ -82,13 +127,19 @@ def add_noise(weights, sigma_noise: float, seed: int) -> np.ndarray:
     if sigma_noise < 0.0:
         raise ValueError(f"noise level must be nonnegative, got {sigma_noise}")
     out = w.copy()
+    _add_noise_into(out, sigma_noise, seed)
+    return out
+
+
+def _add_noise_into(w: np.ndarray, sigma_noise: float, seed: int) -> None:
+    """add_noise on the finite binary32 vector w, in place; trusts w and
+    sigma_noise. Each chunk reads its slice of w before writing it."""
     if sigma_noise == 0.0:
-        return out
+        return  # adding 0 * normal would turn -0.0 into +0.0
     for start, values in _normal_chunks(w.size, seed):
         values *= sigma_noise
         values += w[start : start + values.size]
-        out[start : start + values.size] = values
-    return out
+        w[start : start + values.size] = values
 
 
 def targeted_flip_attack(

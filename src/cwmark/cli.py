@@ -295,8 +295,8 @@ def cmd_extract(args, console: _Console) -> int:
 
 def cmd_prune(args, console: _Console) -> int:
     weights = model_io.read_weights(args.weights_in)
-    pruned, report = attacks.prune(weights, args.rate)
-    model_io.write_weights(args.weights_out, pruned)
+    report = attacks._prune_into(weights, args.rate)
+    model_io.write_weights(args.weights_out, weights)
     console.put(
         rate=report.rate, p=report.p, cutoff=report.cutoff, zeroed=report.zeroed
     )
@@ -308,8 +308,8 @@ def cmd_prune(args, console: _Console) -> int:
 
 def cmd_noise(args, console: _Console) -> int:
     weights = model_io.read_weights(args.weights_in)
-    noisy = attacks.add_noise(weights, args.level, args.seed)
-    model_io.write_weights(args.weights_out, noisy)
+    attacks._add_noise_into(weights, args.level, args.seed)
+    model_io.write_weights(args.weights_out, weights)
     console.put(level=args.level, seed=args.seed, n=int(weights.size))
     console.result(f"level: {args.level!r}  seed: {args.seed}")
     return EXIT_OK

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -77,7 +78,7 @@ def _draw_positions(seeds, n: int, l: int, taken=()) -> list[int]:
     for seed in seeds:
         swapped: dict[int, int] = {}
         out = []
-        for i, draw in enumerate(splitmix64_stream(seed, l).tolist()):
+        for i, draw in enumerate(chain.from_iterable(_stream_pieces(seed, l))):
             j = i + draw % (n - i)
             position = swapped.get(j, j)
             if taken and position in taken:
@@ -87,6 +88,20 @@ def _draw_positions(seeds, n: int, l: int, taken=()) -> list[int]:
         else:
             return out
     raise SelectionRatioError("could not find disjoint positions for all blocks")
+
+
+def _stream_pieces(seed: int, l: int):
+    """splitmix64_stream(seed, l) as lists of ints, in pieces that double
+    from 256 words, so a draw that stops early computes few words past it.
+
+    The stream is counter-based, so the words from start + 1 on are those
+    of the seed advanced by start * GOLDEN_GAMMA.
+    """
+    start, size = 0, 256
+    while start < l:
+        piece_seed = (int(seed) + start * GOLDEN_GAMMA) & MASK64
+        yield splitmix64_stream(piece_seed, min(size, l - start)).tolist()
+        start, size = start + size, 2 * size
 
 
 @dataclass(frozen=True)

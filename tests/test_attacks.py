@@ -153,6 +153,69 @@ def test_prune_chunks_match_whole_vector(monkeypatch, n, rate):
     assert out.tobytes() == want.tobytes()
     assert spec.zeroed == int(np.count_nonzero(mask))
     assert spec.cutoff == float(np.sort(np.abs(w))[spec.p])
+    inplace = w.copy()
+    assert attacks._prune_into(inplace, rate) == spec
+    assert inplace.tobytes() == want.tobytes()
+
+
+def sorted_prune(w, rate):
+    """prune by a full sort of the magnitudes: (result, p, cutoff, zeroed)."""
+    mag = np.abs(w)
+    p = min(int(np.floor(rate * w.size)), w.size - 1)
+    cutoff = np.sort(mag)[p]
+    mask = mag < cutoff
+    out = w.copy()
+    out[mask] = 0.0
+    return out, p, float(cutoff), int(np.count_nonzero(mask))
+
+
+# Ties on a grid, both zeros, subnormals and the binary32 extremes.
+PRUNE_SPECIAL = [
+    0.0, -0.0, 0.25, -0.25, 1.0, -1.0, 1e-45, -1e-45, 1e-40, -1e-40,
+    2.0**-126, -(2.0**-126), 3.4028235e38, -3.4028235e38,
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_prune_into_matches_sort(data):
+    # The bit-pattern select against a sort of np.abs: the same bytes
+    # (signs of surviving zeros too), p, cutoff and zero count.
+    values = st.one_of(
+        st.sampled_from(PRUNE_SPECIAL),
+        st.floats(width=32, allow_nan=False, allow_infinity=False),
+    )
+    w = np.array(data.draw(st.lists(values, min_size=1, max_size=400)), dtype=np.float32)
+    n = w.size
+    rate = data.draw(
+        st.sampled_from([0.0, (n - 1) / n, 0.999999])
+        | st.floats(min_value=0.0, max_value=1.0, exclude_max=True)
+    )
+    want, p, cutoff, zeroed = sorted_prune(w, rate)
+    out = w.copy()
+    spec = attacks._prune_into(out, rate)
+    assert out.tobytes() == want.tobytes()
+    assert (spec.rate, spec.p, spec.cutoff, spec.zeroed) == (rate, p, cutoff, zeroed)
+
+
+@pytest.mark.parametrize(
+    "w, rate, zeroed",
+    [
+        ([-0.0], 0.0, 0),
+        ([-0.0, 0.0, -0.0, 1.0], 0.5, 0),
+        ([-1e-45, 1e-45, -0.0, 2.0], 0.5, 1),
+        ([3.4028235e38, -3.4028235e38, -1e-40], 0.9, 1),
+    ],
+)
+def test_prune_into_zeros_and_extremes(w, rate, zeroed):
+    # A -0.0 at a cutoff of 0 survives with its sign; a zeroed -0.0 or
+    # subnormal becomes +0.0.
+    w = np.array(w, dtype=np.float32)
+    want, p, cutoff, count = sorted_prune(w, rate)
+    out = w.copy()
+    spec = attacks._prune_into(out, rate)
+    assert out.tobytes() == want.tobytes()
+    assert (spec.p, spec.cutoff, spec.zeroed) == (p, cutoff, count) == (p, cutoff, zeroed)
 
 
 def test_prune_zeroed_fraction_bound():
@@ -374,6 +437,27 @@ def test_add_noise_small_chunks_match_binary64_recipe(monkeypatch, n):
     want = old_add_noise(w, 0.5, seed=n)
     monkeypatch.setattr(stats, "_NORMAL_CHUNK", 3)
     assert add_noise(w, 0.5, seed=n).tobytes() == want.tobytes()
+    inplace = w.copy()
+    attacks._add_noise_into(inplace, 0.5, seed=n)
+    assert inplace.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("sigma", [0.0, 1e-40, 0.003])
+def test_add_noise_into_matches_binary64_recipe_in_place(sigma):
+    # Each chunk reads its slice before writing it, so adding into the
+    # input itself gives the recipe's bytes; at sigma 0 every -0.0 keeps
+    # its sign.
+    w = sample_gaussian_weights(4 * _NORMAL_CHUNK + 3, sigma=0.01, seed=31)
+    w[::9] = -0.0
+    want = old_add_noise(w, sigma, seed=32)
+    attacks._add_noise_into(w, sigma, seed=32)
+    assert w.tobytes() == want.tobytes()
+
+
+def test_add_noise_into_gives_the_pinned_bytes():
+    w = sample_gaussian_weights(4 * _NORMAL_CHUNK + 3, sigma=0.01, seed=31)
+    attacks._add_noise_into(w, 0.003, seed=32)
+    assert hashlib.sha256(w.tobytes()).hexdigest() == ATTACK_SHA256["noise"]
 
 
 def bound_above_half_scale(seed):

@@ -514,6 +514,47 @@ def test_embed_and_extract_check_each_vector_once(
     assert calls == [100_000]
 
 
+@pytest.mark.parametrize(
+    "verb, public, extra",
+    [("prune", "prune", ("--rate", "0.9")), ("noise", "add_noise", ("--level", "0.001"))],
+)
+def test_prune_and_noise_check_the_vector_once_and_write_it(
+    capsys, tmp_path, monkeypatch, verb, public, extra
+):
+    # The verb checks the vector it reads and the one it writes, and writes
+    # the array read_weights returned: no public attack call re-checks it,
+    # and no copy is made.
+    weights = make_weights(tmp_path)
+    check = cli.watermark._all_finite
+    calls, arrays = [], []
+
+    def counted(w):
+        calls.append(w.size)
+        return check(w)
+
+    read, write = cli.model_io.read_weights, cli.model_io.write_weights
+
+    def reading(path):
+        arrays.append(read(path))
+        return arrays[-1]
+
+    def writing(path, w):
+        arrays.append(w)
+        write(path, w)
+
+    def refused(*args, **kwargs):
+        raise AssertionError(f"{verb} called the public {public}")
+
+    monkeypatch.setattr(cli.watermark, "_all_finite", counted)
+    monkeypatch.setattr(cli.model_io, "_all_finite", counted)
+    monkeypatch.setattr(cli.attacks, public, refused)
+    monkeypatch.setattr(cli.model_io, "read_weights", reading)
+    monkeypatch.setattr(cli.model_io, "write_weights", writing)
+    code, _, _ = run(capsys, verb, str(weights), str(tmp_path / "out.cwcw"), *extra)
+    assert code == 0 and calls == [100_000] * 2
+    assert len(arrays) == 2 and arrays[0] is arrays[1]
+
+
 # --- prune / noise / attack wrappers -----------------------------------------
 
 

@@ -73,8 +73,10 @@ def test_estimate_sigma_peak(weights):
 
 
 def test_prune_peak(weights):
-    # One buffer, magnitudes then the result, and one chunk's mask: 1.02
-    # (with an n-byte mask: 1.25; a mask and a copy beside it: 2.25).
+    # The result, one chunk of bit patterns and one 2**16-entry histogram:
+    # 1.05 (magnitudes partitioned in one n-sized buffer, then refilled
+    # with the result: 1.02; with an n-byte mask: 1.25; a mask and a copy
+    # beside it: 2.25).
     assert peak_over_payload(prune, weights, 0.9) <= 1.1
 
 
@@ -136,6 +138,31 @@ def test_cli_embed_peak(tmp_path, weights, blocks):
     ratio = peak_over_payload(lambda: codes.append(main(argv)))
     assert codes == [0]
     assert ratio <= 1.1 + 8 * _SIGMA_CHUNK / PAYLOAD
+
+
+def test_cli_prune_peak(tmp_path, weights):
+    # The vector read_weights returns, pruned in place and written from its
+    # own buffer, beside one chunk of bit patterns and one 2**16-entry
+    # histogram: 1.07 (pruning a copy of it: 2.04).
+    src = tmp_path / "w.cwcw"
+    write_weights(src, weights)
+    argv = ["--quiet", "prune", str(src), str(tmp_path / "p.cwcw"), "--rate", "0.9"]
+    codes = []
+    ratio = peak_over_payload(lambda: codes.append(main(argv)))
+    assert codes == [0]
+    assert ratio <= 1.1
+
+
+def test_cli_noise_peak(tmp_path, weights):
+    # The vector read_weights returns, with the noise added in place one
+    # chunk of draws at a time: 1.19 (adding it into a copy: 2.19).
+    src = tmp_path / "w.cwcw"
+    write_weights(src, weights)
+    argv = ["--quiet", "noise", str(src), str(tmp_path / "n.cwcw"), "--level", "0.001"]
+    codes = []
+    ratio = peak_over_payload(lambda: codes.append(main(argv)))
+    assert codes == [0]
+    assert ratio <= 1.5
 
 
 def test_extract_message_blocks_peak(weights):

@@ -77,12 +77,22 @@ def test_select_positions_key_sensitivity():
 
 
 @pytest.mark.parametrize(
-    "key, n, l", [(77, 10_000, 60), (0, 1_000_000, 393), (2**64 - 1, 2_000_000, 12955)]
+    "key, n, l",
+    [
+        (77, 10_000, 60),
+        (5, 25_600, 256),
+        (2**64 - 3, 25_700, 257),
+        (6, 76_900, 769),
+        (0, 1_000_000, 393),
+        (2**64 - 1, 2_000_000, 12955),
+    ],
 )
 def test_select_positions_matches_sequential_reference(key, n, l):
     # Independent replay: partial Fisher-Yates with modulo draws from the
-    # sequential generator, no shared code with the package. The last two
-    # cases are the benchmark's L=393 and L=12955 shapes.
+    # sequential generator, no shared code with the package. The middle
+    # cases end at, just past and past the second of the stream's pieces
+    # of 256, 512, ... words; the last two are the benchmark's L=393 and
+    # L=12955 shapes.
     draws = ref.splitmix64_sequential(key, l)
     swapped = {}
     want = []
@@ -490,6 +500,28 @@ def test_block_refusal_stops_each_redraw_at_its_first_collision(monkeypatch):
             thresholds=PAIR, alpha=10, k_block=64, allow_dense=True,
         )
     assert 393 + 1000 <= steps < 393 + 1000 * 10
+
+
+def test_block_refusal_draws_its_words_in_pieces(monkeypatch):
+    # Block 1 cannot miss the 3000 taken positions of 4000, so all 1000
+    # re-draws are refused, each within its first 256 words. Drawing each
+    # attempt's 3000 words at once drew 3 million.
+    drawn = []
+    stream = watermark.splitmix64_stream
+
+    def counted(seed, count):
+        drawn.append(count)
+        return stream(seed, count)
+
+    monkeypatch.setattr(watermark, "splitmix64_stream", counted)
+    taken = set(range(3000))
+    with pytest.raises(SelectionRatioError, match="disjoint"):
+        _draw_positions(_block_selection_seeds(5, 1), 4000, 3000, taken)
+    assert drawn == [256] * 1000
+    # A full draw takes pieces that double, so few of them.
+    drawn.clear()
+    select_positions(7, 2_000_000, 12955)
+    assert drawn == [256, 512, 1024, 2048, 4096, 5019]
 
 
 def test_block_extract_checks_every_position_before_decoding():
