@@ -7,9 +7,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import CwmarkError
 from .rng import splitmix64_stream
 from .stats import _normal_chunks, estimate_sigma
-from .watermark import as_weight_vector
+from .watermark import _PIECE, _all_finite, _ArrayPieces, as_weight_vector
 
 
 @dataclass(frozen=True)
@@ -20,10 +21,6 @@ class PruneSpec:
     p: int
     cutoff: float
     zeroed: int
-
-
-# Weights each pass of _prune_into reads at once (256 KiB of uint32 patterns).
-_PRUNE_CHUNK = 1 << 16
 
 
 def _cutoffs(mag: np.ndarray, rates) -> list[tuple[int, float]]:
@@ -61,16 +58,17 @@ def prune(weights, rate: float) -> tuple[np.ndarray, PruneSpec]:
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"prune rate must be in [0, 1), got {rate}")
     out = w.copy()
-    return out, _prune_into(out, rate)
+    return out, _prune_into(_ArrayPieces(out), rate)
 
 
-def _magnitude_patterns(bits: np.ndarray, buf: np.ndarray):
-    """(start, bits & 0x7FFFFFFF) of the binary32 patterns bits, one
-    _PRUNE_CHUNK at a time, written into buf."""
-    for start in range(0, bits.size, _PRUNE_CHUNK):
-        chunk = buf[: min(_PRUNE_CHUNK, bits.size - start)]
-        np.bitwise_and(bits[start : start + chunk.size], 0x7FFFFFFF, out=chunk)
-        yield start, chunk
+def _magnitude_patterns(source, buf: np.ndarray):
+    """One pass over source: (bits, mag) for each piece, where bits are its
+    binary32 patterns and mag, written into buf, is bits & 0x7FFFFFFF."""
+    for _, piece in source.pieces():
+        bits = piece.view(np.uint32)
+        mag = buf[: bits.size]
+        np.bitwise_and(bits, 0x7FFFFFFF, out=mag)
+        yield bits, mag
 
 
 def _bucket_of(counts: np.ndarray, rank: int) -> tuple[int, int]:
@@ -82,8 +80,9 @@ def _bucket_of(counts: np.ndarray, rank: int) -> tuple[int, int]:
     return bucket, rank - (int(counts[bucket - 1]) if bucket else 0)
 
 
-def _prune_into(w: np.ndarray, rate: float) -> PruneSpec:
-    """prune on the finite binary32 vector w, in place; trusts w and rate.
+def _prune_into(source, rate: float) -> PruneSpec:
+    """prune on the finite binary32 source, whose last pass puts every
+    piece pruned; trusts the source and rate.
 
     Finite magnitudes order like their bit patterns with the sign cleared,
     and clearing it maps -0.0 to +0.0 as np.abs does. So the cutoff's
@@ -92,26 +91,26 @@ def _prune_into(w: np.ndarray, rate: float) -> PruneSpec:
     the low bits of the patterns that share those high bits. A third pass
     zeroes every weight whose pattern lies below it, to +0.0.
     """
-    n = w.size
+    n = source.n
     p = min(int(math.floor(rate * n)), n - 1)
-    bits = w.view(np.uint32)
-    buf = np.empty(min(n, _PRUNE_CHUNK), dtype=np.uint32)
+    buf = np.empty(min(n, _PIECE), dtype=np.uint32)
     counts = np.zeros(1 << 16, dtype=np.int64)
-    for _, mag in _magnitude_patterns(bits, buf):
+    for _, mag in _magnitude_patterns(source, buf):
         mag >>= 16
         np.add.at(counts, mag, 1)
     top, rank = _bucket_of(counts, p)
     counts[:] = 0
-    for _, mag in _magnitude_patterns(bits, buf):
+    for _, mag in _magnitude_patterns(source, buf):
         mag -= top << 16  # patterns below the bucket wrap past it
         np.add.at(counts, mag[mag < counts.size], 1)
     bottom, rank = _bucket_of(counts, rank)
     pattern = top << 16 | bottom
-    for start, mag in _magnitude_patterns(bits, buf):
+    for bits, mag in _magnitude_patterns(source, buf):
         # 0 below the cutoff's pattern, 1 from it on: the product turns a
         # pruned weight into +0.0 and keeps every other bit for bit.
         np.greater_equal(mag, pattern, out=mag, casting="unsafe")
-        bits[start : start + mag.size] *= mag
+        bits *= mag
+        source.put(bits)
     cutoff = float(np.uint32(pattern).view(np.float32))
     # rank is now p's rank among the ties at the cutoff, which all survive.
     return PruneSpec(rate=rate, p=p, cutoff=cutoff, zeroed=p - rank)
@@ -124,22 +123,28 @@ def add_noise(weights, sigma_noise: float, seed: int) -> np.ndarray:
     added in binary64 one chunk at a time, and rounded back to binary32.
     """
     w = as_weight_vector(weights)
-    if sigma_noise < 0.0:
+    if not sigma_noise >= 0.0:  # also refuses NaN
         raise ValueError(f"noise level must be nonnegative, got {sigma_noise}")
     out = w.copy()
-    _add_noise_into(out, sigma_noise, seed)
+    _add_noise_into(_ArrayPieces(out), sigma_noise, seed)
     return out
 
 
-def _add_noise_into(w: np.ndarray, sigma_noise: float, seed: int) -> None:
-    """add_noise on the finite binary32 vector w, in place; trusts w and
-    sigma_noise. Each chunk reads its slice of w before writing it."""
-    if sigma_noise == 0.0:
-        return  # adding 0 * normal would turn -0.0 into +0.0
-    for start, values in _normal_chunks(w.size, seed):
-        values *= sigma_noise
-        values += w[start : start + values.size]
-        w[start : start + values.size] = values
+def _add_noise_into(source, sigma_noise: float, seed: int) -> None:
+    """add_noise on the finite binary32 source, in one pass that puts every
+    piece; trusts sigma_noise. Refuses a level whose noised weights leave
+    binary32 (CwmarkError), at the first piece that does."""
+    for start, piece in source.pieces():
+        # Adding 0 * normal would turn -0.0 into +0.0.
+        if sigma_noise:
+            with np.errstate(over="ignore", invalid="ignore"):
+                for at, values in _normal_chunks(piece.size, seed, start):
+                    values *= sigma_noise
+                    values += piece[at : at + values.size]
+                    piece[at : at + values.size] = values
+            if not _all_finite(piece):
+                raise CwmarkError(f"noise level {sigma_noise!r} overflows binary32")
+        source.put(piece)
 
 
 def targeted_flip_attack(

@@ -238,25 +238,25 @@ def _design_from_args(args, sigma: float) -> tuple[stats.ThresholdPair, float]:
 
 
 def cmd_embed(args, console: _Console) -> int:
-    weights = model_io.read_weights(args.weights_in)
-    bits = hex_to_bits(args.message)
-    sigma = stats.estimate_sigma(weights)
-    thresholds, rate = _design_from_args(args, sigma)
+    with model_io._open_weights(args.weights_in, args.weights_out) as source:
+        sigma = stats._rms(source.pieces(), source.n)
+        bits = hex_to_bits(args.message)
+        thresholds, rate = _design_from_args(args, sigma)
 
-    blocked = args.block_bits is not None and args.block_bits < bits.size
-    k = args.block_bits if blocked else bits.size
-    params = codec.find_params(k, args.alpha).params
-    receipts, _ = watermark._embed_into(
-        weights, bits, args.key, thresholds, params, blocked, args.force
-    )
-    doc = model_io.SpecDocument(
-        specs=[r.spec for r in receipts], sigma=sigma, rate=rate,
-        total_bits=int(bits.size),
-    )
+        blocked = args.block_bits is not None and args.block_bits < bits.size
+        k = args.block_bits if blocked else bits.size
+        params = codec.find_params(k, args.alpha).params
+        receipts, _ = watermark._embed_into(
+            source, bits, args.key, thresholds, params, blocked, args.force
+        )
+        # Inside the block: a document it refuses leaves no weight file.
+        doc = model_io.SpecDocument(
+            specs=[r.spec for r in receipts], sigma=sigma, rate=rate,
+            total_bits=int(bits.size),
+        )
     modified = sum(r.modified_count for r in receipts)
     max_pert = max(r.max_perturbation for r in receipts)
 
-    model_io.write_weights(args.weights_out, weights)
     model_io.write_spec(args.spec_out, doc)
     console.put(
         modified_count=modified,
@@ -273,17 +273,17 @@ def cmd_embed(args, console: _Console) -> int:
 
 
 def cmd_extract(args, console: _Console) -> int:
-    weights = model_io.read_weights(args.weights_in)
-    doc = model_io.read_spec(args.spec_in)
     words: list[np.ndarray] = []
-    try:
-        joined = watermark._extract_message(weights, doc.specs, doc.total_bits, words)
-    except MessageRangeError:
-        console.put(weight_ok=True, range_ok=False)
-        for word in words:
-            console.result(f"codeword: {codeword_str(word)}")
-        console.result("range check: failed")
-        return EXIT_VERIFY
+    with model_io._open_weights(args.weights_in) as source:
+        doc = model_io.read_spec(args.spec_in)
+        try:
+            joined = watermark._extract_message(source, doc.specs, doc.total_bits, words)
+        except MessageRangeError:
+            console.put(weight_ok=True, range_ok=False)
+            for word in words:
+                console.result(f"codeword: {codeword_str(word)}")
+            console.result("range check: failed")
+            return EXIT_VERIFY
     message = bits_to_hex(joined, doc.total_bits)
     console.put(
         weight_ok=True, range_ok=True, message=message, total_bits=doc.total_bits
@@ -294,9 +294,8 @@ def cmd_extract(args, console: _Console) -> int:
 
 
 def cmd_prune(args, console: _Console) -> int:
-    weights = model_io.read_weights(args.weights_in)
-    report = attacks._prune_into(weights, args.rate)
-    model_io.write_weights(args.weights_out, weights)
+    with model_io._open_weights(args.weights_in, args.weights_out) as source:
+        report = attacks._prune_into(source, args.rate)
     console.put(
         rate=report.rate, p=report.p, cutoff=report.cutoff, zeroed=report.zeroed
     )
@@ -307,10 +306,9 @@ def cmd_prune(args, console: _Console) -> int:
 
 
 def cmd_noise(args, console: _Console) -> int:
-    weights = model_io.read_weights(args.weights_in)
-    attacks._add_noise_into(weights, args.level, args.seed)
-    model_io.write_weights(args.weights_out, weights)
-    console.put(level=args.level, seed=args.seed, n=int(weights.size))
+    with model_io._open_weights(args.weights_in, args.weights_out) as source:
+        attacks._add_noise_into(source, args.level, args.seed)
+    console.put(level=args.level, seed=args.seed, n=source.n)
     console.result(f"level: {args.level!r}  seed: {args.seed}")
     return EXIT_OK
 
@@ -341,7 +339,8 @@ def _eval_rows(args):
         message = random_bits(message_seed, args.k)
         marked = stats.sample_gaussian_weights(args.n, args.sigma, weight_seed)
         [receipt], [codeword] = watermark._embed_into(
-            marked, message, key, thresholds, params, False, args.force
+            watermark._ArrayPieces(marked), message, key, thresholds, params,
+            False, args.force,
         )
         # prune + extract for every rate, reading only the L selected weights.
         # marked is needed only as magnitudes, so they overwrite it; the

@@ -6,6 +6,12 @@ Spec files are line-oriented "name: value" text with positions stored
 explicitly, so extraction never has to reproduce the position PRNG.
 All writes go through a temp file and os.replace, so readers never see
 a half-written file.
+
+read_weights and write_weights move a whole vector. The file verbs
+instead open a weight file as a piece source (_open_weights): one buffer
+of at most watermark._PIECE weights, refilled by readinto on each pass,
+with each finished piece written on to the temp file. They hold one piece
+and their own small buffers, never an n-sized array.
 """
 
 from __future__ import annotations
@@ -13,7 +19,9 @@ from __future__ import annotations
 import math
 import os
 import struct
+import sys
 import tempfile
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,24 +37,27 @@ from .errors import (
     WeightFileError,
 )
 from .stats import ThresholdPair
-from .watermark import EmbedSpec, _all_finite, as_weight_vector
+from .watermark import _PIECE, EmbedSpec, _all_finite, as_weight_vector
 
 MAGIC = b"CWCW"
 VERSION = 1
 _HEADER = struct.Struct("<4sHQ")
+# The payload is little-endian; a big-endian host swaps each piece.
+_SWAP = sys.byteorder != "little"
 
 SPEC_FORMAT = "cwmark-spec/1"
 
 
-def _atomic_write_bytes(path, *chunks) -> None:
-    """Write the byte buffers in order to a temp file, then move it to path."""
+@contextmanager
+def _atomic_file(path):
+    """A binary file written beside path, moved onto it when the block
+    ends and removed if the block raises."""
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".cwmark-")
     try:
         with os.fdopen(fd, "wb") as handle:
-            for chunk in chunks:
-                handle.write(chunk)
+            yield handle
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -64,49 +75,113 @@ def write_weights(path, weights) -> None:
     bytes copy.
     """
     w = np.ascontiguousarray(as_weight_vector(weights), dtype="<f4")
-    header = _HEADER.pack(MAGIC, VERSION, w.size)
-    _atomic_write_bytes(path, header, memoryview(w).cast("B"))
+    with _atomic_file(path) as handle:
+        handle.write(_HEADER.pack(MAGIC, VERSION, w.size))
+        handle.write(memoryview(w).cast("B"))
+
+
+def _payload_count(handle) -> int:
+    """The weight count of the weight file open in handle, left at its payload.
+
+    The header, truncation and trailing-data checks run on the header and
+    the file size alone, so nothing is allocated for a payload that is not
+    there.
+    """
+    header = handle.read(_HEADER.size)
+    size = os.fstat(handle.fileno()).st_size
+    if len(header) < _HEADER.size:
+        raise TruncatedPayloadError(
+            f"file is {size} bytes, shorter than the {_HEADER.size}-byte header"
+        )
+    magic, version, n = _HEADER.unpack(header)
+    if magic != MAGIC:
+        raise BadMagicError(f"bad magic {magic!r}, expected {MAGIC!r}")
+    if version != VERSION:
+        raise UnsupportedVersionError(f"unsupported format version {version}")
+    if n == 0:
+        raise WeightFileError("header declares no weights")
+    expected = _HEADER.size + 4 * n
+    if size < expected:
+        raise TruncatedPayloadError(
+            f"header declares {n} weights ({expected} bytes) but file has {size}"
+        )
+    if size > expected:
+        raise TrailingDataError(f"{size - expected} trailing bytes after payload")
+    return n
+
+
+def _short_read(n: int, got: int) -> TruncatedPayloadError:
+    return TruncatedPayloadError(
+        f"header declares {n} weights ({_HEADER.size + 4 * n} bytes) but only "
+        f"{_HEADER.size + got} could be read"
+    )
 
 
 def read_weights(path) -> np.ndarray:
     """Parse a weight file into a binary32 vector.
 
-    The header, truncation and trailing-data checks run on the header and
-    the file size alone, before the payload is allocated, which is then
-    read straight into the returned array. Its min and max then refuse a
-    NaN or an infinity (NonFiniteWeightError) without an n-byte mask.
+    The header and size checks (_payload_count) run before the payload is
+    allocated, which is then read straight into the returned array. Its
+    min and max then refuse a NaN or an infinity (NonFiniteWeightError)
+    without an n-byte mask.
     """
     with open(path, "rb") as handle:
-        header = handle.read(_HEADER.size)
-        size = os.fstat(handle.fileno()).st_size
-        if len(header) < _HEADER.size:
-            raise TruncatedPayloadError(
-                f"file is {size} bytes, shorter than the {_HEADER.size}-byte header"
-            )
-        magic, version, n = _HEADER.unpack(header)
-        if magic != MAGIC:
-            raise BadMagicError(f"bad magic {magic!r}, expected {MAGIC!r}")
-        if version != VERSION:
-            raise UnsupportedVersionError(f"unsupported format version {version}")
-        if n == 0:
-            raise WeightFileError("header declares no weights")
-        expected = _HEADER.size + 4 * n
-        if size < expected:
-            raise TruncatedPayloadError(
-                f"header declares {n} weights ({expected} bytes) but file has {size}"
-            )
-        if size > expected:
-            raise TrailingDataError(f"{size - expected} trailing bytes after payload")
+        n = _payload_count(handle)
         w = np.empty(n, dtype="<f4")
         got = handle.readinto(memoryview(w).cast("B"))
     if got != w.nbytes:
-        raise TruncatedPayloadError(
-            f"header declares {n} weights ({expected} bytes) but only "
-            f"{_HEADER.size + got} could be read"
-        )
+        raise _short_read(n, got)
     if not _all_finite(w):
         raise NonFiniteWeightError("payload contains NaN or infinity")
     return w.astype(np.float32, copy=False)
+
+
+class _WeightFile:
+    """The payload of an open weight file as a piece source (see
+    watermark._ArrayPieces): each pass reads it again into one reused
+    buffer, and the first whole pass refuses a NaN or an infinity
+    (NonFiniteWeightError) before handing out the piece that holds it.
+    put writes a finished piece to the output, opened by the first put."""
+
+    def __init__(self, handle, n: int, open_output):
+        self.n = n
+        self._handle = handle
+        self._buf = np.empty(min(n, _PIECE), dtype=np.float32)
+        self._checked = False
+        self._open_output = open_output
+        self._output = None
+
+    def pieces(self):
+        self._handle.seek(_HEADER.size)
+        for start in range(0, self.n, self._buf.size):
+            piece = self._buf[: min(self._buf.size, self.n - start)]
+            got = self._handle.readinto(memoryview(piece).cast("B"))
+            if got != piece.nbytes:
+                raise _short_read(self.n, 4 * start + got)
+            if _SWAP:
+                piece.byteswap(inplace=True)
+            if not self._checked and not _all_finite(piece):
+                raise NonFiniteWeightError("payload contains NaN or infinity")
+            yield start, piece
+        self._checked = True
+
+    def put(self, piece: np.ndarray) -> None:
+        if self._output is None:
+            self._output = self._open_output()
+            self._output.write(_HEADER.pack(MAGIC, VERSION, self.n))
+        self._output.write(piece.byteswap() if _SWAP else piece)
+
+
+@contextmanager
+def _open_weights(path, out=None):
+    """The weight file at path as a piece source, after _payload_count's
+    checks. What the step puts goes to a temp file beside out, which
+    replaces out when the block ends, so out may be path itself; if the
+    block raises, the temp file is removed and out is left as it was."""
+    with open(path, "rb") as handle, ExitStack() as stack:
+        yield _WeightFile(
+            handle, _payload_count(handle), lambda: stack.enter_context(_atomic_file(out))
+        )
 
 
 @dataclass(frozen=True)
@@ -181,7 +256,8 @@ def write_spec(path, doc: SpecDocument) -> None:
     ]
     for name, spec in zip(_position_fields(len(doc.specs)), doc.specs):
         lines.append(f"{name}: " + " ".join(map(str, spec.positions)))
-    _atomic_write_bytes(path, ("\n".join(lines) + "\n").encode("ascii"))
+    with _atomic_file(path) as handle:
+        handle.write(("\n".join(lines) + "\n").encode("ascii"))
 
 
 def _position_fields(blocks: int):

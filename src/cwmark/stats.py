@@ -137,33 +137,56 @@ def design_thresholds(
     return ThresholdPair(t0=t0_fraction * t1, t1=t1)
 
 
-# Largest piece of the vector estimate_sigma squares at once (8 MiB of binary64).
-_SIGMA_CHUNK = 1 << 20
+# Largest piece of the vector squared at once (512 KiB of binary64).
+_SIGMA_CHUNK = 1 << 16
 
 
-def _sum_squares(w: np.ndarray, start: int, stop: int) -> np.float64:
-    """Binary64 sum of w[start:stop]**2, split where numpy's pairwise sum splits.
+def _pairwise(start: int, stop: int, leaf):
+    """leaf(a, b) over the pieces numpy's pairwise sum splits [start, stop)
+    into, down to _SIGMA_CHUNK values, added in numpy's tree order.
 
     np.add.reduce over a contiguous binary64 vector of n > 128 values sums
     its first half, n // 2 rounded down to a multiple of 8, and its second
-    half recursively, then adds the two. Splitting at exactly those points
-    until a piece fits in _SIGMA_CHUNK, and adding the pieces in the same
-    tree order, gives the same bits as reducing the whole squared vector.
+    half recursively, then adds the two. Any cap of 128 or more therefore
+    gives the bits of reducing the whole vector.
     """
     n = stop - start
     if n <= _SIGMA_CHUNK:
-        return np.add.reduce(np.square(w[start:stop], dtype=np.float64))
+        return leaf(start, stop)
     half = n // 2
     half -= half % 8
-    return _sum_squares(w, start, start + half) + _sum_squares(w, start + half, stop)
+    return _pairwise(start, start + half, leaf) + _pairwise(start + half, stop, leaf)
+
+
+def _rms(pieces, n: int) -> float:
+    """sqrt(mean(w**2)) in binary64 of the n values that pieces yields, in
+    order, as (start, piece): the bits of the whole-vector formula, with
+    one leaf of squares held at a time (see _pairwise)."""
+    ends: list[int] = []
+    _pairwise(0, n, lambda a, b: ends.append(b) or 0.0)
+    squares = np.empty(min(n, _SIGMA_CHUNK), dtype=np.float64)
+    sums: list[np.float64] = []
+    filled = 0
+    for start, piece in pieces:
+        at = 0
+        while at < piece.size:
+            take = min(ends[len(sums)] - start - at, piece.size - at)
+            leaf = squares[filled : filled + take]
+            np.square(piece[at : at + take], out=leaf, dtype=np.float64)
+            at, filled = at + take, filled + take
+            if start + at == ends[len(sums)]:
+                sums.append(np.add.reduce(squares[:filled]))
+                filled = 0
+    leaf_sums = iter(sums)
+    return float(np.sqrt(_pairwise(0, n, lambda a, b: next(leaf_sums)) / n))
 
 
 def estimate_sigma(weights) -> float:
     """Sample standard deviation about zero, sqrt(mean(w**2)).
 
     Bit-identical to np.sqrt(np.mean(np.square(np.asarray(w, np.float64))))
-    but never holds more than one chunk of squares (see _sum_squares), so
-    a binary32 vector is not widened as a whole.
+    but never holds more than one chunk of squares (see _rms), so a
+    binary32 vector is not widened as a whole.
     """
     w = np.asarray(weights)
     if w.dtype != np.float32:
@@ -171,22 +194,23 @@ def estimate_sigma(weights) -> float:
     w = w.ravel()
     if w.size == 0:
         raise ValueError("cannot estimate sigma from an empty vector")
-    return float(np.sqrt(_sum_squares(w, 0, w.size) / w.size))
+    return _rms([(0, w)], w.size)
 
 
 # Most Box-Muller pairs drawn at once (2**16 stream words, 512 KiB).
 _NORMAL_CHUNK = 1 << 15
 
 
-def _normal_chunks(n: int, seed: int):
-    """standard_normals(n, seed) in order, as (start, values) of at most
-    2 * _NORMAL_CHUNK values each.
+def _normal_chunks(n: int, seed: int, first: int = 0):
+    """standard_normals(first + n, seed)[first:] in order, as (start, values)
+    of at most 2 * _NORMAL_CHUNK values each, start counted from first.
 
     The stream is counter-based, so the words from 2a + 1 on are those of
     the seed advanced by 2a * GOLDEN_GAMMA; each chunk draws only its own.
     """
-    pairs = (n + 1) // 2
-    for a in range(0, pairs, _NORMAL_CHUNK):
+    stop = first + n
+    pairs = (stop + 1) // 2
+    for a in range(first // 2, pairs, _NORMAL_CHUNK):
         b = min(a + _NORMAL_CHUNK, pairs)
         words = splitmix64_stream((seed + 2 * a * GOLDEN_GAMMA) & MASK64, 2 * (b - a))
         u = u64_to_unit(words)
@@ -195,7 +219,8 @@ def _normal_chunks(n: int, seed: int):
         out = np.empty(2 * (b - a), dtype=np.float64)
         out[0::2] = radius * np.cos(angle)
         out[1::2] = radius * np.sin(angle)
-        yield 2 * a, out[: n - 2 * a]
+        lo = max(2 * a, first)
+        yield lo - first, out[lo - 2 * a : stop - 2 * a]
 
 
 def standard_normals(n: int, seed: int) -> np.ndarray:

@@ -29,9 +29,35 @@ from .stats import ThresholdPair
 DENSITY_LIMIT = 100
 
 
+# Weights per piece of a pass over a vector or a weight file (256 KiB).
+_PIECE = 1 << 16
+
+
 def _all_finite(w: np.ndarray) -> bool:
     """No NaN or infinity in the nonempty w: min and max propagate both, mask-free."""
     return math.isfinite(w.min()) and math.isfinite(w.max())
+
+
+class _ArrayPieces:
+    """A finite binary32 vector as a piece source for the chunked steps.
+
+    A piece source has n and pieces(), a pass over its values as (start,
+    piece) of at most _PIECE values each; a step that changes the values
+    changes each piece and then hands it to put. Here each piece is a view
+    of the vector, so a step changes the vector in place and put has
+    nothing to do. model_io reads and writes a weight file the same way.
+    """
+
+    def __init__(self, w: np.ndarray):
+        self.w = w
+        self.n = w.size
+
+    def pieces(self):
+        for start in range(0, self.n, _PIECE):
+            yield start, self.w[start : start + _PIECE]
+
+    def put(self, piece: np.ndarray) -> None:
+        pass
 
 
 def as_weight_vector(values) -> np.ndarray:
@@ -156,30 +182,52 @@ def embed(weights, codeword, spec: EmbedSpec) -> tuple[np.ndarray, EmbedReceipt]
     to the input, which is left unchanged.
     """
     w = as_weight_vector(weights)
-    pos = _positions_array(spec, w.size)
+    _positions_array(spec, w.size)
     bits = as_bits(codeword, expect_len=spec.params.L)
     if int(bits.sum()) != spec.params.alpha:
         raise MalformedCodewordError(
             f"codeword weight {int(bits.sum())} != alpha {spec.params.alpha}"
         )
     out = w.copy()
-    return out, _project(out, pos, bits, spec)
+    return out, _project(_ArrayPieces(out), [spec], [bits])[0]
 
 
-def _project(w: np.ndarray, pos, bits, spec: EmbedSpec) -> EmbedReceipt:
-    """embed's projection into w in place; trusts the positions and the bits."""
-    t0, t1 = spec.thresholds
-    old = w[pos]
-    vals = old.astype(np.float64)
-    mag = np.abs(vals)
-    # Clamp each magnitude: a 1 up to at least t1, a 0 down to at most t0.
-    target = np.where(bits == 1, np.maximum(mag, t1), np.minimum(mag, t0))
-    new = np.where(target == mag, vals, np.where(vals >= 0.0, target, -target))
-    w[pos] = new.astype(np.float32)
-    stored = w[pos]
-    modified = int(np.count_nonzero(stored.view(np.uint32) != old.view(np.uint32)))
-    max_pert = float(np.max(np.abs(stored.astype(np.float64) - vals)))
-    return EmbedReceipt(spec=spec, modified_count=modified, max_perturbation=max_pert)
+def _at_positions(source, positions: np.ndarray):
+    """One pass over source: (piece, at, sel) for each piece, where
+    piece[at] holds the values at positions[sel]."""
+    sel = np.argsort(positions, kind="stable")
+    ordered = positions[sel]
+    for start, piece in source.pieces():
+        lo, hi = np.searchsorted(ordered, (start, start + piece.size))
+        yield piece, ordered[lo:hi] - start, sel[lo:hi]
+
+
+def _project(source, specs, words) -> list[EmbedReceipt]:
+    """embed's projection of each codeword onto its spec's positions, in one
+    pass over source that puts every piece; trusts the positions, which are
+    distinct, and the bits. All specs share the thresholds and L."""
+    t0, t1 = specs[0].thresholds
+    pos = np.concatenate([np.asarray(spec.positions, dtype=np.int64) for spec in specs])
+    bits = np.concatenate(words)
+    old = np.empty(pos.size, dtype=np.float32)
+    new = np.empty(pos.size, dtype=np.float32)
+    for piece, at, sel in _at_positions(source, pos):
+        old[sel] = piece[at]
+        vals = old[sel].astype(np.float64)
+        mag = np.abs(vals)
+        # Clamp each magnitude: a 1 up to at least t1, a 0 down to at most t0.
+        target = np.where(bits[sel] == 1, np.maximum(mag, t1), np.minimum(mag, t0))
+        signed = np.where(vals >= 0.0, target, -target)
+        piece[at] = new[sel] = np.where(target == mag, vals, signed)
+        source.put(piece)
+    receipts = []
+    for spec, was, now in zip(specs, np.split(old, len(specs)), np.split(new, len(specs))):
+        modified = int(np.count_nonzero(now.view(np.uint32) != was.view(np.uint32)))
+        max_pert = float(np.max(np.abs(now.astype(np.float64) - was.astype(np.float64))))
+        receipts.append(
+            EmbedReceipt(spec=spec, modified_count=modified, max_perturbation=max_pert)
+        )
+    return receipts
 
 
 def extract(weights, spec: EmbedSpec) -> np.ndarray:
@@ -189,13 +237,21 @@ def extract(weights, spec: EmbedSpec) -> np.ndarray:
     lower position-list index (stable sort), so the output weight is
     always exactly alpha even on corrupted input.
     """
-    return _extract(as_weight_vector(weights), spec)
+    return _extract_words(_ArrayPieces(as_weight_vector(weights)), [spec])[0]
 
 
-def _extract(w: np.ndarray, spec: EmbedSpec) -> np.ndarray:
-    """extract on the finite binary32 vector w."""
-    pos = _positions_array(spec, w.size)
-    return _top_alpha(np.abs(w[pos].astype(np.float64)), spec.params.alpha)
+def _extract_words(source, specs) -> list[np.ndarray]:
+    """extract for each spec, gathering all their positions in one pass
+    over the finite binary32 source; every position is range-checked first."""
+    pos = np.concatenate([_positions_array(spec, source.n) for spec in specs])
+    values = np.empty(pos.size, dtype=np.float32)
+    for piece, at, sel in _at_positions(source, pos):
+        values[sel] = piece[at]
+    bounds = np.cumsum([spec.params.L for spec in specs])[:-1]
+    return [
+        _top_alpha(np.abs(block.astype(np.float64)), spec.params.alpha)
+        for block, spec in zip(np.split(values, bounds), specs)
+    ]
 
 
 def _top_alpha(mag: np.ndarray, alpha: int) -> np.ndarray:
@@ -206,23 +262,25 @@ def _top_alpha(mag: np.ndarray, alpha: int) -> np.ndarray:
     return bits
 
 
-def _embed_into(w, message, key, thresholds, params, blocked, allow_dense):
-    """Embed message into the finite binary32 vector w; return the receipts
+def _embed_into(source, message, key, thresholds, params, blocked, allow_dense):
+    """Embed message into the finite binary32 source; return the receipts
     and the projected codewords. Blocked, block j of params.k bits takes the
     first _block_selection_seeds(key, j) seed whose positions miss the
-    earlier blocks'; unblocked, the message is one codeword at key's."""
+    earlier blocks'; unblocked, the message is one codeword at key's. Every
+    block is selected and encoded before one pass projects them all."""
     blocks = split_blocks(message, params.k) if blocked else [message]
-    _check_selection(len(blocks) * params.L, w.size, allow_dense)
+    _check_selection(len(blocks) * params.L, source.n, allow_dense)
     taken: set[int] = set()
-    receipts, words = [], []
+    specs, words = [], []
     for j, block in enumerate(blocks):
         seeds = _block_selection_seeds(key, j) if blocked else [key]
-        chosen = _draw_positions(seeds, w.size, params.L, taken)
+        chosen = _draw_positions(seeds, source.n, params.L, taken)
         taken.update(chosen)
-        spec = EmbedSpec(key=key, params=params, thresholds=thresholds, positions=chosen)
+        specs.append(
+            EmbedSpec(key=key, params=params, thresholds=thresholds, positions=chosen)
+        )
         words.append(encode(block, params))
-        receipts.append(_project(w, np.array(chosen, dtype=np.int64), words[-1], spec))
-    return receipts, words
+    return _project(source, specs, words), words
 
 
 def embed_message(
@@ -240,7 +298,9 @@ def embed_message(
     too dense for the vector is refused before its ladder is built.
     """
     out = as_weight_vector(weights).copy()
-    (receipt,), _ = _embed_into(out, message, key, thresholds, params, False, allow_dense)
+    (receipt,), _ = _embed_into(
+        _ArrayPieces(out), message, key, thresholds, params, False, allow_dense
+    )
     return out, receipt
 
 
@@ -315,14 +375,16 @@ def embed_message_blocks(
     # k_block is refused before a k_block-bit buffer is allocated.
     params = find_params(k_block, alpha).params
     out = w.copy()
-    receipts, _ = _embed_into(out, message, key, thresholds, params, True, allow_dense)
+    receipts, _ = _embed_into(
+        _ArrayPieces(out), message, key, thresholds, params, True, allow_dense
+    )
     return out, [r.spec for r in receipts], receipts
 
 
-def _extract_message(w, specs, total_bits: int, words: list) -> np.ndarray:
-    """extract_message_blocks on the finite binary32 vector w; every codeword
+def _extract_message(source, specs, total_bits: int, words: list) -> np.ndarray:
+    """extract_message_blocks on the finite binary32 source; every codeword
     goes into words before any is decoded, so a MessageRangeError keeps them."""
-    words.extend([_extract(w, spec) for spec in specs])
+    words.extend(_extract_words(source, specs))
     blocks = [decode(word, spec.params) for word, spec in zip(words, specs)]
     return join_blocks(blocks, total_bits)
 
@@ -335,4 +397,6 @@ def extract_message_blocks(weights, specs, total_bits: int) -> np.ndarray:
     any is decoded, so a position past the vector in any block raises
     PositionRangeError first.
     """
-    return _extract_message(as_weight_vector(weights), specs, total_bits, [])
+    return _extract_message(
+        _ArrayPieces(as_weight_vector(weights)), specs, total_bits, []
+    )

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from cwmark import (
     CodeParams,
+    CwmarkError,
     ThresholdPair,
     add_noise,
     attacks,
@@ -22,9 +23,11 @@ from cwmark import (
     standard_normals,
     stats,
     targeted_flip_attack,
+    watermark,
 )
 from cwmark.rng import random_bits, splitmix64_stream
 from cwmark.stats import _NORMAL_CHUNK
+from cwmark.watermark import _ArrayPieces
 
 # --- prune -------------------------------------------------------------------
 
@@ -142,7 +145,7 @@ def test_cutoffs_one_partition_matches_sort(n, seed, rates, quantize):
 @pytest.mark.parametrize("n", [1, 5, 1000, 2**12 + 3])
 def test_prune_chunks_match_whole_vector(monkeypatch, n, rate):
     # Chunk edges at every 7 weights; zeros, -0.0 and ties at the cutoff.
-    monkeypatch.setattr(attacks, "_PRUNE_CHUNK", 7)
+    monkeypatch.setattr(watermark, "_PIECE", 7)
     w = np.round(np.random.default_rng(n).normal(0, 1, n) * 4).astype(np.float32) / 4
     w[::5] = 0.0
     w[1::11] = -0.0
@@ -154,7 +157,7 @@ def test_prune_chunks_match_whole_vector(monkeypatch, n, rate):
     assert spec.zeroed == int(np.count_nonzero(mask))
     assert spec.cutoff == float(np.sort(np.abs(w))[spec.p])
     inplace = w.copy()
-    assert attacks._prune_into(inplace, rate) == spec
+    assert attacks._prune_into(_ArrayPieces(inplace), rate) == spec
     assert inplace.tobytes() == want.tobytes()
 
 
@@ -193,7 +196,7 @@ def test_prune_into_matches_sort(data):
     )
     want, p, cutoff, zeroed = sorted_prune(w, rate)
     out = w.copy()
-    spec = attacks._prune_into(out, rate)
+    spec = attacks._prune_into(_ArrayPieces(out), rate)
     assert out.tobytes() == want.tobytes()
     assert (spec.rate, spec.p, spec.cutoff, spec.zeroed) == (rate, p, cutoff, zeroed)
 
@@ -213,7 +216,7 @@ def test_prune_into_zeros_and_extremes(w, rate, zeroed):
     w = np.array(w, dtype=np.float32)
     want, p, cutoff, count = sorted_prune(w, rate)
     out = w.copy()
-    spec = attacks._prune_into(out, rate)
+    spec = attacks._prune_into(_ArrayPieces(out), rate)
     assert out.tobytes() == want.tobytes()
     assert (spec.p, spec.cutoff, spec.zeroed) == (p, cutoff, count) == (p, cutoff, zeroed)
 
@@ -438,8 +441,27 @@ def test_add_noise_small_chunks_match_binary64_recipe(monkeypatch, n):
     monkeypatch.setattr(stats, "_NORMAL_CHUNK", 3)
     assert add_noise(w, 0.5, seed=n).tobytes() == want.tobytes()
     inplace = w.copy()
-    attacks._add_noise_into(inplace, 0.5, seed=n)
+    attacks._add_noise_into(_ArrayPieces(inplace), 0.5, seed=n)
     assert inplace.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 6, 7, 13, 1001])
+def test_add_noise_into_odd_pieces_match_binary64_recipe(monkeypatch, n):
+    # Pieces of 7 weights start inside a Box-Muller pair every other time.
+    w = np.round(np.random.default_rng(n).normal(0, 1, n) * 4).astype(np.float32) / 4
+    want = old_add_noise(w, 0.5, seed=n)
+    monkeypatch.setattr(watermark, "_PIECE", 7)
+    monkeypatch.setattr(stats, "_NORMAL_CHUNK", 3)
+    attacks._add_noise_into(_ArrayPieces(w), 0.5, seed=n)
+    assert w.tobytes() == want.tobytes()
+
+
+def test_add_noise_into_refuses_a_level_past_binary32():
+    w = np.array([1.0, -2.0, 3.0], dtype=np.float32)
+    with pytest.raises(CwmarkError, match="noise level 1e\\+40 overflows binary32"):
+        add_noise(w, 1e40, seed=1)
+    with pytest.raises(ValueError, match="nonnegative, got nan"):
+        add_noise(w, float("nan"), seed=1)
 
 
 @pytest.mark.parametrize("sigma", [0.0, 1e-40, 0.003])
@@ -450,13 +472,13 @@ def test_add_noise_into_matches_binary64_recipe_in_place(sigma):
     w = sample_gaussian_weights(4 * _NORMAL_CHUNK + 3, sigma=0.01, seed=31)
     w[::9] = -0.0
     want = old_add_noise(w, sigma, seed=32)
-    attacks._add_noise_into(w, sigma, seed=32)
+    attacks._add_noise_into(_ArrayPieces(w), sigma, seed=32)
     assert w.tobytes() == want.tobytes()
 
 
 def test_add_noise_into_gives_the_pinned_bytes():
     w = sample_gaussian_weights(4 * _NORMAL_CHUNK + 3, sigma=0.01, seed=31)
-    attacks._add_noise_into(w, 0.003, seed=32)
+    attacks._add_noise_into(_ArrayPieces(w), 0.003, seed=32)
     assert hashlib.sha256(w.tobytes()).hexdigest() == ATTACK_SHA256["noise"]
 
 

@@ -6,9 +6,12 @@ import hashlib
 import io
 import json
 import os
+import shutil
+import struct
 import subprocess
 import sys
 import tempfile
+import threading
 
 import numpy as np
 import pytest
@@ -37,6 +40,7 @@ from cwmark import (
 from cwmark import cli
 from cwmark.cli import main
 from cwmark.rng import random_bits, splitmix64_stream
+from cwmark.watermark import _PIECE
 
 MSG64 = "deadbeef01234567"
 
@@ -476,83 +480,150 @@ def test_block_extract_position_error_after_range_failure_exits_3(capsys, tmp_pa
     assert "out of range" in err
 
 
-@pytest.mark.parametrize(
-    "message, extra",
-    [(MSG64, ()), (LONG128, ("--block-bits", "64"))],
-    ids=["single", "block"],
-)
-def test_embed_and_extract_check_each_vector_once(
-    capsys, tmp_path, monkeypatch, message, extra
-):
-    # Each finiteness check reads all n weights. embed checks the vector
-    # it reads and the one it writes; extract checks the one it reads,
-    # also when it prints the codewords of a range failure.
-    weights = make_weights(tmp_path)
+# Three pieces of a pass, the last one short.
+N_PIECES = 2 * _PIECE + 5
+
+
+def file_verb_argv(verb, weights, out, spec, message=MSG64):
+    """argv of one file verb on weights: embed writes out and spec,
+    extract reads spec, prune and noise write out."""
+    return {
+        "embed": [
+            "embed", str(weights), str(spec), str(out), "--message", message,
+            "--key", "7", "-a", "10", "--rate", "0.95", "--block-bits", "64",
+        ],
+        "extract": ["--quiet", "extract", str(weights), str(spec)],
+        "prune": ["prune", str(weights), str(out), "--rate", "0.9"],
+        "noise": ["noise", str(weights), str(out), "--level", "0.001"],
+    }[verb]
+
+
+def marked_pieces_file(capsys, tmp_path, message=MSG64):
+    """A marked N_PIECES-weight file and its spec."""
+    weights = make_weights(tmp_path, n=N_PIECES)
     spec, marked = tmp_path / "mark.spec", tmp_path / "marked.cwcw"
-    check = cli.watermark._all_finite
-    calls = []
-
-    def counted(w):
-        calls.append(w.size)
-        return check(w)
-
-    monkeypatch.setattr(cli.watermark, "_all_finite", counted)
-    monkeypatch.setattr(cli.model_io, "_all_finite", counted)
-    code, _, _ = run(
-        capsys, "embed", str(weights), str(spec), str(marked),
-        "--message", message, "--key", "7", "-a", "10", "--rate", "0.95", *extra,
-    )
-    assert code == 0 and calls == [100_000] * 2
-    calls.clear()
-    code, out, _ = run(capsys, "--quiet", "extract", str(marked), str(spec))
-    assert code == 0 and out.strip() == message
-    assert calls == [100_000]
-    block_out_of_range(spec, marked, block=len(read_spec(spec).specs) - 1)
-    calls.clear()
-    code, out, _ = run(capsys, "extract", str(marked), str(spec))
-    assert code == 4 and out.endswith("range check: failed\n")
-    assert calls == [100_000]
+    argv = file_verb_argv("embed", weights, marked, spec, message)
+    assert run(capsys, *argv)[0] == 0
+    return marked, spec
 
 
 @pytest.mark.parametrize(
-    "verb, public, extra",
-    [("prune", "prune", ("--rate", "0.9")), ("noise", "add_noise", ("--level", "0.001"))],
+    "verb, message, code",
+    [
+        ("embed", MSG64, 0),
+        ("embed", LONG128, 0),
+        ("extract", LONG128, 0),
+        ("extract", LONG128, 4),
+        ("prune", MSG64, 0),
+        ("noise", MSG64, 0),
+    ],
+    ids=[
+        "embed-single", "embed-block", "extract", "extract-range-failure", "prune", "noise",
+    ],
 )
-def test_prune_and_noise_check_the_vector_once_and_write_it(
-    capsys, tmp_path, monkeypatch, verb, public, extra
+def test_file_verbs_check_each_weight_once_in_pieces(
+    capsys, tmp_path, monkeypatch, verb, message, code
 ):
-    # The verb checks the vector it reads and the one it writes, and writes
-    # the array read_weights returned: no public attack call re-checks it,
-    # and no copy is made.
-    weights = make_weights(tmp_path)
-    check = cli.watermark._all_finite
-    calls, arrays = [], []
+    # Each file verb reads the weight file in pieces of at most _PIECE
+    # weights and checks each weight once, in its first pass: the pieces
+    # checked sum to n. It calls no public step and never reads or writes
+    # the whole vector (read_weights, write_weights).
+    marked, spec = marked_pieces_file(capsys, tmp_path, message)
+    if code == 4:
+        block_out_of_range(spec, marked, block=len(read_spec(spec).specs) - 1)
+    check = cli.model_io._all_finite
+    checked = []
 
-    def counted(w):
-        calls.append(w.size)
-        return check(w)
+    def counted(piece):
+        checked.append(piece.size)
+        return check(piece)
 
-    read, write = cli.model_io.read_weights, cli.model_io.write_weights
+    def refused(name):
+        def call(*args, **kwargs):
+            raise AssertionError(f"{verb} called {name}")
+        return call
 
-    def reading(path):
-        arrays.append(read(path))
-        return arrays[-1]
-
-    def writing(path, w):
-        arrays.append(w)
-        write(path, w)
-
-    def refused(*args, **kwargs):
-        raise AssertionError(f"{verb} called the public {public}")
-
-    monkeypatch.setattr(cli.watermark, "_all_finite", counted)
     monkeypatch.setattr(cli.model_io, "_all_finite", counted)
-    monkeypatch.setattr(cli.attacks, public, refused)
-    monkeypatch.setattr(cli.model_io, "read_weights", reading)
-    monkeypatch.setattr(cli.model_io, "write_weights", writing)
-    code, _, _ = run(capsys, verb, str(weights), str(tmp_path / "out.cwcw"), *extra)
-    assert code == 0 and calls == [100_000] * 2
-    assert len(arrays) == 2 and arrays[0] is arrays[1]
+    public = {
+        cli.model_io: ["read_weights", "write_weights"],
+        cli.stats: ["estimate_sigma"],
+        cli.attacks: ["prune", "add_noise"],
+        cli.watermark: [
+            "embed", "embed_message", "embed_message_blocks",
+            "extract", "extract_message", "extract_message_blocks",
+        ],
+    }
+    for module, names in public.items():
+        for name in names:
+            monkeypatch.setattr(module, name, refused(name))
+    spec_arg = spec if verb == "extract" else tmp_path / "out.spec"
+    argv = file_verb_argv(verb, marked, tmp_path / "out.cwcw", spec_arg, message)
+    assert run(capsys, *argv)[0] == code
+    assert sum(checked) == N_PIECES and max(checked) == _PIECE
+
+
+def write_raw_weights(path, w):
+    """Write w as a weight file without write_weights' finiteness check."""
+    path.write_bytes(b"CWCW" + struct.pack("<HQ", 1, w.size) + w.astype("<f4").tobytes())
+
+
+@pytest.mark.parametrize("verb", ["embed", "extract", "prune", "noise"])
+def test_nan_in_last_piece_exits_3_and_leaves_no_file(capsys, tmp_path, verb):
+    # The NaN is read after every earlier piece, which noise has already
+    # written to its temp file; the temp file goes, and extract prints nothing.
+    marked, spec = marked_pieces_file(capsys, tmp_path)
+    w = read_weights(marked)
+    w[-1] = np.nan
+    write_raw_weights(marked, w)
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    spec_arg = spec if verb == "extract" else out_dir / "out.spec"
+    argv = file_verb_argv(verb, marked, out_dir / "out.cwcw", spec_arg)
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert err == "cwmark: error: payload contains NaN or infinity\n"
+    assert out == ""
+    assert os.listdir(out_dir) == []
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+@pytest.mark.parametrize("verb", ["embed", "extract", "prune", "noise"])
+def test_piped_weight_file_refused_by_its_size(capsys, tmp_path, verb):
+    # A pipe's fstat size is 0, so the size checks refuse it after the
+    # header, before any pass reads the payload.
+    data = make_weights(tmp_path, n=1000).read_bytes()
+    fifo = tmp_path / "w.fifo"
+    os.mkfifo(fifo)
+
+    def feed():
+        with contextlib.suppress(BrokenPipeError), open(fifo, "wb") as handle:
+            handle.write(data)
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    argv = file_verb_argv(verb, fifo, tmp_path / "out.cwcw", tmp_path / "out.spec")
+    code, out, err = run(capsys, *argv)
+    writer.join(timeout=10)
+    assert code == 3 and out == ""
+    assert err == "cwmark: error: header declares 1000 weights (4014 bytes) but file has 0\n"
+    assert not (tmp_path / "out.cwcw").exists()
+
+
+@pytest.mark.parametrize("verb", ["embed", "prune", "noise"])
+def test_file_verbs_write_over_their_own_input(capsys, tmp_path, verb):
+    # Every pass reads the input until os.replace moves the output over it,
+    # so writing over the input gives the bytes of a separate output.
+    weights = make_weights(tmp_path, n=N_PIECES)
+    own = tmp_path / "own.cwcw"
+    shutil.copyfile(weights, own)
+    apart, apart_spec = tmp_path / "apart.cwcw", tmp_path / "apart.spec"
+    own_spec = tmp_path / "own.spec"
+    assert run(capsys, *file_verb_argv(verb, weights, apart, apart_spec))[0] == 0
+    assert run(capsys, *file_verb_argv(verb, own, own, own_spec))[0] == 0
+    assert own.read_bytes() == apart.read_bytes() != weights.read_bytes()
+    if verb == "embed":
+        assert own_spec.read_bytes() == apart_spec.read_bytes()
+    assert not [name for name in os.listdir(tmp_path) if name.startswith(".cwmark-")]
 
 
 # --- prune / noise / attack wrappers -----------------------------------------
@@ -580,6 +651,23 @@ def test_noise_verb_deterministic_per_seed(capsys, tmp_path):
     assert run(capsys, "--seed", "6", "noise", str(src), str(c), "--level", "0.1")[0] == 0
     assert a.read_bytes() == b.read_bytes()
     assert a.read_bytes() != c.read_bytes()
+
+
+def test_noise_level_past_binary32_exits_2_and_leaves_no_file(capsys, tmp_path):
+    # The last piece ends in weights near the binary32 maximum, where this
+    # noise level overflows after the earlier pieces were written.
+    w = sample_gaussian_weights(N_PIECES, sigma=0.01, seed=0)
+    w[-100:] = 3.4e38
+    src = tmp_path / "w.cwcw"
+    write_weights(src, w)
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    for level in ("1e36", "1e39"):
+        argv = ["noise", str(src), str(out_dir / "n.cwcw"), "--level", level]
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == f"cwmark: error: noise level {float(level)!r} overflows binary32\n"
+        assert os.listdir(out_dir) == []
 
 
 def test_attack_verb(capsys, tmp_path):

@@ -7,6 +7,9 @@ Each bound sits between the layer's measured peak and the peak of the
 version that held whole-vector temporaries (shown per test).
 """
 
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -31,7 +34,6 @@ from cwmark import (
 from cwmark.cli import _eval_rows, build_parser, main
 from cwmark.codec import _weight_rows
 from cwmark.rng import random_bits
-from cwmark.stats import _SIGMA_CHUNK
 
 N = 1 << 22
 PAYLOAD = 4 * N  # bytes of binary32 weights
@@ -68,8 +70,9 @@ def test_write_weights_peak(tmp_path, weights):
 
 
 def test_estimate_sigma_peak(weights):
-    # One chunk of binary64 squares: 0.5 (widened vector and its squares: 4.0).
-    assert peak_over_payload(estimate_sigma, weights) <= 1.0
+    # One leaf of binary64 squares: 0.03 (leaves of 8 MiB: 0.5; widened
+    # vector and its squares: 4.0).
+    assert peak_over_payload(estimate_sigma, weights) <= 0.1
 
 
 def test_prune_peak(weights):
@@ -122,47 +125,101 @@ def test_embed_message_blocks_peak(weights):
     assert ratio <= 1.5
 
 
+def cli_peak(argv) -> float:
+    codes = []
+    ratio = peak_over_payload(lambda: codes.append(main(argv)))
+    assert codes == [0]
+    return ratio
+
+
 @pytest.mark.parametrize("blocks", [1, 4], ids=["single", "block"])
 def test_cli_embed_peak(tmp_path, weights, blocks):
-    # The vector read_weights returns, marked in place and written from
-    # its own buffer, beside estimate_sigma's one chunk of squares (8 MiB,
-    # 0.5 at this n): 1.51 (marking a copy of it: 2.02).
+    # One piece of the file, one leaf of binary64 squares and the L * blocks
+    # selected values: 0.066 single, 0.055 block (marking the vector
+    # read_weights returned, beside 8 MiB leaves of squares: 1.51).
     src = tmp_path / "w.cwcw"
     write_weights(src, weights)
-    argv = [
+    ratio = cli_peak([
         "--quiet", "embed", str(src), str(tmp_path / "s.spec"), str(tmp_path / "m.cwcw"),
         "--message", "deadbeef01234567" * blocks, "--key", "7", "-a", "10",
         "--rate", "0.95", "--block-bits", "64",
-    ]
-    codes = []
-    ratio = peak_over_payload(lambda: codes.append(main(argv)))
-    assert codes == [0]
-    assert ratio <= 1.1 + 8 * _SIGMA_CHUNK / PAYLOAD
+    ])
+    assert ratio <= 0.1
 
 
 def test_cli_prune_peak(tmp_path, weights):
-    # The vector read_weights returns, pruned in place and written from its
-    # own buffer, beside one chunk of bit patterns and one 2**16-entry
-    # histogram: 1.07 (pruning a copy of it: 2.04).
+    # One piece of the file, one piece of bit patterns and one
+    # 2**16-entry histogram: 0.071 (pruning the vector read_weights
+    # returned in place: 1.07; pruning a copy of it: 2.04).
     src = tmp_path / "w.cwcw"
     write_weights(src, weights)
     argv = ["--quiet", "prune", str(src), str(tmp_path / "p.cwcw"), "--rate", "0.9"]
-    codes = []
-    ratio = peak_over_payload(lambda: codes.append(main(argv)))
-    assert codes == [0]
-    assert ratio <= 1.1
+    assert cli_peak(argv) <= 0.1
 
 
 def test_cli_noise_peak(tmp_path, weights):
-    # The vector read_weights returns, with the noise added in place one
-    # chunk of draws at a time: 1.19 (adding it into a copy: 2.19).
+    # One piece of the file and one chunk of draws with its temporaries:
+    # 0.19 (adding the noise into the vector read_weights returned: 1.19;
+    # into a copy of it: 2.19).
     src = tmp_path / "w.cwcw"
     write_weights(src, weights)
     argv = ["--quiet", "noise", str(src), str(tmp_path / "n.cwcw"), "--level", "0.001"]
-    codes = []
-    ratio = peak_over_payload(lambda: codes.append(main(argv)))
-    assert codes == [0]
-    assert ratio <= 1.5
+    assert cli_peak(argv) <= 0.25
+
+
+@pytest.mark.parametrize("blocks", [1, 4], ids=["single", "block"])
+def test_cli_extract_peak(tmp_path, weights, blocks):
+    # One piece of the file and the L * blocks gathered values: 0.035
+    # (the vector read_weights returned: 1.0).
+    src, spec, marked = tmp_path / "w.cwcw", tmp_path / "s.spec", tmp_path / "m.cwcw"
+    write_weights(src, weights)
+    assert main([
+        "--quiet", "embed", str(src), str(spec), str(marked),
+        "--message", "deadbeef01234567" * blocks, "--key", "7", "-a", "10",
+        "--rate", "0.95", "--block-bits", "64",
+    ]) == 0
+    assert cli_peak(["--quiet", "extract", str(marked), str(spec)]) <= 0.1
+
+
+# Spawns one cwmark child with its stdout on /dev/null and prints its exit
+# code and ru_maxrss (KiB). Standard library only: on Linux a child's
+# ru_maxrss includes the high-water RSS of the process that spawned it, so
+# the test process, which holds numpy and these vectors, must not spawn it.
+SPAWN_ONE = """
+import os, sys
+pid = os.posix_spawn(
+    sys.executable, [sys.executable, "-m", "cwmark", *sys.argv[1:]], dict(os.environ),
+    file_actions=[(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)],
+)
+_, status, usage = os.wait4(pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+def child_maxrss_kib(*argv) -> int:
+    root = os.path.dirname(os.path.dirname(sys.modules["cwmark"].__file__))
+    path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", SPAWN_ONE, *argv], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": path}, check=True,
+    )
+    code, rss = proc.stdout.split()
+    assert code == "0", proc.stderr
+    return int(rss)
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux"), reason="ru_maxrss in KiB, as Linux gives it"
+)
+def test_cli_prune_child_maxrss(tmp_path, weights):
+    # tracemalloc misses page-cache and mapped pages; the child's RSS does
+    # not. prune streams the file: about 1 MiB above a bare encode child
+    # (the vector read_weights returned, pruned in place: about 17 MiB).
+    src = tmp_path / "w.cwcw"
+    write_weights(src, weights)
+    bare = child_maxrss_kib("--quiet", "encode", "--message", "ab", "-a", "2")
+    pruned = child_maxrss_kib("prune", str(src), str(tmp_path / "p.cwcw"), "--rate", "0.9")
+    assert pruned <= bare + 16 * 1024
 
 
 def test_extract_message_blocks_peak(weights):

@@ -154,8 +154,8 @@ def test_estimate_sigma_matches_whole_vector_mean_bit_for_bit():
     for n in range(1, 301):
         w = normal_weights(n)
         assert estimate_sigma(w) == sigma_oracle(w), n
-    # Around the 2**20 chunk, and a length whose first split needs the
-    # multiple-of-8 rounding (half of 2**21 + 7 is 1048579).
+    # Around 2**20, and a length whose first split needs the multiple-of-8
+    # rounding (half of 2**21 + 7 is 1048579).
     for n in (2**20 - 1, 2**20, 2**20 + 1, 2**21 + 7):
         w = normal_weights(n)
         assert estimate_sigma(w) == sigma_oracle(w), n
@@ -173,6 +173,18 @@ def test_estimate_sigma_small_chunks_split_like_numpy(monkeypatch, chunk):
     for n in [*range(chunk - 8, 301 + chunk), 8193, 65537, 10**6 + 3]:
         w = normal_weights(n)
         assert estimate_sigma(w) == sigma_oracle(w), n
+
+
+@pytest.mark.parametrize("piece", [7, 1000, 1 << 16])
+@pytest.mark.parametrize("chunk", [128, 1 << 16])
+def test_rms_of_pieces_matches_whole_vector(monkeypatch, chunk, piece):
+    # A file's pieces end anywhere inside numpy's leaves; the leaves are
+    # still squared whole and added in numpy's order.
+    monkeypatch.setattr(stats, "_SIGMA_CHUNK", chunk)
+    for n in (1, 129, 8193, 200_003):
+        w = normal_weights(n)
+        pieces = [(start, w[start : start + piece]) for start in range(0, n, piece)]
+        assert stats._rms(pieces, n) == sigma_oracle(w), n
 
 
 def test_standard_normals_deterministic_and_seed_sensitive():

@@ -420,6 +420,23 @@ def test_block_mode_equals_chained_embed_and_keeps_input():
     assert np.array_equal(marked.view(np.uint32), chained.view(np.uint32))
 
 
+def test_small_pieces_embed_and_extract_alike(monkeypatch):
+    # Pieces of 7 weights put selected positions on piece edges; every
+    # pass gives what one piece of the whole vector gives.
+    w = np.random.default_rng(23).normal(0, 0.01, size=5000).astype(np.float32)
+    pair = ThresholdPair(t0=0.01, t1=0.02)
+    message = random_bits(9, 32)
+    args = (w, message, 7, pair, 3, 8, True)
+    want = embed_message_blocks(*args)
+    monkeypatch.setattr(watermark, "_PIECE", 7)
+    marked, specs, receipts = embed_message_blocks(*args)
+    assert marked.tobytes() == want[0].tobytes()
+    assert (specs, receipts) == (want[1], want[2])
+    assert extract_message_blocks(marked, specs, 32).tolist() == message.tolist()
+    words = [encode(block, specs[0].params) for block in split_blocks(message, 8)]
+    assert [extract(marked, s).tolist() for s in specs] == [w.tolist() for w in words]
+
+
 def test_embed_leaves_input_unchanged():
     weights = np.random.default_rng(19).normal(0, 0.01, size=5000).astype(np.float32)
     before = weights.copy()
