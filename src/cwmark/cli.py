@@ -249,15 +249,16 @@ def cmd_embed(args, console: _Console) -> int:
         receipts, _ = watermark._embed_into(
             source, bits, args.key, thresholds, params, blocked, args.force
         )
-        # Inside the block: a document it refuses leaves no weight file.
+        # Inside the block: a document it refuses, or a spec it cannot
+        # write, leaves no weight file.
         doc = model_io.SpecDocument(
             specs=[r.spec for r in receipts], sigma=sigma, rate=rate,
             total_bits=int(bits.size),
         )
+        model_io.write_spec(args.spec_out, doc)
     modified = sum(r.modified_count for r in receipts)
     max_pert = max(r.max_perturbation for r in receipts)
 
-    model_io.write_spec(args.spec_out, doc)
     console.put(
         modified_count=modified,
         max_perturbation=max_pert,

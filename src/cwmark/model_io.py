@@ -7,11 +7,11 @@ explicitly, so extraction never has to reproduce the position PRNG.
 All writes go through a temp file and os.replace, so readers never see
 a half-written file.
 
-read_weights and write_weights move a whole vector. The file verbs
-instead open a weight file as a piece source (_open_weights): one buffer
-of at most watermark._PIECE weights, refilled by readinto on each pass,
-with each finished piece written on to the temp file. They hold one piece
-and their own small buffers, never an n-sized array.
+The weight format has one reader and one writer. _open_weights gives a
+weight file as pieces of one reused buffer of at most watermark._PIECE
+weights; _weight_writer writes the header and then each piece put. The
+file verbs stream through both and never hold an n-sized array;
+read_weights and write_weights are their array case.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .errors import (
     WeightFileError,
 )
 from .stats import ThresholdPair
-from .watermark import _PIECE, EmbedSpec, _all_finite, as_weight_vector
+from .watermark import _PIECE, EmbedSpec, _all_finite, _ArrayPieces, as_weight_vector
 
 MAGIC = b"CWCW"
 VERSION = 1
@@ -53,8 +53,11 @@ def _atomic_file(path):
     """A binary file written beside path, moved onto it when the block
     ends and removed if the block raises."""
     path = os.fspath(path)
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".cwmark-")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", prefix=".cwmark-")
+    except OSError as exc:
+        # Name the path the caller gave, not the temp file's.
+        raise type(exc)(exc.errno, exc.strerror, path) from None
     try:
         with os.fdopen(fd, "wb") as handle:
             yield handle
@@ -67,17 +70,27 @@ def _atomic_file(path):
         raise
 
 
+@contextmanager
+def _weight_writer(path, n: int):
+    """put(piece) for a new weight file of n weights at path (see _atomic_file):
+    the header, then each piece, made contiguous and little-endian."""
+    with _atomic_file(path) as handle:
+        handle.write(_HEADER.pack(MAGIC, VERSION, n))
+        yield lambda piece: handle.write(
+            np.ascontiguousarray(piece.byteswap() if _SWAP else piece)
+        )
+
+
 def write_weights(path, weights) -> None:
     """Serialize a weight vector; read_weights(write_weights(w)) is bit-identical.
 
     Rejects vectors the reader would refuse, so every written file parses.
-    The payload is written straight from the array's buffer, without a
-    bytes copy.
+    Its pieces go through _weight_writer; a strided one is copied per piece.
     """
-    w = np.ascontiguousarray(as_weight_vector(weights), dtype="<f4")
-    with _atomic_file(path) as handle:
-        handle.write(_HEADER.pack(MAGIC, VERSION, w.size))
-        handle.write(memoryview(w).cast("B"))
+    source = _ArrayPieces(as_weight_vector(weights))
+    with _weight_writer(path, source.n) as put:
+        for _, piece in source.pieces():
+            put(piece)
 
 
 def _payload_count(handle) -> int:
@@ -110,30 +123,14 @@ def _payload_count(handle) -> int:
     return n
 
 
-def _short_read(n: int, got: int) -> TruncatedPayloadError:
-    return TruncatedPayloadError(
-        f"header declares {n} weights ({_HEADER.size + 4 * n} bytes) but only "
-        f"{_HEADER.size + got} could be read"
-    )
-
-
 def read_weights(path) -> np.ndarray:
-    """Parse a weight file into a binary32 vector.
-
-    The header and size checks (_payload_count) run before the payload is
-    allocated, which is then read straight into the returned array. Its
-    min and max then refuse a NaN or an infinity (NonFiniteWeightError)
-    without an n-byte mask.
-    """
-    with open(path, "rb") as handle:
-        n = _payload_count(handle)
-        w = np.empty(n, dtype="<f4")
-        got = handle.readinto(memoryview(w).cast("B"))
-    if got != w.nbytes:
-        raise _short_read(n, got)
-    if not _all_finite(w):
-        raise NonFiniteWeightError("payload contains NaN or infinity")
-    return w.astype(np.float32, copy=False)
+    """Parse a weight file into a binary32 vector, allocated after the checks
+    of _open_weights and filled from its pieces."""
+    with _open_weights(path) as source:
+        w = np.empty(source.n, dtype=np.float32)
+        for start, piece in source.pieces():
+            w[start : start + piece.size] = piece
+    return w
 
 
 class _WeightFile:
@@ -149,7 +146,7 @@ class _WeightFile:
         self._buf = np.empty(min(n, _PIECE), dtype=np.float32)
         self._checked = False
         self._open_output = open_output
-        self._output = None
+        self._put = None
 
     def pieces(self):
         self._handle.seek(_HEADER.size)
@@ -157,7 +154,10 @@ class _WeightFile:
             piece = self._buf[: min(self._buf.size, self.n - start)]
             got = self._handle.readinto(memoryview(piece).cast("B"))
             if got != piece.nbytes:
-                raise _short_read(self.n, 4 * start + got)
+                raise TruncatedPayloadError(
+                    f"header declares {self.n} weights ({_HEADER.size + 4 * self.n} "
+                    f"bytes) but only {_HEADER.size + 4 * start + got} could be read"
+                )
             if _SWAP:
                 piece.byteswap(inplace=True)
             if not self._checked and not _all_finite(piece):
@@ -166,22 +166,21 @@ class _WeightFile:
         self._checked = True
 
     def put(self, piece: np.ndarray) -> None:
-        if self._output is None:
-            self._output = self._open_output()
-            self._output.write(_HEADER.pack(MAGIC, VERSION, self.n))
-        self._output.write(piece.byteswap() if _SWAP else piece)
+        if self._put is None:
+            self._put = self._open_output()
+        self._put(piece)
 
 
 @contextmanager
 def _open_weights(path, out=None):
     """The weight file at path as a piece source, after _payload_count's
-    checks. What the step puts goes to a temp file beside out, which
-    replaces out when the block ends, so out may be path itself; if the
-    block raises, the temp file is removed and out is left as it was."""
+    checks. What the step puts goes through _weight_writer to a temp file
+    beside out, which replaces out when the block ends, so out may be path
+    itself; if the block raises, the temp file is removed and out is left
+    as it was."""
     with open(path, "rb") as handle, ExitStack() as stack:
-        yield _WeightFile(
-            handle, _payload_count(handle), lambda: stack.enter_context(_atomic_file(out))
-        )
+        n = _payload_count(handle)
+        yield _WeightFile(handle, n, lambda: stack.enter_context(_weight_writer(out, n)))
 
 
 @dataclass(frozen=True)

@@ -626,6 +626,35 @@ def test_file_verbs_write_over_their_own_input(capsys, tmp_path, verb):
     assert not [name for name in os.listdir(tmp_path) if name.startswith(".cwmark-")]
 
 
+@pytest.mark.parametrize(
+    "verb, missing",
+    [
+        ("embed", "out"),
+        ("embed", "spec"),
+        ("prune", "out"),
+        ("noise", "out"),
+        ("attack", "out"),
+    ],
+    ids=["embed-weights", "embed-spec", "prune", "noise", "attack"],
+)
+def test_output_in_missing_directory_named_and_no_file_left(capsys, tmp_path, verb, missing):
+    # The error names the path given, not the temp file beside it, and no
+    # output is left: a spec embed cannot write leaves no marked weights.
+    weights = make_weights(tmp_path, n=N_PIECES)
+    given = tmp_path / "nodir" / "x"
+    out = given if missing == "out" else tmp_path / "o.cwcw"
+    spec = given if missing == "spec" else tmp_path / "s.spec"
+    if verb == "attack":
+        argv = ["attack", str(weights), str(out), "--budget", "2"]
+    else:
+        argv = file_verb_argv(verb, weights, out, spec)
+    code, out_text, err = run(capsys, *argv)
+    assert code == 3 and out_text == ""
+    assert err.startswith("cwmark: error: [Errno 2] ")
+    assert err.endswith(f": {str(given)!r}\n") and ".cwmark-" not in err
+    assert os.listdir(tmp_path) == [weights.name]
+
+
 # --- prune / noise / attack wrappers -----------------------------------------
 
 

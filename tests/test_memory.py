@@ -56,8 +56,9 @@ def peak_over_payload(fn, *args, **kwargs) -> float:
 
 
 def test_read_weights_peak(tmp_path, weights):
-    # The result alone: 1.0003 (with an n-byte non-finite mask: 1.25;
-    # a blob and its copy: 2.25).
+    # The result and one piece of the reader: 1.016 (the result read in
+    # place: 1.0003; with an n-byte non-finite mask: 1.25; a blob and its
+    # copy: 2.25).
     path = tmp_path / "w.cwcw"
     write_weights(path, weights)
     assert peak_over_payload(read_weights, path) <= 1.1
@@ -67,6 +68,13 @@ def test_write_weights_peak(tmp_path, weights):
     # Small objects only: 0.0003 (with an n-byte non-finite mask: 0.25;
     # payload bytes plus header concat: 2.0).
     assert peak_over_payload(write_weights, tmp_path / "w.cwcw", weights) <= 0.1
+    # A strided vector is copied one piece at a time: 0.032 of its own
+    # payload (a whole contiguous copy: 1.001), the same bytes.
+    strided = weights[::2]
+    peak = peak_over_payload(write_weights, tmp_path / "s.cwcw", strided)
+    assert peak * PAYLOAD / strided.nbytes <= 0.1
+    write_weights(tmp_path / "c.cwcw", np.ascontiguousarray(strided))
+    assert (tmp_path / "s.cwcw").read_bytes() == (tmp_path / "c.cwcw").read_bytes()
 
 
 def test_estimate_sigma_peak(weights):

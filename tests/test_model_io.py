@@ -28,6 +28,9 @@ from cwmark import (
     write_spec,
     write_weights,
 )
+from cwmark import model_io
+from cwmark.cli import main
+from cwmark.watermark import _PIECE
 
 PAIR = ThresholdPair(t0=0.008224268134757361, t1=0.016448536269514722)
 
@@ -70,6 +73,28 @@ def test_weights_byte_layout_little_endian(tmp_path):
     write_weights(path, np.array([1.0, -2.0], dtype=np.float32))
     blob = path.read_bytes()
     assert blob == b"CWCW" + struct.pack("<HQ", 1, 2) + struct.pack("<2f", 1.0, -2.0)
+
+
+def swapped_payload(blob):
+    """blob with each 4-byte weight after the 14-byte header reversed."""
+    return blob[:14] + np.frombuffer(blob[14:], dtype="<u4").byteswap().tobytes()
+
+
+def test_weights_swap_bytes_once_per_side(tmp_path, monkeypatch):
+    # With the big-endian host's swap forced on, the writer reverses each
+    # weight's bytes once and the reader once, in write_weights and
+    # read_weights as in a streamed verb.
+    w = sample_gaussian_weights(_PIECE + 5, sigma=0.01, seed=3)
+    plain, swapped = tmp_path / "plain.cwcw", tmp_path / "swapped.cwcw"
+    plain_pruned, swapped_pruned = tmp_path / "plain.pruned", tmp_path / "swapped.pruned"
+    write_weights(plain, w)
+    assert main(["prune", str(plain), str(plain_pruned), "--rate", "0.5"]) == 0
+    monkeypatch.setattr(model_io, "_SWAP", True)
+    write_weights(swapped, w)
+    assert swapped.read_bytes() == swapped_payload(plain.read_bytes())
+    assert np.array_equal(read_weights(swapped).view(np.uint32), w.view(np.uint32))
+    assert main(["prune", str(swapped), str(swapped_pruned), "--rate", "0.5"]) == 0
+    assert swapped_pruned.read_bytes() == swapped_payload(plain_pruned.read_bytes())
 
 
 def test_weights_byte_deterministic(tmp_path):
