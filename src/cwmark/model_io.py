@@ -16,6 +16,7 @@ read_weights and write_weights are their array case.
 
 from __future__ import annotations
 
+import errno
 import math
 import os
 import struct
@@ -51,17 +52,24 @@ SPEC_FORMAT = "cwmark-spec/1"
 @contextmanager
 def _atomic_file(path):
     """A binary file written beside path, moved onto it when the block
-    ends and removed if the block raises."""
+    ends and removed if the block raises. Failing to create or move the
+    temp file raises the same OSError naming path, not the temp file."""
     path = os.fspath(path)
+    if os.path.isdir(path) and not os.path.islink(path):
+        # os.replace would refuse it only after the block: embed writes its
+        # spec inside its weight file's block, and would leave that spec.
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     try:
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", prefix=".cwmark-")
     except OSError as exc:
-        # Name the path the caller gave, not the temp file's.
         raise type(exc)(exc.errno, exc.strerror, path) from None
     try:
         with os.fdopen(fd, "wb") as handle:
             yield handle
-        os.replace(tmp, path)
+        try:
+            os.replace(tmp, path)
+        except OSError as exc:
+            raise type(exc)(exc.errno, exc.strerror, path) from None
     except BaseException:
         try:
             os.unlink(tmp)

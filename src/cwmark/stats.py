@@ -8,6 +8,8 @@ threshold must sit above the corresponding Gaussian quantile.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -201,17 +203,19 @@ def estimate_sigma(weights) -> float:
 _NORMAL_CHUNK = 1 << 15
 
 
-def _normal_chunks(n: int, seed: int, first: int = 0):
+def _normal_chunks(n: int, seed: int, first: int = 0, pairs: int | None = None):
     """standard_normals(first + n, seed)[first:] in order, as (start, values)
-    of at most 2 * _NORMAL_CHUNK values each, start counted from first.
+    of at most 2 * pairs values each (pairs defaults to _NORMAL_CHUNK),
+    start counted from first.
 
     The stream is counter-based, so the words from 2a + 1 on are those of
     the seed advanced by 2a * GOLDEN_GAMMA; each chunk draws only its own.
     """
+    step = _NORMAL_CHUNK if pairs is None else pairs
     stop = first + n
-    pairs = (stop + 1) // 2
-    for a in range(first // 2, pairs, _NORMAL_CHUNK):
-        b = min(a + _NORMAL_CHUNK, pairs)
+    total = (stop + 1) // 2
+    for a in range(first // 2, total, step):
+        b = min(a + step, total)
         words = splitmix64_stream((seed + 2 * a * GOLDEN_GAMMA) & MASK64, 2 * (b - a))
         u = u64_to_unit(words)
         radius = np.sqrt(-2.0 * np.log(u[0::2]))
@@ -221,6 +225,56 @@ def _normal_chunks(n: int, seed: int, first: int = 0):
         out[1::2] = radius * np.sin(angle)
         lo = max(2 * a, first)
         yield lo - first, out[lo - 2 * a : stop - 2 * a]
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on (the CPU count where the platform has
+    no affinity call)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _fill_normals(out: np.ndarray, seed: int, scale: float) -> None:
+    """out[i] = scale * standard_normals(out.size, seed)[i] in binary64,
+    rounded once to out's dtype.
+
+    Past 2 * _NORMAL_CHUNK values, and with a second CPU to run on, the
+    upper half (from n // 2) is drawn on a worker thread while this thread
+    draws the lower half: numpy releases the GIL in its loops, and the
+    counter-based stream lets either half start anywhere. Each half walks
+    _NORMAL_CHUNK // 2 pairs at a time, so the temporaries in flight are
+    those of one whole chunk. The worker's exception is raised here, and
+    the worker is joined before this returns.
+    """
+    n = out.size
+    pairs = _NORMAL_CHUNK // 2
+
+    def fill(lo: int, hi: int) -> None:
+        for start, values in _normal_chunks(hi - lo, seed, lo, pairs):
+            values *= scale
+            out[lo + start : lo + start + values.size] = values
+
+    if n <= 2 * _NORMAL_CHUNK or _usable_cpus() < 2:
+        fill(0, n)
+        return
+    mid = n // 2
+    failure: list[BaseException] = []
+
+    def upper() -> None:
+        try:
+            fill(mid, n)
+        except BaseException as exc:
+            failure.append(exc)
+
+    worker = threading.Thread(target=upper, name="cwmark-normals")
+    worker.start()
+    try:
+        fill(0, mid)
+    finally:
+        worker.join()
+    if failure:
+        raise failure[0]
 
 
 def standard_normals(n: int, seed: int) -> np.ndarray:
@@ -234,14 +288,14 @@ def standard_normals(n: int, seed: int) -> np.ndarray:
     and the sequence is truncated to n. The u64 stream is bit-exact across
     implementations; the float outputs are only comparable within normal
     transcendental-function tolerances. Outputs are produced in chunks of
-    at most 2**16 values (see _normal_chunks), with the same bits as the
+    at most 2**15 values, one half of the vector on each of two threads
+    where it is long enough (see _fill_normals), with the same bits as the
     whole-vector transform.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     out = np.empty(n, dtype=np.float64)
-    for start, values in _normal_chunks(n, seed):
-        out[start : start + values.size] = values
+    _fill_normals(out, seed, 1.0)
     return out
 
 
@@ -249,14 +303,13 @@ def sample_gaussian_weights(n: int, sigma: float, seed: int) -> np.ndarray:
     """n weights drawn i.i.d. from N(0, sigma**2), as binary32.
 
     Each value is sigma * standard_normals(n, seed)[i] in binary64, rounded
-    once to binary32; only one chunk of doubles is held at a time.
+    once to binary32; the doubles in flight are one chunk's worth (see
+    _fill_normals).
     """
     if not sigma > 0:
         raise ValueError("sigma must be positive")
     if n < 1:
         raise ValueError("n must be >= 1")
     out = np.empty(n, dtype=np.float32)
-    for start, values in _normal_chunks(n, seed):
-        values *= sigma
-        out[start : start + values.size] = values
+    _fill_normals(out, seed, sigma)
     return out

@@ -1,6 +1,7 @@
 """End-to-end CLI coverage: verbs, exit codes, JSON mode, determinism."""
 
 import contextlib
+import errno
 import functools
 import hashlib
 import io
@@ -626,8 +627,8 @@ def test_file_verbs_write_over_their_own_input(capsys, tmp_path, verb):
     assert not [name for name in os.listdir(tmp_path) if name.startswith(".cwmark-")]
 
 
-@pytest.mark.parametrize(
-    "verb, missing",
+BAD_OUTPUT_CASES = pytest.mark.parametrize(
+    "verb, which",
     [
         ("embed", "out"),
         ("embed", "spec"),
@@ -637,22 +638,44 @@ def test_file_verbs_write_over_their_own_input(capsys, tmp_path, verb):
     ],
     ids=["embed-weights", "embed-spec", "prune", "noise", "attack"],
 )
-def test_output_in_missing_directory_named_and_no_file_left(capsys, tmp_path, verb, missing):
-    # The error names the path given, not the temp file beside it, and no
-    # output is left: a spec embed cannot write leaves no marked weights.
+
+
+def run_to_bad_output(capsys, tmp_path, verb, which, given):
+    """Run verb on a fresh weight file with its `which` output at given."""
     weights = make_weights(tmp_path, n=N_PIECES)
-    given = tmp_path / "nodir" / "x"
-    out = given if missing == "out" else tmp_path / "o.cwcw"
-    spec = given if missing == "spec" else tmp_path / "s.spec"
+    out = given if which == "out" else tmp_path / "o.cwcw"
+    spec = given if which == "spec" else tmp_path / "s.spec"
     if verb == "attack":
         argv = ["attack", str(weights), str(out), "--budget", "2"]
     else:
         argv = file_verb_argv(verb, weights, out, spec)
-    code, out_text, err = run(capsys, *argv)
+    return weights, run(capsys, *argv)
+
+
+@BAD_OUTPUT_CASES
+def test_output_in_missing_directory_named_and_no_file_left(capsys, tmp_path, verb, which):
+    # The error names the path given, not the temp file beside it, and no
+    # output is left: a spec embed cannot write leaves no marked weights.
+    given = tmp_path / "nodir" / "x"
+    weights, (code, out_text, err) = run_to_bad_output(capsys, tmp_path, verb, which, given)
     assert code == 3 and out_text == ""
     assert err.startswith("cwmark: error: [Errno 2] ")
     assert err.endswith(f": {str(given)!r}\n") and ".cwmark-" not in err
     assert os.listdir(tmp_path) == [weights.name]
+
+
+@BAD_OUTPUT_CASES
+def test_output_that_is_a_directory_named_and_no_file_left(capsys, tmp_path, verb, which):
+    # os.replace would name the temp file too; the error names the path
+    # given, and no output is left: embed writes no spec beside weights
+    # it cannot write.
+    given = tmp_path / "adir"
+    given.mkdir()
+    weights, (code, out_text, err) = run_to_bad_output(capsys, tmp_path, verb, which, given)
+    assert code == 3 and out_text == ""
+    assert err == f"cwmark: error: [Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: {str(given)!r}\n"
+    assert sorted(os.listdir(tmp_path)) == sorted([weights.name, given.name])
+    assert os.listdir(given) == []
 
 
 # --- prune / noise / attack wrappers -----------------------------------------

@@ -1,5 +1,6 @@
 """Weight-file and spec-file formats: bit-exact, byte-deterministic, strict."""
 
+import errno
 import os
 import struct
 
@@ -221,6 +222,31 @@ def test_weights_atomic_write_leaves_no_temp_files(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["w.cwcw"]
     with pytest.raises(OSError):
         write_weights(tmp_path / "missing" / "w.cwcw", np.ones(4, dtype=np.float32))
+
+
+def test_failed_replace_names_the_given_path_and_leaves_no_temp_file(tmp_path, monkeypatch):
+    # os.replace names the temp file too; the error names the given path.
+    def refuse(src, dst):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), src, dst)
+
+    monkeypatch.setattr(model_io.os, "replace", refuse)
+    path = tmp_path / "w.cwcw"
+    with pytest.raises(PermissionError) as info:
+        write_weights(path, np.ones(4, dtype=np.float32))
+    assert info.value.errno == errno.EACCES
+    assert info.value.filename == str(path) and info.value.filename2 is None
+    assert os.listdir(tmp_path) == []
+
+
+def test_write_over_a_symlink_to_a_directory_replaces_the_link(tmp_path):
+    # os.replace does not follow a link at the destination, so neither
+    # does the refusal of an output that is a directory.
+    (tmp_path / "adir").mkdir()
+    link = tmp_path / "link"
+    link.symlink_to(tmp_path / "adir")
+    write_weights(link, np.ones(4, dtype=np.float32))
+    assert not link.is_symlink() and read_weights(link).tolist() == [1.0] * 4
+    assert os.listdir(tmp_path / "adir") == []
 
 
 # --- spec files --------------------------------------------------------------

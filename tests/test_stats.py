@@ -1,6 +1,9 @@
 """Gaussian tail functions, threshold design, and the seeded sampler."""
 
 import math
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -237,6 +240,98 @@ def test_sampler_chunks_match_whole_vector_bit_for_bit(n, seed):
     weights = sample_gaussian_weights(n, 0.01, seed)
     assert weights.dtype == np.float32
     assert weights.tobytes() == (0.01 * want).astype(np.float32).tobytes()
+
+
+def draws_by_thread(monkeypatch):
+    """Patch _normal_chunks to record (first, thread ident) for each call."""
+    calls = []
+    draw = stats._normal_chunks
+
+    def recording(n, seed, first=0, pairs=None):
+        calls.append((first, threading.get_ident()))
+        return draw(n, seed, first, pairs)
+
+    monkeypatch.setattr(stats, "_normal_chunks", recording)
+    return calls
+
+
+# Past one chunk of values the two halves are drawn on two threads. Every n
+# here but CHUNK + 1 has an odd n // 2, so the upper half starts inside a
+# Box-Muller pair; 4 * CHUNK + 3 walks several chunks per half.
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+@pytest.mark.parametrize(
+    "n", [CHUNK + 1, CHUNK + 2, 2 * CHUNK - 1, 2 * CHUNK + 3, 4 * CHUNK + 3]
+)
+def test_sampler_halves_match_whole_vector_bit_for_bit(monkeypatch, n, seed):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    calls = draws_by_thread(monkeypatch)
+    want = whole_vector_normals(n, seed)
+    got = standard_normals(n, seed)
+    assert got.shape == (n,) and got.tobytes() == want.tobytes()
+    weights = sample_gaussian_weights(n, 0.01, seed)
+    assert weights.tobytes() == (0.01 * want).astype(np.float32).tobytes()
+    assert sorted(first for first, _ in calls) == [0, 0, n // 2, n // 2]
+    assert len({ident for _, ident in calls}) >= 2
+
+
+def test_sampler_worker_error_reaches_the_caller(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    draw = stats._normal_chunks
+
+    def failing(n, seed, first=0, pairs=None):
+        if first > 0:
+            raise MemoryError("upper half")
+        return draw(n, seed, first, pairs)
+
+    monkeypatch.setattr(stats, "_normal_chunks", failing)
+    before = threading.active_count()
+    for sample in (lambda: standard_normals(2 * CHUNK, 5),
+                   lambda: sample_gaussian_weights(2 * CHUNK, 0.01, 5)):
+        with pytest.raises(MemoryError, match="upper half"):
+            sample()
+        assert threading.active_count() == before
+
+
+def test_sampler_called_from_more_threads_than_cores(monkeypatch):
+    # Each call fills its own vector from two threads; concurrent calls,
+    # switched often, neither share nor lose a half.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    n = CHUNK + 3
+    want = {seed: whole_vector_normals(n, seed).tobytes() for seed in range(6)}
+    got = {}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [
+            threading.Thread(target=lambda s=seed: got.update({s: standard_normals(n, s).tobytes()}))
+            for seed in want
+        ]
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(caller.is_alive() for caller in callers)
+    assert got == want
+
+
+def test_sampler_on_one_cpu_starts_no_thread(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    calls = draws_by_thread(monkeypatch)
+    n = 2 * CHUNK + 3
+    want = whole_vector_normals(n, 9)
+    assert standard_normals(n, 9).tobytes() == want.tobytes()
+    weights = sample_gaussian_weights(n, 0.5, 9)
+    assert weights.tobytes() == (0.5 * want).astype(np.float32).tobytes()
+    assert calls == [(0, threading.get_ident())] * 2
+
+
+def test_short_sample_starts_no_thread(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    calls = draws_by_thread(monkeypatch)
+    standard_normals(CHUNK, 3)
+    assert calls == [(0, threading.get_ident())]
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 6, 7, 100])
