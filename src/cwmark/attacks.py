@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import CwmarkError
 from .rng import splitmix64_stream
-from .stats import _normal_chunks, estimate_sigma
+from .stats import _fill_normals, estimate_sigma
 from .watermark import _PIECE, _all_finite, _ArrayPieces, as_weight_vector
 
 
@@ -133,15 +133,17 @@ def add_noise(weights, sigma_noise: float, seed: int) -> np.ndarray:
 def _add_noise_into(source, sigma_noise: float, seed: int) -> None:
     """add_noise on the finite binary32 source, in one pass that puts every
     piece; trusts sigma_noise. Refuses a level whose noised weights leave
-    binary32 (CwmarkError), at the first piece that does."""
+    binary32 (CwmarkError), at the first piece that does. A piece of at
+    most two sampler chunks is drawn on this thread, under its errstate."""
+    drawn = np.empty(min(source.n, _PIECE), dtype=np.float64)
     for start, piece in source.pieces():
         # Adding 0 * normal would turn -0.0 into +0.0.
         if sigma_noise:
+            noise = drawn[: piece.size]
             with np.errstate(over="ignore", invalid="ignore"):
-                for at, values in _normal_chunks(piece.size, seed, start):
-                    values *= sigma_noise
-                    values += piece[at : at + values.size]
-                    piece[at : at + values.size] = values
+                _fill_normals(noise, seed, sigma_noise, start)
+                noise += piece
+                piece[:] = noise
             if not _all_finite(piece):
                 raise CwmarkError(f"noise level {sigma_noise!r} overflows binary32")
         source.put(piece)

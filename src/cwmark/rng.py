@@ -29,13 +29,20 @@ def splitmix64_stream(seed: int, count: int) -> np.ndarray:
     mix64(seed + j * GOLDEN_GAMMA mod 2**64), so the stream is computed
     for all j at once and no state is carried between draws. This is the
     sequential generator's output, which advances its state by
-    GOLDEN_GAMMA and mixes it (Steele, Lea & Flood, OOPSLA 2014).
+    GOLDEN_GAMMA and mixes it (Steele, Lea & Flood, OOPSLA 2014);
+    _stream_at draws any stretch of it on its own.
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
-    z = np.arange(1, count + 1, dtype=np.uint64)
+    return _stream_at(seed, 0, count)
+
+
+def _stream_at(seed: int, first: int, count: int) -> np.ndarray:
+    """Outputs first + 1 .. first + count of the SplitMix64 stream of
+    `seed`, as uint64; trusts first and count to be nonnegative."""
+    z = np.arange(first + 1, first + count + 1, dtype=np.uint64)
     z *= np.uint64(GOLDEN_GAMMA)
-    z += np.uint64(seed & MASK64)
+    z += np.uint64(int(seed) & MASK64)  # a numpy seed is taken as a Python int
     z ^= z >> np.uint64(30)
     z *= np.uint64(0xBF58476D1CE4E5B9)
     z ^= z >> np.uint64(27)

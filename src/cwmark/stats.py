@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ThresholdDesignError
-from .rng import GOLDEN_GAMMA, MASK64, splitmix64_stream, u64_to_unit
+from .rng import _stream_at, u64_to_unit
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -199,32 +199,9 @@ def estimate_sigma(weights) -> float:
     return _rms([(0, w)], w.size)
 
 
-# Most Box-Muller pairs drawn at once (2**16 stream words, 512 KiB).
+# Values per chunk of the sampler (256 KiB of stream words); a sample of
+# more than two chunks is split between two threads (see _fill_normals).
 _NORMAL_CHUNK = 1 << 15
-
-
-def _normal_chunks(n: int, seed: int, first: int = 0, pairs: int | None = None):
-    """standard_normals(first + n, seed)[first:] in order, as (start, values)
-    of at most 2 * pairs values each (pairs defaults to _NORMAL_CHUNK),
-    start counted from first.
-
-    The stream is counter-based, so the words from 2a + 1 on are those of
-    the seed advanced by 2a * GOLDEN_GAMMA; each chunk draws only its own.
-    """
-    step = _NORMAL_CHUNK if pairs is None else pairs
-    stop = first + n
-    total = (stop + 1) // 2
-    for a in range(first // 2, total, step):
-        b = min(a + step, total)
-        words = splitmix64_stream((seed + 2 * a * GOLDEN_GAMMA) & MASK64, 2 * (b - a))
-        u = u64_to_unit(words)
-        radius = np.sqrt(-2.0 * np.log(u[0::2]))
-        angle = (2.0 * np.pi) * u[1::2]
-        out = np.empty(2 * (b - a), dtype=np.float64)
-        out[0::2] = radius * np.cos(angle)
-        out[1::2] = radius * np.sin(angle)
-        lo = max(2 * a, first)
-        yield lo - first, out[lo - 2 * a : stop - 2 * a]
 
 
 def _usable_cpus() -> int:
@@ -235,42 +212,51 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _fill_normals(out: np.ndarray, seed: int, scale: float) -> None:
-    """out[i] = scale * standard_normals(out.size, seed)[i] in binary64,
-    rounded once to out's dtype.
+def _fill_normals(out: np.ndarray, seed: int, scale: float, first: int = 0) -> None:
+    """out[i] = scale * standard_normals(first + out.size, seed)[first + i]
+    in binary64, rounded once to out's dtype.
 
-    Past 2 * _NORMAL_CHUNK values, and with a second CPU to run on, the
-    upper half (from n // 2) is drawn on a worker thread while this thread
-    draws the lower half: numpy releases the GIL in its loops, and the
-    counter-based stream lets either half start anywhere. Each half walks
-    _NORMAL_CHUNK // 2 pairs at a time, so the temporaries in flight are
-    those of one whole chunk. The worker's exception is raised here, and
-    the worker is joined before this returns.
+    Pair a of the sample is stream outputs 2a + 1 and 2a + 2, so each
+    chunk of _NORMAL_CHUNK // 2 pairs draws only its own words. Past
+    2 * _NORMAL_CHUNK values, and with a second CPU to run on, the upper
+    half of out (from n // 2) is drawn on a worker thread while this
+    thread draws the lower half: numpy releases the GIL in its loops.
+    The worker's exception is raised here, and the worker is joined
+    before this returns.
     """
-    n = out.size
-    pairs = _NORMAL_CHUNK // 2
 
     def fill(lo: int, hi: int) -> None:
-        for start, values in _normal_chunks(hi - lo, seed, lo, pairs):
+        # Sample values lo .. hi - 1, into out from lo - first.
+        step, total = _NORMAL_CHUNK // 2, (hi + 1) // 2
+        for a in range(lo // 2, total, step):
+            b = min(a + step, total)
+            u = u64_to_unit(_stream_at(seed, 2 * a, 2 * (b - a)))
+            radius = np.sqrt(-2.0 * np.log(u[0::2]))
+            angle = (2.0 * np.pi) * u[1::2]
+            values = np.empty(2 * (b - a), dtype=np.float64)
+            values[0::2] = radius * np.cos(angle)
+            values[1::2] = radius * np.sin(angle)
             values *= scale
-            out[lo + start : lo + start + values.size] = values
+            at, end = max(2 * a, lo), min(2 * b, hi)
+            out[at - first : end - first] = values[at - 2 * a : end - 2 * a]
 
+    n = out.size
     if n <= 2 * _NORMAL_CHUNK or _usable_cpus() < 2:
-        fill(0, n)
+        fill(first, first + n)
         return
-    mid = n // 2
+    mid = first + n // 2
     failure: list[BaseException] = []
 
     def upper() -> None:
         try:
-            fill(mid, n)
+            fill(mid, first + n)
         except BaseException as exc:
             failure.append(exc)
 
     worker = threading.Thread(target=upper, name="cwmark-normals")
     worker.start()
     try:
-        fill(0, mid)
+        fill(first, mid)
     finally:
         worker.join()
     if failure:
@@ -289,8 +275,8 @@ def standard_normals(n: int, seed: int) -> np.ndarray:
     implementations; the float outputs are only comparable within normal
     transcendental-function tolerances. Outputs are produced in chunks of
     at most 2**15 values, one half of the vector on each of two threads
-    where it is long enough (see _fill_normals), with the same bits as the
-    whole-vector transform.
+    where it is long enough (see _fill_normals); each chunk draws only its
+    own stream words, with the same bits as the whole-vector transform.
     """
     if n < 1:
         raise ValueError("n must be >= 1")

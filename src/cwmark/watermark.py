@@ -21,7 +21,7 @@ from .errors import (
     PositionRangeError,
     SelectionRatioError,
 )
-from .rng import GOLDEN_GAMMA, MASK64, mix64, splitmix64_stream
+from .rng import GOLDEN_GAMMA, MASK64, _stream_at, mix64
 from .stats import ThresholdPair
 
 # Positions must cover at most 1/DENSITY_LIMIT of the host vector so the
@@ -119,14 +119,10 @@ def _draw_positions(seeds, n: int, l: int, taken=()) -> list[int]:
 def _stream_pieces(seed: int, l: int):
     """splitmix64_stream(seed, l) as lists of ints, in pieces that double
     from 256 words, so a draw that stops early computes few words past it.
-
-    The stream is counter-based, so the words from start + 1 on are those
-    of the seed advanced by start * GOLDEN_GAMMA.
     """
     start, size = 0, 256
     while start < l:
-        piece_seed = (int(seed) + start * GOLDEN_GAMMA) & MASK64
-        yield splitmix64_stream(piece_seed, min(size, l - start)).tolist()
+        yield _stream_at(seed, start, min(size, l - start)).tolist()
         start, size = start + size, 2 * size
 
 

@@ -1,6 +1,7 @@
 """Magnitude pruning, Gaussian noise, and keyless targeted-flip attacks."""
 
 import hashlib
+import os
 
 import numpy as np
 import pytest
@@ -19,12 +20,15 @@ from cwmark import (
     extract,
     estimate_sigma,
     prune,
+    read_weights,
     sample_gaussian_weights,
     standard_normals,
     stats,
     targeted_flip_attack,
     watermark,
+    write_weights,
 )
+from cwmark.cli import main
 from cwmark.rng import random_bits, splitmix64_stream
 from cwmark.stats import _NORMAL_CHUNK
 from cwmark.watermark import _ArrayPieces
@@ -480,6 +484,24 @@ def test_add_noise_into_gives_the_pinned_bytes():
     w = sample_gaussian_weights(4 * _NORMAL_CHUNK + 3, sigma=0.01, seed=31)
     attacks._add_noise_into(_ArrayPieces(w), 0.003, seed=32)
     assert hashlib.sha256(w.tobytes()).hexdigest() == ATTACK_SHA256["noise"]
+
+
+def test_noise_starts_no_thread(monkeypatch, tmp_path):
+    # A piece is at most two sampler chunks, so its noise is drawn on the
+    # calling thread, where add_noise's errstate holds, even with two CPUs.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    w = sample_gaussian_weights(2 * watermark._PIECE + 5, sigma=0.01, seed=41)
+    want = old_add_noise(w, 0.003, seed=42)
+
+    def no_thread(*args, **kwargs):
+        raise AssertionError("noise started a thread")
+
+    monkeypatch.setattr(stats.threading, "Thread", no_thread)
+    assert add_noise(w, 0.003, seed=42).tobytes() == want.tobytes()
+    src, out = tmp_path / "w.cwcw", tmp_path / "n.cwcw"
+    write_weights(src, w)
+    assert main(["--quiet", "--seed", "42", "noise", str(src), str(out), "--level", "0.003"]) == 0
+    assert read_weights(out).tobytes() == want.tobytes()
 
 
 def bound_above_half_scale(seed):

@@ -1,5 +1,6 @@
 """Gaussian tail functions, threshold design, and the seeded sampler."""
 
+import functools
 import math
 import os
 import sys
@@ -15,6 +16,7 @@ from cwmark import (
     GaussianModel,
     ThresholdDesignError,
     ThresholdPair,
+    add_noise,
     design_t1,
     design_thresholds,
     estimate_sigma,
@@ -24,7 +26,7 @@ from cwmark import (
     standard_normals,
     stats,
 )
-from cwmark.rng import random_bits, splitmix64_stream, u64_to_unit
+from cwmark.rng import _stream_at, random_bits, splitmix64_stream, u64_to_unit
 
 # Frozen from the quadrature oracle (tests/reference.py normal_quantile_tail).
 Q_INV_005 = 1.6448536269514722
@@ -240,19 +242,38 @@ def test_sampler_chunks_match_whole_vector_bit_for_bit(n, seed):
     weights = sample_gaussian_weights(n, 0.01, seed)
     assert weights.dtype == np.float32
     assert weights.tobytes() == (0.01 * want).astype(np.float32).tobytes()
+    # A stretch that starts past 0, inside a Box-Muller pair or not.
+    for first in (1, 2, CHUNK - 1, 3 * stats._NORMAL_CHUNK + 2):
+        tail = whole_vector_normals(first + n, seed)[first:]
+        for dtype in (np.float32, np.float64):
+            out = np.empty(n, dtype=dtype)
+            stats._fill_normals(out, seed, 0.01, first)
+            assert out.tobytes() == (0.01 * tail).astype(dtype).tobytes(), (first, dtype)
 
 
 def draws_by_thread(monkeypatch):
-    """Patch _normal_chunks to record (first, thread ident) for each call."""
+    """Patch _stream_at to record (thread ident, first, count) for each call."""
     calls = []
-    draw = stats._normal_chunks
+    draw = stats._stream_at
 
-    def recording(n, seed, first=0, pairs=None):
-        calls.append((first, threading.get_ident()))
-        return draw(n, seed, first, pairs)
+    def recording(seed, first, count):
+        calls.append((threading.get_ident(), first, count))
+        return draw(seed, first, count)
 
-    monkeypatch.setattr(stats, "_normal_chunks", recording)
+    monkeypatch.setattr(stats, "_stream_at", recording)
     return calls
+
+
+def words_by_thread(calls) -> dict:
+    """{thread ident: (first word, stop)} of the recorded draws; each
+    thread must draw its words in order, each once."""
+    spans = {}
+    for ident, first, count in calls:
+        start, stop = spans.get(ident, (first, first))
+        assert first == stop, "a thread's draws must follow one another"
+        spans[ident] = (start, first + count)
+    calls.clear()
+    return spans
 
 
 # Past one chunk of values the two halves are drawn on two threads. Every n
@@ -265,31 +286,59 @@ def draws_by_thread(monkeypatch):
 def test_sampler_halves_match_whole_vector_bit_for_bit(monkeypatch, n, seed):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     calls = draws_by_thread(monkeypatch)
+    # This thread draws the pairs of [0, n // 2), one other thread those of
+    # [n // 2, n): both draw the pair that n // 2 splits.
+    mid = n // 2
+    halves = [(0, 2 * ((mid + 1) // 2)), (2 * (mid // 2), 2 * ((n + 1) // 2))]
     want = whole_vector_normals(n, seed)
     got = standard_normals(n, seed)
     assert got.shape == (n,) and got.tobytes() == want.tobytes()
+    spans = words_by_thread(calls)
+    assert [spans.pop(threading.get_ident()), *spans.values()] == halves
     weights = sample_gaussian_weights(n, 0.01, seed)
     assert weights.tobytes() == (0.01 * want).astype(np.float32).tobytes()
-    assert sorted(first for first, _ in calls) == [0, 0, n // 2, n // 2]
-    assert len({ident for _, ident in calls}) >= 2
+    spans = words_by_thread(calls)
+    assert [spans.pop(threading.get_ident()), *spans.values()] == halves
 
 
 def test_sampler_worker_error_reaches_the_caller(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    draw = stats._normal_chunks
+    draw = stats._stream_at
+    caller = threading.get_ident()
 
-    def failing(n, seed, first=0, pairs=None):
-        if first > 0:
+    def failing(seed, first, count):
+        if threading.get_ident() != caller:
             raise MemoryError("upper half")
-        return draw(n, seed, first, pairs)
+        return draw(seed, first, count)
 
-    monkeypatch.setattr(stats, "_normal_chunks", failing)
+    monkeypatch.setattr(stats, "_stream_at", failing)
     before = threading.active_count()
     for sample in (lambda: standard_normals(2 * CHUNK, 5),
                    lambda: sample_gaussian_weights(2 * CHUNK, 0.01, 5)):
         with pytest.raises(MemoryError, match="upper half"):
             sample()
         assert threading.active_count() == before
+
+
+# np.uint64 + int overflows, and so does np.int64 & MASK64, so a numpy
+# seed must be taken as a Python int: 2**15 + 1 values reach the second
+# chunk, 4 * _NORMAL_CHUNK + 3 the second piece of add_noise.
+@pytest.mark.parametrize("n", [2**15 + 1, 4 * stats._NORMAL_CHUNK + 3])
+@pytest.mark.parametrize("seed", [5, 2**64 - 1])
+def test_numpy_seed_samples_like_its_int(n, seed):
+    w = np.linspace(-1.0, 1.0, n, dtype=np.float32)
+    calls = {
+        "splitmix64_stream": lambda s: splitmix64_stream(s, n),
+        "standard_normals": lambda s: standard_normals(n, s),
+        "sample_gaussian_weights": lambda s: sample_gaussian_weights(n, 0.01, s),
+        "GaussianModel.sample": lambda s: GaussianModel(0.01).sample(n, s),
+        "add_noise": lambda s: add_noise(w, 0.01, s),
+    }
+    signed = np.uint64(seed).astype(np.int64)
+    for name, call in calls.items():
+        want = call(seed).tobytes()
+        assert call(np.uint64(seed)).tobytes() == want, name
+        assert call(signed).tobytes() == want, (name, signed)
 
 
 def test_sampler_called_from_more_threads_than_cores(monkeypatch):
@@ -322,16 +371,17 @@ def test_sampler_on_one_cpu_starts_no_thread(monkeypatch):
     n = 2 * CHUNK + 3
     want = whole_vector_normals(n, 9)
     assert standard_normals(n, 9).tobytes() == want.tobytes()
+    assert words_by_thread(calls) == {threading.get_ident(): (0, n + 1)}
     weights = sample_gaussian_weights(n, 0.5, 9)
     assert weights.tobytes() == (0.5 * want).astype(np.float32).tobytes()
-    assert calls == [(0, threading.get_ident())] * 2
+    assert words_by_thread(calls) == {threading.get_ident(): (0, n + 1)}
 
 
 def test_short_sample_starts_no_thread(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     calls = draws_by_thread(monkeypatch)
     standard_normals(CHUNK, 3)
-    assert calls == [(0, threading.get_ident())]
+    assert words_by_thread(calls) == {threading.get_ident(): (0, CHUNK)}
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 6, 7, 100])
@@ -357,12 +407,28 @@ def test_random_bits_matches_sequential_reference(seed, count):
     assert random_bits(np.uint64(seed), count).tolist() == want
 
 
+STREAM_FIRSTS = (0, 1, 255, 256, 2**20 + 1)
+
+
+@functools.lru_cache(maxsize=None)
+def sequential_windows(seed: int) -> dict:
+    """{first: ref.splitmix64_sequential(seed, first + 1000)[first:]} for
+    each of STREAM_FIRSTS, from one run of the sequential generator."""
+    words = ref.splitmix64_sequential(seed, STREAM_FIRSTS[-1] + 1000)
+    return {first: words[first : first + 1000] for first in STREAM_FIRSTS}
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2**63 + 12345, 2**64 - 1])
 @pytest.mark.parametrize("count", [0, 1, 3, 1000])
 def test_splitmix64_stream_matches_sequential_reference(seed, count):
     got = splitmix64_stream(seed, count)
     assert got.dtype == np.uint64
     assert got.tolist() == ref.splitmix64_sequential(seed, count)
+    # Any stretch of the stream, drawn on its own: outputs first + 1 on.
+    for first, words in sequential_windows(seed).items():
+        got = _stream_at(seed, first, count)
+        assert got.dtype == np.uint64
+        assert got.tolist() == words[:count], first
 
 
 def test_splitmix64_stream_matches_published_seed0_vectors():

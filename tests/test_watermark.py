@@ -499,18 +499,18 @@ def test_block_refusal_stops_each_redraw_at_its_first_collision(monkeypatch):
     # steps; each re-draw meets block 0 after about 1000 / 393 steps, where
     # running every draw in full takes 393 + 1000 * 393 steps.
     steps = 0
-    stream = watermark.splitmix64_stream
+    stream = watermark._stream_at
 
-    def counted(seed, count):
+    def counted(seed, first, count):
         def step(word):
             nonlocal steps
             steps += 1
             return word
 
-        words = stream(seed, count).tolist()
+        words = stream(seed, first, count).tolist()
         return SimpleNamespace(tolist=lambda: map(step, words))
 
-    monkeypatch.setattr(watermark, "splitmix64_stream", counted)
+    monkeypatch.setattr(watermark, "_stream_at", counted)
     with pytest.raises(SelectionRatioError, match="disjoint"):
         embed_message_blocks(
             np.ones(1000, dtype=np.float32), random_bits(4, 128), key=5,
@@ -524,13 +524,13 @@ def test_block_refusal_draws_its_words_in_pieces(monkeypatch):
     # re-draws are refused, each within its first 256 words. Drawing each
     # attempt's 3000 words at once drew 3 million.
     drawn = []
-    stream = watermark.splitmix64_stream
+    stream = watermark._stream_at
 
-    def counted(seed, count):
+    def counted(seed, first, count):
         drawn.append(count)
-        return stream(seed, count)
+        return stream(seed, first, count)
 
-    monkeypatch.setattr(watermark, "splitmix64_stream", counted)
+    monkeypatch.setattr(watermark, "_stream_at", counted)
     taken = set(range(3000))
     with pytest.raises(SelectionRatioError, match="disjoint"):
         _draw_positions(_block_selection_seeds(5, 1), 4000, 3000, taken)
