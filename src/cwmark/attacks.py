@@ -23,29 +23,6 @@ class PruneSpec:
     zeroed: int
 
 
-def _cutoffs(mag: np.ndarray, rates) -> list[tuple[int, float]]:
-    """(p, cutoff) for each rate, in the given order, over the magnitudes mag.
-
-    This serves the eval harness, which owns a magnitude buffer; prune
-    has none and selects its cutoff from bit patterns (_prune_into).
-    p = min(floor(rate * n), n - 1) and the cutoff is the p-th smallest
-    magnitude (0-indexed). mag is partitioned in place: the distinct p are
-    visited in ascending order, and each partitions only the tail
-    mag[p_prev:], which after the partition at p_prev holds exactly the
-    values of rank >= p_prev, so its (p - p_prev)-th smallest is the p-th.
-    """
-    n = mag.size
-    ps = [min(int(math.floor(rate * n)), n - 1) for rate in rates]
-    cutoff = {}
-    prev = 0
-    for p in sorted(set(ps)):
-        tail = mag[prev:]
-        tail.partition(p - prev)
-        cutoff[p] = float(tail[p - prev])
-        prev = p
-    return [(p, cutoff[p]) for p in ps]
-
-
 def prune(weights, rate: float) -> tuple[np.ndarray, PruneSpec]:
     """Zero the weights whose magnitude falls below the rate quantile.
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from contextlib import nullcontext
 
@@ -331,33 +332,31 @@ def cmd_attack(args, console: _Console) -> int:
 
 
 def _eval_rows(args):
+    n, sigma = args.n, args.sigma
+    stats._check_sigma(sigma)
     params = codec.find_params(args.k, args.alpha).params
-    thresholds = stats.design_thresholds(
-        args.sigma, args.design_rate, two_sided=args.two_sided
-    )
+    thresholds = stats.design_thresholds(sigma, args.design_rate, two_sided=args.two_sided)
+    ps = [min(int(math.floor(rate * n)), n - 1) for rate in args.attack_rates]
     for trial_seed in splitmix64_stream(args.seed, args.trials).tolist():
         weight_seed, key, message_seed = splitmix64_stream(trial_seed, 3).tolist()
         message = random_bits(message_seed, args.k)
-        marked = stats.sample_gaussian_weights(args.n, args.sigma, weight_seed)
-        [receipt], [codeword] = watermark._embed_into(
-            watermark._ArrayPieces(marked), message, key, thresholds, params,
-            False, args.force,
-        )
-        # prune + extract for every rate, reading only the L selected weights.
-        # marked is needed only as magnitudes, so they overwrite it; the
-        # selected ones are read before _cutoffs partitions that buffer.
-        mag = np.abs(marked, out=marked)
-        sel = mag[list(receipt.spec.positions)].astype(np.float64)
-        cutoffs = attacks._cutoffs(mag, args.attack_rates)
-        for rate, (_, cutoff) in zip(args.attack_rates, cutoffs):
+        # embed_message's selection and projection, on the selected weights alone.
+        positions = watermark.select_positions(key, n, params.L, args.force)
+        codeword = codec.encode(message, params)
+        alone = watermark.EmbedSpec(key, params, thresholds, range(params.L))
+        exact = stats._normals_at(weight_seed, positions, sigma)
+        marked, receipt = watermark.embed(exact, codeword, alone)
+        cutoffs = stats._cutoffs(n, sigma, weight_seed, positions, marked, ps, params.L)
+        sel = np.abs(marked).astype(np.float64)
+        for rate, p in zip(args.attack_rates, ps):
             # What prune leaves there; ties at the cutoff survive.
-            pruned = np.where(sel < cutoff, 0.0, sel)
+            pruned = np.where(sel < cutoffs[p], 0.0, sel)
             recovered = watermark._top_alpha(pruned, params.alpha)
             errors = int(np.count_nonzero(recovered != codeword))
             yield {
                 "seed": trial_seed,
-                "n": args.n,
-                "sigma": repr(args.sigma),
+                "n": n,
+                "sigma": repr(sigma),
                 "k": params.k,
                 "alpha": params.alpha,
                 "L": params.L,
@@ -365,13 +364,10 @@ def _eval_rows(args):
                 "attack_rate": repr(rate),
                 "bit_errors": errors,
                 "recovered": "yes" if errors == 0 else "no",
-                "cutoff": repr(cutoff),
+                "cutoff": repr(cutoffs[p]),
                 "t1": repr(thresholds.t1),
                 "modified_count": receipt.modified_count,
             }
-        # Free the buffer before the next sample is drawn, so that one
-        # n-sized vector, not two, is alive at a time.
-        del marked, mag
 
 
 def cmd_eval(args, console: _Console) -> int:

@@ -40,7 +40,12 @@ def splitmix64_stream(seed: int, count: int) -> np.ndarray:
 def _stream_at(seed: int, first: int, count: int) -> np.ndarray:
     """Outputs first + 1 .. first + count of the SplitMix64 stream of
     `seed`, as uint64; trusts first and count to be nonnegative."""
-    z = np.arange(first + 1, first + count + 1, dtype=np.uint64)
+    return _stream_gather(seed, np.arange(first + 1, first + count + 1, dtype=np.uint64))
+
+
+def _stream_gather(seed: int, z: np.ndarray) -> np.ndarray:
+    """Outputs z (1-based uint64 counters, in any order) of the SplitMix64
+    stream of `seed`, computed in z."""
     z *= np.uint64(GOLDEN_GAMMA)
     z += np.uint64(int(seed) & MASK64)  # a numpy seed is taken as a Python int
     z ^= z >> np.uint64(30)

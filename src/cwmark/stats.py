@@ -1,4 +1,4 @@
-"""Gaussian weight model and two-threshold design.
+"""Gaussian weight model, its seeded sampler and two-threshold design.
 
 Thresholds come from the standard normal tail function Q: a pruning
 attack at rate R removes the R smallest weight magnitudes, so the upper
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ThresholdDesignError
-from .rng import _stream_at, u64_to_unit
+from .rng import _stream_at, _stream_gather, u64_to_unit
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -199,6 +199,13 @@ def estimate_sigma(weights) -> float:
     return _rms([(0, w)], w.size)
 
 
+def _check_sigma(sigma: float) -> None:
+    """Refuse a sigma that is not positive, or whose sample could round to
+    binary32 infinity: the sampler's largest |z| is sqrt(-2 ln 2**-53)."""
+    if not 0 < sigma * math.sqrt(-2.0 * math.log(2.0**-53)) < 2.0**128 * (1 - 2.0**-25):
+        raise ValueError(f"sigma must lie in (0, 3.9698e37) for a finite sample, got {sigma!r}")
+
+
 # Values per chunk of the sampler (256 KiB of stream words); a sample of
 # more than two chunks is split between two threads (see _fill_normals).
 _NORMAL_CHUNK = 1 << 15
@@ -212,9 +219,33 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _fill_normals(out: np.ndarray, seed: int, scale: float, first: int = 0) -> None:
+def _box_muller(words: np.ndarray, scale: float, screen: bool = False) -> np.ndarray:
+    """scale * the Box-Muller values of the stream word pairs, in binary64 and
+    in order. Screened, each angle is rounded to binary32 and its cos and sin
+    are taken there, 16 times faster; the radius's log stays binary64."""
+    u = u64_to_unit(words)
+    radius = np.sqrt(-2.0 * np.log(u[0::2]))
+    angle = (2.0 * np.pi) * u[1::2]
+    if screen:
+        angle = angle.astype(np.float32)
+    values = np.empty(u.size, dtype=np.float64)
+    np.multiply(radius, np.cos(angle), out=values[0::2])
+    np.multiply(radius, np.sin(angle), out=values[1::2])
+    values *= scale
+    return values
+
+
+def _screen_error(scale: float) -> float:
+    """Bounds |screened - exact| for a binary32 value of _fill_normals (README)."""
+    return scale * 2.0**-12 + 2.0**-145
+
+
+def _fill_normals(
+    out: np.ndarray, seed: int, scale: float, first: int = 0, screen: bool = False
+) -> None:
     """out[i] = scale * standard_normals(first + out.size, seed)[first + i]
-    in binary64, rounded once to out's dtype.
+    in binary64, rounded once to out's dtype; screened (see _box_muller),
+    each binary32 value is within _screen_error(scale) of that.
 
     Pair a of the sample is stream outputs 2a + 1 and 2a + 2, so each
     chunk of _NORMAL_CHUNK // 2 pairs draws only its own words. Past
@@ -230,13 +261,7 @@ def _fill_normals(out: np.ndarray, seed: int, scale: float, first: int = 0) -> N
         step, total = _NORMAL_CHUNK // 2, (hi + 1) // 2
         for a in range(lo // 2, total, step):
             b = min(a + step, total)
-            u = u64_to_unit(_stream_at(seed, 2 * a, 2 * (b - a)))
-            radius = np.sqrt(-2.0 * np.log(u[0::2]))
-            angle = (2.0 * np.pi) * u[1::2]
-            values = np.empty(2 * (b - a), dtype=np.float64)
-            values[0::2] = radius * np.cos(angle)
-            values[1::2] = radius * np.sin(angle)
-            values *= scale
+            values = _box_muller(_stream_at(seed, 2 * a, 2 * (b - a)), scale, screen)
             at, end = max(2 * a, lo), min(2 * b, hi)
             out[at - first : end - first] = values[at - 2 * a : end - 2 * a]
 
@@ -263,6 +288,14 @@ def _fill_normals(out: np.ndarray, seed: int, scale: float, first: int = 0) -> N
         raise failure[0]
 
 
+def _normals_at(seed: int, index: np.ndarray, scale: float) -> np.ndarray:
+    """scale * standard_normals(n, seed)[index] for any n past index, in
+    binary64: the two words of each value's pair are drawn at their counters."""
+    counters = ((index // 2 * 2)[:, None] + (1, 2)).astype(np.uint64).ravel()
+    values = _box_muller(_stream_gather(seed, counters), scale)
+    return values[2 * np.arange(index.size) + index % 2]
+
+
 def standard_normals(n: int, seed: int) -> np.ndarray:
     """n i.i.d. standard normal doubles, deterministic per seed.
 
@@ -277,6 +310,9 @@ def standard_normals(n: int, seed: int) -> np.ndarray:
     at most 2**15 values, one half of the vector on each of two threads
     where it is long enough (see _fill_normals); each chunk draws only its
     own stream words, with the same bits as the whole-vector transform.
+    _normals_at recomputes any values from their own words, with the same
+    bits; the eval harness screens with binary32 angles and recomputes the
+    values its rows read.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -290,12 +326,72 @@ def sample_gaussian_weights(n: int, sigma: float, seed: int) -> np.ndarray:
 
     Each value is sigma * standard_normals(n, seed)[i] in binary64, rounded
     once to binary32; the doubles in flight are one chunk's worth (see
-    _fill_normals).
+    _fill_normals). A sigma whose sample could round to binary32 infinity
+    is refused (see _check_sigma).
     """
-    if not sigma > 0:
-        raise ValueError("sigma must be positive")
+    _check_sigma(sigma)
     if n < 1:
         raise ValueError("n must be >= 1")
     out = np.empty(n, dtype=np.float32)
     _fill_normals(out, seed, sigma)
     return out
+
+
+def _bracket(p, n, L, sigma, delta):
+    """Binary32 edges about the p-th smallest of n |N(0, sigma**2)| values:
+    the model's quantiles 6 deviations plus L ranks either side of p,
+    widened by delta; infinite past rank 0 or n - 1."""
+    spread = 6 * math.sqrt(p * (n - p) / n) + L
+    at = lambda rank: sigma * q_inverse((n - rank) / (2 * n))
+    lo = at(p - spread) - delta if p - spread > 0 else -math.inf
+    hi = at(p + spread) + delta if p + spread < n - 1 else math.inf
+    return np.float32(lo), np.float32(hi)
+
+
+def _cutoffs(n, sigma, seed, positions, marked, ps, L):
+    """The eval harness's cutoffs, {p: the p-th smallest magnitude} for each
+    p in ps, of sigma times the sample of seed with the marked values at
+    their positions. One screened pass counts
+    the magnitudes below each p's bracket and keeps those in it (Floyd &
+    Rivest). The screened p-th smallest, g, is within delta of the exact
+    one; lying 2 delta inside the bracket, only values near it need exact
+    recomputing. Else the whole exact sample is drawn and partitioned."""
+    delta = _screen_error(sigma)
+    edges = {p: _bracket(p, n, L, sigma, delta) for p in ps}
+    below, band = dict.fromkeys(edges, 0), {p: [] for p in edges}
+    buf = np.empty(min(n, 2 * _NORMAL_CHUNK), dtype=np.float32)
+    for start in range(0, n, buf.size):
+        piece = buf[: n - start]
+        # In slices of 2**13 values, each of the sampler's temporaries is at
+        # most 64 KiB, which the C heap reuses; from 128 KiB on they took
+        # fresh pages, some 7000 page faults per 10**6 values.
+        for at in range(0, piece.size, 1 << 13):
+            part = piece[at : at + (1 << 13)]
+            _fill_normals(part, seed, sigma, start + at, screen=True)
+        here = (positions >= start) & (positions < start + piece.size)
+        piece[positions[here] - start] = marked[here]
+        mag = np.abs(piece, out=piece)
+        for p, (lo, hi) in edges.items():
+            below[p] += int(np.count_nonzero(mag < lo))
+            inside = np.flatnonzero((mag >= lo) & (mag <= hi))
+            band[p].append((start + inside, mag[inside]))
+    cutoffs = {}
+    for p, (lo, hi) in edges.items():
+        index, values = (np.concatenate(parts) for parts in zip(*band[p]))
+        rank = p - below[p]
+        g = float(np.partition(values, rank)[rank]) if 0 <= rank < values.size else math.nan
+        if not float(lo) + 2 * delta <= g <= float(hi) - 2 * delta:
+            w = sample_gaussian_weights(n, sigma, seed)
+            w[positions] = marked
+            cutoffs[p] = float(np.partition(np.abs(w, out=w), p)[p])
+            continue
+        # One pair of binary64 edges for the window and the count below it.
+        w_lo, w_hi = np.float64(g - 2 * delta), np.float64(g + 2 * delta)
+        keep = (values >= w_lo) & (values <= w_hi)
+        index, exact = index[keep], values[keep]
+        # Marked values are exact already; index and positions hold no repeats.
+        fresh = ~np.isin(index, positions, assume_unique=True)
+        exact[fresh] = np.abs(_normals_at(seed, index[fresh], sigma)).astype(np.float32)
+        rank -= int(np.count_nonzero(values < w_lo))
+        cutoffs[p] = float(np.partition(exact, rank)[rank])
+    return cutoffs

@@ -13,6 +13,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -780,40 +781,135 @@ def test_eval_csv_bytes_pinned(capsys, tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == EVAL_SEED9_SHA256
 
 
-@pytest.mark.parametrize("step", [None, 0.002])
-def test_eval_rows_agree_with_prune_and_extract(monkeypatch, step):
-    # The harness reads only the selected weights; each row must still be
-    # what prune followed by extract gives. step quantizes the sampled
-    # weights, so selected magnitudes tie with the cutoff.
-    sample = cli.stats.sample_gaussian_weights
-    if step is not None:
-        monkeypatch.setattr(
-            cli.stats, "sample_gaussian_weights",
-            lambda *a: (np.round(sample(*a) / step) * step).astype(np.float32),
-        )
-    rates = [0.9, 0.5, 0.0, 0.9, 0.94]
-    argv = ["--seed", "5", *EVAL_SMALL[:-1], "0.9,0.5,0.0,0.9,0.94"]
-    rows = list(cli._eval_rows(cli.build_parser().parse_args(argv)))
-    assert [float(row["attack_rate"]) for row in rows] == rates * 2
-
-    params = find_params(16, 8).params
-    pair = design_thresholds(0.01, 0.95)
-    want, ties = [], 0
-    for trial_seed in splitmix64_stream(5, 2).tolist():
+def public_recipe(seed, trials, n, sigma, k, alpha, rates, force=False):
+    """Per trial: the marked vector, the selected positions and the rows'
+    (cutoff, bit_errors, recovered, modified_count), from public calls
+    only: the exact sampler, embed_message, prune and extract."""
+    params = find_params(k, alpha).params
+    pair = design_thresholds(sigma, 0.95)
+    for trial_seed in splitmix64_stream(seed, trials).tolist():
         weight_seed, key, message_seed = splitmix64_stream(trial_seed, 3).tolist()
-        message = random_bits(message_seed, 16)
-        weights = cli.stats.sample_gaussian_weights(20000, 0.01, weight_seed)
-        marked, receipt = embed_message(weights, message, key, pair, params)
+        message = random_bits(message_seed, k)
+        weights = sample_gaussian_weights(n, sigma, weight_seed)
+        marked, receipt = embed_message(weights, message, key, pair, params, force)
         codeword = encode(message, params)
-        selected = np.abs(marked[list(receipt.spec.positions)])
+        rows = []
         for rate in rates:
             pruned, report = prune(marked, rate)
             errors = int(np.count_nonzero(extract(pruned, receipt.spec) != codeword))
-            want.append((repr(report.cutoff), errors, "yes" if errors == 0 else "no"))
-            ties += int(np.count_nonzero(selected == np.float32(report.cutoff)))
-    got = [(row["cutoff"], row["bit_errors"], row["recovered"]) for row in rows]
-    assert got == want
-    assert (ties > 0) == (step is not None)
+            recovered = "yes" if errors == 0 else "no"
+            modified = receipt.modified_count
+            rows.append((repr(rate), repr(report.cutoff), errors, recovered, modified))
+        yield weights, marked, list(receipt.spec.positions), rows
+
+
+def eval_rows(argv):
+    rows = cli._eval_rows(cli.build_parser().parse_args(argv))
+    fields = ("attack_rate", "cutoff", "bit_errors", "recovered", "modified_count")
+    return [tuple(row[name] for name in fields) for row in rows]
+
+
+@pytest.mark.parametrize("tie", [None, "unmodified"])
+def test_eval_rows_agree_with_prune_and_extract(tie):
+    # The harness reads only the selected weights; each row must still be
+    # what prune followed by extract gives. With tie, one rate's p is the
+    # rank of a selected weight that embedding left alone, so that weight
+    # ties with the cutoff.
+    rates = [0.9, 0.5, 0.0, 0.9, 0.94]
+    [(weights, marked, positions, _), _] = public_recipe(5, 2, 20000, 0.01, 16, 8, [])
+    if tie is not None:
+        kept = [i for i in positions if marked[i] == weights[i]][0]
+        rank = int(np.count_nonzero(np.abs(marked) < abs(marked[kept])))
+        rates.append((rank + 0.5) / 20000)
+    argv = ["--seed", "5", *EVAL_SMALL[:-1], ",".join(map(repr, rates))]
+    want = [row for *_, rows in public_recipe(5, 2, 20000, 0.01, 16, 8, rates) for row in rows]
+    assert eval_rows(argv) == want
+    # The first trial's last rate.
+    cutoff = np.float32(float(want[len(rates) - 1][1]))
+    ties = int(np.count_nonzero(np.abs(marked[positions]) == cutoff))
+    assert (ties > 0) == (tie is not None)
+
+
+# Just under the largest sigma whose sample stays finite in binary32.
+SIGMA_MAX = 3.9698e37
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**64 - 1),
+    n=st.integers(min_value=8, max_value=70)
+    | st.integers(min_value=2**14 - 3, max_value=40000),
+    picks=st.lists(st.sampled_from([0, 1, 2]), min_size=1, max_size=5),
+    sigma=st.sampled_from([1e-44, 0.01, SIGMA_MAX]),
+)
+def test_eval_rows_match_the_public_recipe(seed, n, picks, sigma):
+    # Rates 0, 0.5 and (n - 1)/n, repeated and unsorted; tiny n, whose
+    # brackets hold every weight, and n of more than one screened piece.
+    rates = [(0.0, 0.5, (n - 1) / n)[i] for i in picks]
+    argv = [
+        "--seed", str(seed), "eval", "--trials", "2", "--n", str(n), "-k", "4",
+        "-a", "2", "--sigma", repr(sigma), "--attack-rates", ",".join(map(repr, rates)),
+        "--force",
+    ]
+    recipe = public_recipe(seed, 2, n, sigma, 4, 2, rates, force=True)
+    assert eval_rows(argv) == [row for *_, rows in recipe for row in rows]
+
+
+def count_exact_samples(monkeypatch):
+    """Record each call of the exact sampler, which the harness makes only
+    when a rate falls back to the exact recipe."""
+    calls = []
+    sample = cli.stats.sample_gaussian_weights
+    monkeypatch.setattr(
+        cli.stats, "sample_gaussian_weights", lambda *a: calls.append(a) or sample(*a)
+    )
+    return calls
+
+
+def test_eval_falls_back_to_the_exact_recipe_when_a_bracket_misses(monkeypatch):
+    argv = ["--seed", "5", *EVAL_SMALL[:-1], "0.9,0.5,0.0,0.94,0.9"]
+    want = eval_rows(argv)
+    calls = count_exact_samples(monkeypatch)
+    assert eval_rows(argv) == want and calls == []
+    # Brackets far below every cutoff: no screened select may be trusted.
+    monkeypatch.setattr(
+        cli.stats, "_bracket", lambda p, n, L, sigma, delta: (np.float32(1e-9), np.float32(2e-9))
+    )
+    assert eval_rows(argv) == want
+    assert len(calls) == 2 * 4  # each trial, each distinct p
+
+
+def test_eval_bracket_edges_on_sample_values(monkeypatch):
+    # Edges that equal screened magnitudes: a count and a band split at
+    # different edges would lose a weight on an edge, or count it twice.
+    argv = ["--seed", "5", *EVAL_SMALL[:2], "1", *EVAL_SMALL[3:-1], "0.5,0.9"]
+    want = eval_rows(argv)
+    trial_seed = splitmix64_stream(5, 1).tolist()[0]
+    weight_seed = splitmix64_stream(trial_seed, 1).tolist()[0]
+    [(_, marked, positions, _)] = public_recipe(5, 1, 20000, 0.01, 16, 8, [])
+    screened = np.empty(20000, dtype=np.float32)
+    cli.stats._fill_normals(screened, weight_seed, 0.01, screen=True)
+    screened[positions] = marked[positions]
+    mags = np.sort(np.abs(screened))
+    monkeypatch.setattr(
+        cli.stats, "_bracket", lambda p, n, L, sigma, delta: (mags[p - 300], mags[p + 300])
+    )
+    calls = count_exact_samples(monkeypatch)
+    assert eval_rows(argv) == want and calls == []
+
+
+def test_eval_sigma_whose_sample_overflows_binary32_exits_2(capsys, tmp_path):
+    out = tmp_path / "e.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, stdout, err = run(
+            capsys, "eval", "--trials", "1", "--n", "100000", "-k", "8", "-a", "2",
+            "--sigma", "1e38", "--design-rate", "0.95", "--out", str(out),
+        )
+    assert code == 2 and stdout == "" and not out.exists()
+    assert err.splitlines() == [
+        "cwmark: error: sigma must lie in (0, 3.9698e37) for a finite sample, got 1e+38"
+    ]
 
 
 def test_eval_trials_zero_header_only(capsys):

@@ -26,7 +26,13 @@ from cwmark import (
     standard_normals,
     stats,
 )
-from cwmark.rng import _stream_at, random_bits, splitmix64_stream, u64_to_unit
+from cwmark.rng import (
+    _stream_at,
+    _stream_gather,
+    random_bits,
+    splitmix64_stream,
+    u64_to_unit,
+)
 
 # Frozen from the quadrature oracle (tests/reference.py normal_quantile_tail).
 Q_INV_005 = 1.6448536269514722
@@ -454,3 +460,128 @@ def test_gaussian_model_and_weight_sampler():
         GaussianModel(sigma=0.0)
     with pytest.raises(ValueError):
         sample_gaussian_weights(10, -1.0, seed=0)
+
+
+# --- the sigma bound, the gathered recompute and the binary32 screen --------
+
+# Just under the largest sigma whose sample stays finite in binary32: the
+# recipe's largest |z| is sqrt(-2 ln 2**-53) = 8.5717, at the stream word 0.
+SIGMA_MAX = 3.9698e37
+
+
+@pytest.mark.parametrize("sigma", [1e38, 3.9699e37, math.inf])
+def test_sigma_whose_sample_can_overflow_binary32_is_refused(sigma):
+    with pytest.raises(ValueError, match=r"sigma must lie in \(0, 3\.9698e37\)"):
+        sample_gaussian_weights(100_000, sigma, seed=0)
+    with pytest.raises(ValueError, match="sigma"):
+        GaussianModel(sigma).sample(10, seed=0)
+
+
+def test_sigma_bound_is_where_the_largest_sample_overflows():
+    # Word pair (0, 0) is the largest radius at angle 2 pi 2**-53.
+    words = np.zeros(2, dtype=np.uint64)
+    top = stats._box_muller(words, SIGMA_MAX)[0]
+    assert np.isfinite(np.float32(top))
+    with np.errstate(over="ignore"):
+        assert np.isinf(np.float32(stats._box_muller(words, 3.9699e37)[0]))
+    w = sample_gaussian_weights(100_000, SIGMA_MAX, seed=0)
+    assert np.isfinite(w).all() and GaussianModel(SIGMA_MAX).sample(3, 1).tobytes() == (
+        sample_gaussian_weights(3, SIGMA_MAX, 1).tobytes()
+    )
+
+
+def test_stream_gather_draws_any_counters():
+    # Counter c is output c of the stream, word c - 1 of the sequential one.
+    words = {}
+    for first, window in sequential_windows(2**64 - 1).items():
+        words.update(zip(range(first + 1, first + 1001), window))
+    counters = [5, 1, 2**20 + 2, 3, 3, 257, 2**20 + 1000]
+    got = _stream_gather(2**64 - 1, np.array(counters, dtype=np.uint64))
+    assert got.tolist() == [words[c] for c in counters]
+
+
+# Lengths that are no multiple of 8 or 16, so numpy's SIMD loops run their tails.
+@pytest.mark.parametrize("length", [1, 3, 7, 13, 17, 31, 1001])
+def test_binary64_cos_and_sin_give_chunk_bits_on_gathered_angles(length):
+    # _normals_at takes cos and sin of gathered angles; the exact sampler
+    # takes them of whole chunks. Both must give the same bits.
+    u = u64_to_unit(_stream_at(3, 0, CHUNK))
+    angle = (2.0 * np.pi) * u[1::2]
+    rng = np.random.default_rng(length)
+    index = rng.choice(angle.size, length, replace=False)
+    for fn in (np.cos, np.sin):
+        chunk = fn(angle)
+        assert fn(angle[index]).tobytes() == chunk[index].tobytes()
+        at = int(rng.integers(0, angle.size - length))  # a contiguous stretch
+        stretch = slice(at, at + length)
+        assert fn(angle[stretch]).tobytes() == chunk[stretch].tobytes()
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+def test_normals_at_matches_the_sampler_at_any_index(seed):
+    n = 2 * CHUNK + 5
+    want = sample_gaussian_weights(n, 0.01, seed)
+    rng = np.random.default_rng(seed % 97)
+    for size in (0, 1, 7, 13, 1001):
+        index = rng.integers(0, n, size)  # unsorted, repeated, either parity
+        got = stats._normals_at(seed, index, 0.01).astype(np.float32)
+        assert got.tobytes() == want[index].tobytes()
+    edges = np.array([n - 1, 0, 1, CHUNK - 1, CHUNK])
+    assert stats._normals_at(seed, edges, 1.0).tobytes() == (
+        whole_vector_normals(n, seed)[edges].tobytes()
+    )
+
+
+def screened_and_exact(words, sigma):
+    """The binary32 values of the word pairs, screened and exact."""
+    return (
+        stats._box_muller(words, sigma, screen=True).astype(np.float32),
+        stats._box_muller(words, sigma).astype(np.float32),
+    )
+
+
+@pytest.mark.parametrize("sigma", [1.0, 0.01, 1e-44, SIGMA_MAX])
+def test_screen_error_within_a_sixteenth_of_its_bound(sigma):
+    # _screen_error is 16x or more the error derived from the roundings
+    # and measured over every binary32 angle. A numpy whose binary32 cos or
+    # sin lost that margin would fail here, not in a wrong cutoff.
+    bound = stats._screen_error(sigma) / 16
+    n = 1 << 21  # 2**20 pairs
+    screened = np.empty(n, dtype=np.float32)
+    stats._fill_normals(screened, 8, sigma, screen=True)
+    exact = sample_gaussian_weights(n, sigma, 8)
+    assert np.abs(screened.astype(np.float64) - exact).max() <= bound
+    # The largest radii and a random one, at the angles next to 0, pi/2,
+    # pi, 3 pi/2 and 2 pi: u = (m + 1) 2**-53 for the top 53 bits m.
+    steps = np.arange(-64, 65)
+    tops = np.concatenate([(q << 51) - 1 + steps for q in range(5)])
+    tops = tops[(tops >= 0) & (tops < 2**53)].astype(np.uint64)
+    for radius_top in (0, 1, 2**52 + 12345):
+        words = np.empty(2 * tops.size, dtype=np.uint64)
+        words[0::2], words[1::2] = np.uint64(radius_top) << np.uint64(11), tops << np.uint64(11)
+        got, want = screened_and_exact(words, sigma)
+        assert np.abs(got.astype(np.float64) - want).max() <= bound
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=3000)
+    | st.integers(min_value=2**14 - 3, max_value=40000),
+    seed=st.integers(min_value=0, max_value=2**64 - 1),
+    rates=st.lists(st.floats(min_value=0.0, max_value=0.999), min_size=1, max_size=6),
+    sigma=st.sampled_from([1e-44, 1.0]),
+    marks=st.integers(min_value=0, max_value=40),
+)
+def test_screened_cutoffs_match_full_sort(n, seed, rates, sigma, marks):
+    # Unsorted and repeated rates give the p-th smallest magnitude of the
+    # marked sample, as a full sort does. The marked values copy sample
+    # values, and sigma 1e-44 leaves some 60 magnitudes: ties throughout.
+    rng = np.random.default_rng(seed % 2**32)
+    exact = sample_gaussian_weights(n, sigma, seed)
+    positions = rng.choice(n, min(marks, n), replace=False)
+    marked = exact[rng.integers(0, n, positions.size)]
+    exact[positions] = marked
+    ordered = np.sort(np.abs(exact))
+    ps = [min(int(rate * n), n - 1) for rate in rates]
+    got = stats._cutoffs(n, sigma, seed, positions, marked, ps, positions.size)
+    assert got == {p: float(ordered[p]) for p in ps}
