@@ -110,8 +110,8 @@ def add_noise(weights, sigma_noise: float, seed: int) -> np.ndarray:
 def _add_noise_into(source, sigma_noise: float, seed: int) -> None:
     """add_noise on the finite binary32 source, in one pass that puts every
     piece; trusts sigma_noise. Refuses a level whose noised weights leave
-    binary32 (CwmarkError), at the first piece that does. A piece of at
-    most two sampler chunks is drawn on this thread, under its errstate."""
+    binary32 (CwmarkError), at the first piece that does. The sampler draws
+    each piece's noise on this thread, under its errstate."""
     drawn = np.empty(min(source.n, _PIECE), dtype=np.float64)
     for start, piece in source.pieces():
         # Adding 0 * normal would turn -0.0 into +0.0.

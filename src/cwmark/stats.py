@@ -8,8 +8,6 @@ threshold must sit above the corresponding Gaussian quantile.
 from __future__ import annotations
 
 import math
-import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -206,17 +204,9 @@ def _check_sigma(sigma: float) -> None:
         raise ValueError(f"sigma must lie in (0, 3.9698e37) for a finite sample, got {sigma!r}")
 
 
-# Values per chunk of the sampler (256 KiB of stream words); a sample of
-# more than two chunks is split between two threads (see _fill_normals).
-_NORMAL_CHUNK = 1 << 15
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on (the CPU count where the platform has
-    no affinity call)."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+# Values per chunk of the sampler: each binary64 temporary is 64 KiB,
+# which the C heap reuses; from 128 KiB on they take fresh pages.
+_NORMAL_CHUNK = 1 << 13
 
 
 def _box_muller(words: np.ndarray, scale: float, screen: bool = False) -> np.ndarray:
@@ -248,44 +238,17 @@ def _fill_normals(
     each binary32 value is within _screen_error(scale) of that.
 
     Pair a of the sample is stream outputs 2a + 1 and 2a + 2, so each
-    chunk of _NORMAL_CHUNK // 2 pairs draws only its own words. Past
-    2 * _NORMAL_CHUNK values, and with a second CPU to run on, the upper
-    half of out (from n // 2) is drawn on a worker thread while this
-    thread draws the lower half: numpy releases the GIL in its loops.
-    The worker's exception is raised here, and the worker is joined
-    before this returns.
+    chunk of _NORMAL_CHUNK // 2 pairs draws only its own words, in order,
+    on the calling thread.
     """
-
-    def fill(lo: int, hi: int) -> None:
-        # Sample values lo .. hi - 1, into out from lo - first.
-        step, total = _NORMAL_CHUNK // 2, (hi + 1) // 2
-        for a in range(lo // 2, total, step):
-            b = min(a + step, total)
-            values = _box_muller(_stream_at(seed, 2 * a, 2 * (b - a)), scale, screen)
-            at, end = max(2 * a, lo), min(2 * b, hi)
-            out[at - first : end - first] = values[at - 2 * a : end - 2 * a]
-
-    n = out.size
-    if n <= 2 * _NORMAL_CHUNK or _usable_cpus() < 2:
-        fill(first, first + n)
-        return
-    mid = first + n // 2
-    failure: list[BaseException] = []
-
-    def upper() -> None:
-        try:
-            fill(mid, first + n)
-        except BaseException as exc:
-            failure.append(exc)
-
-    worker = threading.Thread(target=upper, name="cwmark-normals")
-    worker.start()
-    try:
-        fill(first, mid)
-    finally:
-        worker.join()
-    if failure:
-        raise failure[0]
+    step, stop = _NORMAL_CHUNK // 2, first + out.size
+    total = (stop + 1) // 2
+    for a in range(first // 2, total, step):
+        b = min(a + step, total)
+        values = _box_muller(_stream_at(seed, 2 * a, 2 * (b - a)), scale, screen)
+        at, end = max(2 * a, first), min(2 * b, stop)
+        out[at - first : end - first] = values[at - 2 * a : end - 2 * a]
+        del values  # so the next chunk's temporaries reuse its heap space
 
 
 def _normals_at(seed: int, index: np.ndarray, scale: float) -> np.ndarray:
@@ -307,9 +270,9 @@ def standard_normals(n: int, seed: int) -> np.ndarray:
     and the sequence is truncated to n. The u64 stream is bit-exact across
     implementations; the float outputs are only comparable within normal
     transcendental-function tolerances. Outputs are produced in chunks of
-    at most 2**15 values, one half of the vector on each of two threads
-    where it is long enough (see _fill_normals); each chunk draws only its
-    own stream words, with the same bits as the whole-vector transform.
+    at most 2**13 values, in order on the calling thread (see
+    _fill_normals); each chunk draws only its own stream words, with the
+    same bits as the whole-vector transform.
     _normals_at recomputes any values from their own words, with the same
     bits; the eval harness screens with binary32 angles and recomputes the
     values its rows read.
@@ -351,23 +314,20 @@ def _bracket(p, n, L, sigma, delta):
 def _cutoffs(n, sigma, seed, positions, marked, ps, L):
     """The eval harness's cutoffs, {p: the p-th smallest magnitude} for each
     p in ps, of sigma times the sample of seed with the marked values at
-    their positions. One screened pass counts
-    the magnitudes below each p's bracket and keeps those in it (Floyd &
-    Rivest). The screened p-th smallest, g, is within delta of the exact
-    one; lying 2 delta inside the bracket, only values near it need exact
-    recomputing. Else the whole exact sample is drawn and partitioned."""
+    their positions. One screened pass counts the magnitudes below each p's
+    bracket and keeps those in it (Floyd & Rivest). The screened p-th
+    smallest, g, is within delta of the exact one; lying 2 delta inside the
+    bracket, only values near it need exact recomputing. Else the exact
+    sample, drawn once for every p that misses, is partitioned in place,
+    which keeps its values for the next p."""
     delta = _screen_error(sigma)
     edges = {p: _bracket(p, n, L, sigma, delta) for p in ps}
     below, band = dict.fromkeys(edges, 0), {p: [] for p in edges}
-    buf = np.empty(min(n, 2 * _NORMAL_CHUNK), dtype=np.float32)
+    # Pieces of 2**16 values: the per-rate counts run once a piece.
+    buf = np.empty(min(n, 1 << 16), dtype=np.float32)
     for start in range(0, n, buf.size):
         piece = buf[: n - start]
-        # In slices of 2**13 values, each of the sampler's temporaries is at
-        # most 64 KiB, which the C heap reuses; from 128 KiB on they took
-        # fresh pages, some 7000 page faults per 10**6 values.
-        for at in range(0, piece.size, 1 << 13):
-            part = piece[at : at + (1 << 13)]
-            _fill_normals(part, seed, sigma, start + at, screen=True)
+        _fill_normals(piece, seed, sigma, start, screen=True)
         here = (positions >= start) & (positions < start + piece.size)
         piece[positions[here] - start] = marked[here]
         mag = np.abs(piece, out=piece)
@@ -375,15 +335,18 @@ def _cutoffs(n, sigma, seed, positions, marked, ps, L):
             below[p] += int(np.count_nonzero(mag < lo))
             inside = np.flatnonzero((mag >= lo) & (mag <= hi))
             band[p].append((start + inside, mag[inside]))
-    cutoffs = {}
+    cutoffs, w = {}, None
     for p, (lo, hi) in edges.items():
         index, values = (np.concatenate(parts) for parts in zip(*band[p]))
         rank = p - below[p]
         g = float(np.partition(values, rank)[rank]) if 0 <= rank < values.size else math.nan
         if not float(lo) + 2 * delta <= g <= float(hi) - 2 * delta:
-            w = sample_gaussian_weights(n, sigma, seed)
-            w[positions] = marked
-            cutoffs[p] = float(np.partition(np.abs(w, out=w), p)[p])
+            if w is None:
+                w = sample_gaussian_weights(n, sigma, seed)
+                w[positions] = marked
+                np.abs(w, out=w)
+            w.partition(p)
+            cutoffs[p] = float(w[p])
             continue
         # One pair of binary64 edges for the window and the count below it.
         w_lo, w_hi = np.float64(g - 2 * delta), np.float64(g + 2 * delta)

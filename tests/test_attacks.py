@@ -1,7 +1,7 @@
 """Magnitude pruning, Gaussian noise, and keyless targeted-flip attacks."""
 
 import hashlib
-import os
+import threading
 
 import numpy as np
 import pytest
@@ -30,8 +30,7 @@ from cwmark import (
 )
 from cwmark.cli import main
 from cwmark.rng import random_bits, splitmix64_stream
-from cwmark.stats import _NORMAL_CHUNK
-from cwmark.watermark import _ArrayPieces
+from cwmark.watermark import _PIECE, _ArrayPieces
 
 # --- prune -------------------------------------------------------------------
 
@@ -454,7 +453,7 @@ def test_add_noise_into_matches_binary64_recipe_in_place(sigma):
     # Each chunk reads its slice before writing it, so adding into the
     # input itself gives the recipe's bytes; at sigma 0 every -0.0 keeps
     # its sign.
-    w = sample_gaussian_weights(4 * _NORMAL_CHUNK + 3, sigma=0.01, seed=31)
+    w = sample_gaussian_weights(2 * _PIECE + 3, sigma=0.01, seed=31)
     w[::9] = -0.0
     want = old_add_noise(w, sigma, seed=32)
     attacks._add_noise_into(_ArrayPieces(w), sigma, seed=32)
@@ -462,22 +461,20 @@ def test_add_noise_into_matches_binary64_recipe_in_place(sigma):
 
 
 def test_add_noise_into_gives_the_pinned_bytes():
-    w = sample_gaussian_weights(4 * _NORMAL_CHUNK + 3, sigma=0.01, seed=31)
+    w = sample_gaussian_weights(2 * _PIECE + 3, sigma=0.01, seed=31)
     attacks._add_noise_into(_ArrayPieces(w), 0.003, seed=32)
     assert hashlib.sha256(w.tobytes()).hexdigest() == ATTACK_SHA256["noise"]
 
 
 def test_noise_starts_no_thread(monkeypatch, tmp_path):
-    # A piece is at most two sampler chunks, so its noise is drawn on the
-    # calling thread, where add_noise's errstate holds, even with two CPUs.
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    w = sample_gaussian_weights(2 * watermark._PIECE + 5, sigma=0.01, seed=41)
+    # Noise is drawn on the calling thread, where add_noise's errstate holds.
+    w = sample_gaussian_weights(2 * _PIECE + 5, sigma=0.01, seed=41)
     want = old_add_noise(w, 0.003, seed=42)
 
     def no_thread(*args, **kwargs):
         raise AssertionError("noise started a thread")
 
-    monkeypatch.setattr(stats.threading, "Thread", no_thread)
+    monkeypatch.setattr(threading, "Thread", no_thread)
     assert add_noise(w, 0.003, seed=42).tobytes() == want.tobytes()
     src, out = tmp_path / "w.cwcw", tmp_path / "n.cwcw"
     write_weights(src, w)
@@ -513,7 +510,7 @@ def test_inflate_compares_the_bound_in_binary64():
 # --- output bytes ------------------------------------------------------------
 
 # sha256 of attack outputs on one Gaussian vector. Noise runs at
-# n = 4 * _NORMAL_CHUNK + 3, so its draws span two chunk boundaries and end
+# n = 2 * _PIECE + 3, so its draws span two piece boundaries and end
 # on an odd count; a flip hashes the attacked vector, then the touched
 # indices. Any rework of the attacks must reproduce these bytes.
 ATTACK_SHA256 = {
@@ -525,7 +522,7 @@ ATTACK_SHA256 = {
 
 @pytest.mark.parametrize("case", sorted(ATTACK_SHA256))
 def test_attack_bytes_pinned(case):
-    w = sample_gaussian_weights(4 * _NORMAL_CHUNK + 3, sigma=0.01, seed=31)
+    w = sample_gaussian_weights(2 * _PIECE + 3, sigma=0.01, seed=31)
     digest = hashlib.sha256()
     if case == "noise":
         digest.update(add_noise(w, 0.003, seed=32).tobytes())

@@ -876,7 +876,7 @@ def test_eval_falls_back_to_the_exact_recipe_when_a_bracket_misses(monkeypatch):
         cli.stats, "_bracket", lambda p, n, L, sigma, delta: (np.float32(1e-9), np.float32(2e-9))
     )
     assert eval_rows(argv) == want
-    assert len(calls) == 2 * 4  # each trial, each distinct p
+    assert len(calls) == 2  # one exact sample per trial, partitioned for each p
 
 
 def test_eval_bracket_edges_on_sample_values(monkeypatch):

@@ -2,7 +2,6 @@
 
 import functools
 import math
-import os
 import sys
 import threading
 
@@ -33,6 +32,7 @@ from cwmark.rng import (
     splitmix64_stream,
     u64_to_unit,
 )
+from cwmark.watermark import _PIECE
 
 # Frozen from the quadrature oracle (tests/reference.py normal_quantile_tail).
 Q_INV_005 = 1.6448536269514722
@@ -234,12 +234,16 @@ def whole_vector_normals(n: int, seed: int) -> np.ndarray:
     return out[:n]
 
 
-CHUNK = 2 * stats._NORMAL_CHUNK  # values per chunk
+CHUNK = stats._NORMAL_CHUNK  # values per chunk
 
 
+# Sizes about _PIECE (the pieces eval and noise draw) end on or near a
+# chunk edge, past several chunks; 4 * CHUNK + 3 ends inside a Box-Muller pair.
 @pytest.mark.parametrize("seed", [0, 2**64 - 1])
 @pytest.mark.parametrize(
-    "n", [CHUNK - 2, CHUNK - 1, CHUNK, CHUNK + 1, CHUNK + 2, CHUNK + 3, 2 * CHUNK + 1]
+    "n",
+    [_PIECE - 2, _PIECE - 1, _PIECE, _PIECE + 1, _PIECE + 2, _PIECE + 3, 2 * _PIECE + 1,
+     4 * CHUNK + 3],
 )
 def test_sampler_chunks_match_whole_vector_bit_for_bit(n, seed):
     want = whole_vector_normals(n, seed)
@@ -249,7 +253,7 @@ def test_sampler_chunks_match_whole_vector_bit_for_bit(n, seed):
     assert weights.dtype == np.float32
     assert weights.tobytes() == (0.01 * want).astype(np.float32).tobytes()
     # A stretch that starts past 0, inside a Box-Muller pair or not.
-    for first in (1, 2, CHUNK - 1, 3 * stats._NORMAL_CHUNK + 2):
+    for first in (1, 2, CHUNK - 1, 3 * CHUNK + 2):
         tail = whole_vector_normals(first + n, seed)[first:]
         for dtype in (np.float32, np.float64):
             out = np.empty(n, dtype=dtype)
@@ -282,54 +286,26 @@ def words_by_thread(calls) -> dict:
     return spans
 
 
-# Past one chunk of values the two halves are drawn on two threads. Every n
-# here but CHUNK + 1 has an odd n // 2, so the upper half starts inside a
-# Box-Muller pair; 4 * CHUNK + 3 walks several chunks per half.
-@pytest.mark.parametrize("seed", [0, 2**64 - 1])
-@pytest.mark.parametrize(
-    "n", [CHUNK + 1, CHUNK + 2, 2 * CHUNK - 1, 2 * CHUNK + 3, 4 * CHUNK + 3]
-)
-def test_sampler_halves_match_whole_vector_bit_for_bit(monkeypatch, n, seed):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+def test_sampler_draws_one_span_on_the_calling_thread(monkeypatch):
+    # Chunk after chunk, and add_noise piece after piece, each draws the
+    # words that follow the last, on the thread that called.
     calls = draws_by_thread(monkeypatch)
-    # This thread draws the pairs of [0, n // 2), one other thread those of
-    # [n // 2, n): both draw the pair that n // 2 splits.
-    mid = n // 2
-    halves = [(0, 2 * ((mid + 1) // 2)), (2 * (mid // 2), 2 * ((n + 1) // 2))]
-    want = whole_vector_normals(n, seed)
-    got = standard_normals(n, seed)
-    assert got.shape == (n,) and got.tobytes() == want.tobytes()
-    spans = words_by_thread(calls)
-    assert [spans.pop(threading.get_ident()), *spans.values()] == halves
-    weights = sample_gaussian_weights(n, 0.01, seed)
-    assert weights.tobytes() == (0.01 * want).astype(np.float32).tobytes()
-    spans = words_by_thread(calls)
-    assert [spans.pop(threading.get_ident()), *spans.values()] == halves
-
-
-def test_sampler_worker_error_reaches_the_caller(monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    draw = stats._stream_at
-    caller = threading.get_ident()
-
-    def failing(seed, first, count):
-        if threading.get_ident() != caller:
-            raise MemoryError("upper half")
-        return draw(seed, first, count)
-
-    monkeypatch.setattr(stats, "_stream_at", failing)
-    before = threading.active_count()
-    for sample in (lambda: standard_normals(2 * CHUNK, 5),
-                   lambda: sample_gaussian_weights(2 * CHUNK, 0.01, 5)):
-        with pytest.raises(MemoryError, match="upper half"):
-            sample()
-        assert threading.active_count() == before
+    n = 2 * _PIECE + 3
+    want = whole_vector_normals(n, 9)
+    span = {threading.get_ident(): (0, n + 1)}
+    assert standard_normals(n, 9).tobytes() == want.tobytes()
+    assert words_by_thread(calls) == span
+    weights = sample_gaussian_weights(n, 0.5, 9)
+    assert weights.tobytes() == (0.5 * want).astype(np.float32).tobytes()
+    assert words_by_thread(calls) == span
+    add_noise(weights, 0.5, 9)
+    assert words_by_thread(calls) == span
 
 
 # np.uint64 + int overflows, and so does np.int64 & MASK64, so a numpy
-# seed must be taken as a Python int: 2**15 + 1 values reach the second
-# chunk, 4 * _NORMAL_CHUNK + 3 the second piece of add_noise.
-@pytest.mark.parametrize("n", [2**15 + 1, 4 * stats._NORMAL_CHUNK + 3])
+# seed must be taken as a Python int: 2**15 + 1 values end one past a
+# chunk, 2 * _PIECE + 3 in the third piece of add_noise.
+@pytest.mark.parametrize("n", [2**15 + 1, 2 * _PIECE + 3])
 @pytest.mark.parametrize("seed", [5, 2**64 - 1])
 def test_numpy_seed_samples_like_its_int(n, seed):
     w = np.linspace(-1.0, 1.0, n, dtype=np.float32)
@@ -347,11 +323,10 @@ def test_numpy_seed_samples_like_its_int(n, seed):
         assert call(signed).tobytes() == want, (name, signed)
 
 
-def test_sampler_called_from_more_threads_than_cores(monkeypatch):
-    # Each call fills its own vector from two threads; concurrent calls,
-    # switched often, neither share nor lose a half.
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    n = CHUNK + 3
+def test_sampler_called_from_more_threads_than_cores():
+    # Each call fills its own vector; concurrent calls, switched often,
+    # neither share nor lose a chunk.
+    n = 4 * CHUNK + 3
     want = {seed: whole_vector_normals(n, seed).tobytes() for seed in range(6)}
     got = {}
     interval = sys.getswitchinterval()
@@ -369,25 +344,6 @@ def test_sampler_called_from_more_threads_than_cores(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(caller.is_alive() for caller in callers)
     assert got == want
-
-
-def test_sampler_on_one_cpu_starts_no_thread(monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    calls = draws_by_thread(monkeypatch)
-    n = 2 * CHUNK + 3
-    want = whole_vector_normals(n, 9)
-    assert standard_normals(n, 9).tobytes() == want.tobytes()
-    assert words_by_thread(calls) == {threading.get_ident(): (0, n + 1)}
-    weights = sample_gaussian_weights(n, 0.5, 9)
-    assert weights.tobytes() == (0.5 * want).astype(np.float32).tobytes()
-    assert words_by_thread(calls) == {threading.get_ident(): (0, n + 1)}
-
-
-def test_short_sample_starts_no_thread(monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    calls = draws_by_thread(monkeypatch)
-    standard_normals(CHUNK, 3)
-    assert words_by_thread(calls) == {threading.get_ident(): (0, CHUNK)}
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 6, 7, 100])
