@@ -38,6 +38,11 @@ def prune(weights, rate: float) -> tuple[np.ndarray, PruneSpec]:
     return out, _prune_into(_ArrayPieces(out), rate)
 
 
+def _prune_rank(rate: float, n: int) -> int:
+    """prune's p = floor(rate * n), the cutoff's rank, held below n."""
+    return min(int(math.floor(rate * n)), n - 1)
+
+
 def _magnitude_patterns(source, buf: np.ndarray):
     """One pass over source: (bits, mag) for each piece, where bits are its
     binary32 patterns and mag, written into buf, is bits & 0x7FFFFFFF."""
@@ -69,7 +74,7 @@ def _prune_into(source, rate: float) -> PruneSpec:
     zeroes every weight whose pattern lies below it, to +0.0.
     """
     n = source.n
-    p = min(int(math.floor(rate * n)), n - 1)
+    p = _prune_rank(rate, n)
     buf = np.empty(min(n, _PIECE), dtype=np.uint32)
     counts = np.zeros(1 << 16, dtype=np.int64)
     for _, mag in _magnitude_patterns(source, buf):

@@ -22,7 +22,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 from contextlib import nullcontext
 
@@ -247,7 +246,7 @@ def cmd_embed(args, console: _Console) -> int:
         blocked = args.block_bits is not None and args.block_bits < bits.size
         k = args.block_bits if blocked else bits.size
         params = codec.find_params(k, args.alpha).params
-        receipts, _ = watermark._embed_into(
+        receipts = watermark._embed_into(
             source, bits, args.key, thresholds, params, blocked, args.force
         )
         # Inside the block: a document it refuses, or a spec it cannot
@@ -275,17 +274,17 @@ def cmd_embed(args, console: _Console) -> int:
 
 
 def cmd_extract(args, console: _Console) -> int:
-    words: list[np.ndarray] = []
     with model_io._open_weights(args.weights_in) as source:
         doc = model_io.read_spec(args.spec_in)
-        try:
-            joined = watermark._extract_message(source, doc.specs, doc.total_bits, words)
-        except MessageRangeError:
-            console.put(weight_ok=True, range_ok=False)
-            for word in words:
-                console.result(f"codeword: {codeword_str(word)}")
-            console.result("range check: failed")
-            return EXIT_VERIFY
+        words = watermark._extract_words(source, doc.specs)
+    try:
+        joined = watermark._decode_blocks(words, doc.specs, doc.total_bits)
+    except MessageRangeError:
+        console.put(weight_ok=True, range_ok=False)
+        for word in words:
+            console.result(f"codeword: {codeword_str(word)}")
+        console.result("range check: failed")
+        return EXIT_VERIFY
     message = bits_to_hex(joined, doc.total_bits)
     console.put(
         weight_ok=True, range_ok=True, message=message, total_bits=doc.total_bits
@@ -336,7 +335,7 @@ def _eval_rows(args):
     stats._check_sigma(sigma)
     params = codec.find_params(args.k, args.alpha).params
     thresholds = stats.design_thresholds(sigma, args.design_rate, two_sided=args.two_sided)
-    ps = [min(int(math.floor(rate * n)), n - 1) for rate in args.attack_rates]
+    ps = [attacks._prune_rank(rate, n) for rate in args.attack_rates]
     for trial_seed in splitmix64_stream(args.seed, args.trials).tolist():
         weight_seed, key, message_seed = splitmix64_stream(trial_seed, 3).tolist()
         message = random_bits(message_seed, args.k)

@@ -4,6 +4,7 @@ Weight files are little-endian regardless of host: 4-byte magic "CWCW",
 u16 format version (currently 1), u64 count, then the binary32 payload.
 Spec files are line-oriented "name: value" text with positions stored
 explicitly, so extraction never has to reproduce the position PRNG.
+The spec header is one table, _SPEC_HEADER, that write_spec and read_spec walk.
 All writes go through a temp file and os.replace, so readers never see
 a half-written file.
 
@@ -47,6 +48,14 @@ _HEADER = struct.Struct("<4sHQ")
 _SWAP = sys.byteorder != "little"
 
 SPEC_FORMAT = "cwmark-spec/1"
+# The spec header's fields in file order, each with the type its value is
+# parsed as. A document may leave out the last two: blocks then defaults
+# to 1 and total_bits to blocks * k.
+_SPEC_HEADER = (
+    ("format", str), ("key", int), ("k", int), ("alpha", int), ("L", int),
+    ("t0", float), ("t1", float), ("sigma", float), ("rate", float),
+    ("blocks", int), ("total_bits", int),
+)
 
 
 @contextmanager
@@ -246,20 +255,17 @@ class SpecDocument:
 
 
 def write_spec(path, doc: SpecDocument) -> None:
-    """Write a spec document; floats carry full binary64 precision."""
+    """Write a spec document; floats carry full binary64 precision. format()
+    writes a numpy scalar as the Python number it holds (a binary32 one
+    widened exactly), where its repr would not parse."""
     first = doc.specs[0]
+    p = first.params
+    header = (
+        SPEC_FORMAT, first.key, p.k, p.alpha, p.L, *first.thresholds,
+        doc.sigma, doc.rate, len(doc.specs), doc.total_bits,
+    )
     lines = [
-        f"format: {SPEC_FORMAT}",
-        f"key: {first.key}",
-        f"k: {first.params.k}",
-        f"alpha: {first.params.alpha}",
-        f"L: {first.params.L}",
-        f"t0: {first.thresholds.t0!r}",
-        f"t1: {first.thresholds.t1!r}",
-        f"sigma: {doc.sigma!r}",
-        f"rate: {doc.rate!r}",
-        f"blocks: {len(doc.specs)}",
-        f"total_bits: {doc.total_bits}",
+        f"{name}: {value}" for (name, _), value in zip(_SPEC_HEADER, header, strict=True)
     ]
     for name, spec in zip(_position_fields(len(doc.specs)), doc.specs):
         lines.append(f"{name}: " + " ".join(map(str, spec.positions)))
@@ -288,31 +294,22 @@ def _parse_fields(text: str) -> dict[str, str]:
     return fields
 
 
-def _require(fields: dict[str, str], name: str) -> str:
+def _parse(name: str, value: str | None, kind):
+    """The value of field name as kind (str, int or float); SpecFormatError
+    if the field is missing (value None) or its value does not parse."""
+    if value is None:
+        raise SpecFormatError(f"missing field {name!r}")
     try:
-        return fields.pop(name)
-    except KeyError:
-        raise SpecFormatError(f"missing field {name!r}") from None
-
-
-def _parse_int(name: str, value: str) -> int:
-    try:
-        return int(value, 10)
+        return kind(value)
     except ValueError:
-        raise SpecFormatError(f"field {name!r}: not a decimal integer: {value!r}") from None
-
-
-def _parse_float(name: str, value: str) -> float:
-    try:
-        return float(value)
-    except ValueError:
-        raise SpecFormatError(f"field {name!r}: not a number: {value!r}") from None
+        noun = "a decimal integer" if kind is int else "a number"
+        raise SpecFormatError(f"field {name!r}: not {noun}: {value!r}") from None
 
 
 def _parse_positions(name: str, value: str) -> tuple[int, ...]:
     if not value:
         raise SpecFormatError(f"field {name!r}: empty position list")
-    return tuple(_parse_int(name, token) for token in value.split())
+    return tuple(_parse(name, token, int) for token in value.split())
 
 
 def read_spec(path) -> SpecDocument:
@@ -331,24 +328,24 @@ def read_spec(path) -> SpecDocument:
     except UnicodeDecodeError as exc:
         raise SpecFormatError(f"spec is not ASCII text: {exc}") from None
     fields = _parse_fields(text)
-    fmt = _require(fields, "format")
+    header = iter(_SPEC_HEADER)
+
+    def take(default=None):
+        # The next header field, parsed after the checks on those before it.
+        name, kind = next(header)
+        return _parse(name, fields.pop(name, default), kind)
+
+    fmt = take()
     if fmt != SPEC_FORMAT:
         raise SpecFormatError(f"unknown format {fmt!r}, expected {SPEC_FORMAT!r}")
-    key = _parse_int("key", _require(fields, "key"))
-    k = _parse_int("k", _require(fields, "k"))
-    alpha = _parse_int("alpha", _require(fields, "alpha"))
-    big_l = _parse_int("L", _require(fields, "L"))
-    t0 = _parse_float("t0", _require(fields, "t0"))
-    t1 = _parse_float("t1", _require(fields, "t1"))
-    sigma = _parse_float("sigma", _require(fields, "sigma"))
-    rate = _parse_float("rate", _require(fields, "rate"))
-    blocks = _parse_int("blocks", fields.pop("blocks", "1"))
+    key, k, alpha, big_l, t0, t1, sigma, rate = [take() for _ in range(8)]
+    blocks = take("1")
     if blocks < 1:
         raise SpecFormatError(f"blocks must be >= 1, got {blocks}")
-    total_bits = _parse_int("total_bits", fields.pop("total_bits", str(blocks * k)))
+    total_bits = take(str(blocks * k))
 
     position_lists = [
-        _parse_positions(name, _require(fields, name))
+        _parse_positions(name, _parse(name, fields.pop(name, None), str))
         for name in _position_fields(blocks)
     ]
     if fields:

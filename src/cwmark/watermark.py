@@ -259,11 +259,11 @@ def _top_alpha(mag: np.ndarray, alpha: int) -> np.ndarray:
 
 
 def _embed_into(source, message, key, thresholds, params, blocked, allow_dense):
-    """Embed message into the finite binary32 source; return the receipts
-    and the projected codewords. Blocked, block j of params.k bits takes the
-    first _block_selection_seeds(key, j) seed whose positions miss the
-    earlier blocks'; unblocked, the message is one codeword at key's. Every
-    block is selected and encoded before one pass projects them all."""
+    """Embed message into the finite binary32 source; return one receipt per
+    block. Blocked, block j of params.k bits takes the first
+    _block_selection_seeds(key, j) seed whose positions miss the earlier
+    blocks'; unblocked, the message is one codeword at key's. Every block
+    is selected and encoded before one pass projects them all."""
     blocks = split_blocks(message, params.k) if blocked else [message]
     _check_selection(len(blocks) * params.L, source.n, allow_dense)
     taken: set[int] = set()
@@ -276,7 +276,7 @@ def _embed_into(source, message, key, thresholds, params, blocked, allow_dense):
             EmbedSpec(key=key, params=params, thresholds=thresholds, positions=chosen)
         )
         words.append(encode(block, params))
-    return _project(source, specs, words), words
+    return _project(source, specs, words)
 
 
 def embed_message(
@@ -294,15 +294,16 @@ def embed_message(
     too dense for the vector is refused before its ladder is built.
     """
     out = as_weight_vector(weights).copy()
-    (receipt,), _ = _embed_into(
+    (receipt,) = _embed_into(
         _ArrayPieces(out), message, key, thresholds, params, False, allow_dense
     )
     return out, receipt
 
 
 def extract_message(weights, spec: EmbedSpec) -> np.ndarray:
-    """extract -> decode; raises MessageRangeError on out-of-space codewords."""
-    return decode(extract(weights, spec), spec.params)
+    """extract -> decode, the one-block case of extract_message_blocks;
+    raises MessageRangeError on out-of-space codewords."""
+    return extract_message_blocks(weights, [spec], spec.params.k)
 
 
 def split_blocks(message, k_block: int) -> list[np.ndarray]:
@@ -371,16 +372,14 @@ def embed_message_blocks(
     # k_block is refused before a k_block-bit buffer is allocated.
     params = find_params(k_block, alpha).params
     out = w.copy()
-    receipts, _ = _embed_into(
+    receipts = _embed_into(
         _ArrayPieces(out), message, key, thresholds, params, True, allow_dense
     )
     return out, [r.spec for r in receipts], receipts
 
 
-def _extract_message(source, specs, total_bits: int, words: list) -> np.ndarray:
-    """extract_message_blocks on the finite binary32 source; every codeword
-    goes into words before any is decoded, so a MessageRangeError keeps them."""
-    words.extend(_extract_words(source, specs))
+def _decode_blocks(words, specs, total_bits: int) -> np.ndarray:
+    """Decode each spec's codeword and rejoin the first total_bits bits."""
     blocks = [decode(word, spec.params) for word, spec in zip(words, specs)]
     return join_blocks(blocks, total_bits)
 
@@ -393,6 +392,5 @@ def extract_message_blocks(weights, specs, total_bits: int) -> np.ndarray:
     any is decoded, so a position past the vector in any block raises
     PositionRangeError first.
     """
-    return _extract_message(
-        _ArrayPieces(as_weight_vector(weights)), specs, total_bits, []
-    )
+    words = _extract_words(_ArrayPieces(as_weight_vector(weights)), specs)
+    return _decode_blocks(words, specs, total_bits)

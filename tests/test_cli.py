@@ -201,9 +201,9 @@ def test_memory_error_exits_2_with_one_line(capsys, monkeypatch):
 
 @pytest.mark.parametrize(
     "message",
-    ["zz", "dead_beef", " ff", "ff ", "+ff", "0x_ff", "\u0661\u0662", "\uff46"],
+    ["zz", "dead_beef", " ff", "ff ", "+ff", "0x_ff", "\u0661\u0662", "\uff46", "0x"],
     ids=["letters", "underscore", "leading-space", "trailing-space", "plus",
-         "prefix-underscore", "arabic-indic-digits", "fullwidth-f"],
+         "prefix-underscore", "arabic-indic-digits", "fullwidth-f", "prefix-only"],
 )
 def test_encode_bad_hex_rejected(capsys, message):
     # int(body, 16) accepts the underscore, space, plus and Arabic-Indic
@@ -211,6 +211,21 @@ def test_encode_bad_hex_rejected(capsys, message):
     with pytest.raises(SystemExit) as err:
         run(capsys, "encode", "--message", message, "-a", "2")
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("eval --attack-rates ,", "empty rate list"),
+        ("decode --codeword 012 -k 1", "codeword must be a nonempty 0/1 string"),
+    ],
+    ids=["empty-rate-list", "non-binary-codeword"],
+)
+def test_malformed_list_arguments_exit_2(capsys, argv, message):
+    with pytest.raises(SystemExit) as err:
+        main(argv.split())
+    assert err.value.code == 2
+    assert message in capsys.readouterr().err
 
 
 def test_embed_bad_hex_rejected_before_writing(capsys, tmp_path):

@@ -1,5 +1,6 @@
 """Weight-file and spec-file formats: bit-exact, byte-deterministic, strict."""
 
+import dataclasses
 import errno
 import os
 import struct
@@ -22,6 +23,7 @@ from cwmark import (
     TruncatedPayloadError,
     UnsupportedVersionError,
     WeightFileError,
+    design_thresholds,
     extract,
     read_spec,
     read_weights,
@@ -279,6 +281,46 @@ def test_spec_roundtrip_multi_block(tmp_path):
     assert "positions.0:" in text and "positions.2:" in text
 
 
+def numpy_scalar_doc(sigma, rate, thresholds, key, k, alpha, L):
+    """A one-block document built from the given scalars as they are."""
+    params = CodeParams(k=k, alpha=alpha, L=L)
+    spec = EmbedSpec(key=key, params=params, thresholds=thresholds, positions=range(16))
+    return SpecDocument.single(spec, sigma, rate)
+
+
+def float_values(doc):
+    return [float(v) for v in (doc.sigma, doc.rate, *doc.spec.thresholds)]
+
+
+PLAIN = dict(sigma=0.01, rate=0.95, thresholds=PAIR, key=42, k=8, alpha=3, L=16)
+
+
+@pytest.mark.parametrize(
+    "scalars, same_bytes",
+    [
+        (dict(sigma=np.float64(0.01), rate=np.float64(0.95),
+              thresholds=design_thresholds(np.float64(0.01), 0.95)), True),
+        (dict(thresholds=ThresholdPair(t0=np.float32(PAIR.t0), t1=np.float32(PAIR.t1))),
+         False),
+        (dict(key=np.uint64(42), k=np.int64(8), alpha=np.int64(3), L=np.int64(16)), True),
+    ],
+    ids=["float64", "float32", "integer"],
+)
+def test_spec_numpy_scalars_roundtrip(tmp_path, scalars, same_bytes):
+    # A header value may be a numpy scalar, as sigma = np.std(w) is: it is
+    # written as the plain number it holds, so it reads back as that same
+    # binary64 value, not as one that merely rounds to it in binary32. A
+    # binary64 or integer scalar gives the bytes of the Python-scalar document.
+    doc = numpy_scalar_doc(**{**PLAIN, **scalars})
+    path, plain = tmp_path / "numpy.spec", tmp_path / "plain.spec"
+    write_spec(path, doc)
+    write_spec(plain, numpy_scalar_doc(**PLAIN))
+    back = read_spec(path)
+    assert back == doc
+    assert float_values(back) == float_values(doc)
+    assert (path.read_bytes() == plain.read_bytes()) == same_bytes
+
+
 def test_spec_byte_deterministic(tmp_path):
     doc = make_doc(blocks=2)
     a, b = tmp_path / "a", tmp_path / "b"
@@ -293,6 +335,57 @@ def edit_spec(tmp_path, transform):
     write_spec(path, doc)
     path.write_text(transform(path.read_text()))
     return path
+
+
+def test_spec_comments_and_blank_lines_read_back_equal(tmp_path):
+    path = edit_spec(
+        tmp_path,
+        lambda t: "# a comment\n\n" + t.replace("\nk:", "\n  # indented\n\t\nk:") + "\n",
+    )
+    assert read_spec(path) == make_doc()
+
+
+def changed(*drop, **values):
+    """A spec edit: drop the fields named in drop, give the others values."""
+    def edit(text):
+        lines = []
+        for line in text.splitlines(keepends=True):
+            name = line.partition(":")[0]
+            if name not in drop:
+                lines.append(f"{name}: {values[name]}\n" if name in values else line)
+        return "".join(lines)
+    return edit
+
+
+def test_spec_without_blocks_and_total_bits_is_one_block_of_k_bits(tmp_path):
+    path = edit_spec(tmp_path, changed("blocks", "total_bits"))
+    assert read_spec(path) == make_doc()
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (changed("key", format="cwmark-spec/2"),
+         "unknown format 'cwmark-spec/2', expected 'cwmark-spec/1'"),
+        (changed("alpha"), "missing field 'alpha'"),
+        (changed("k", L="x"), "missing field 'k'"),
+        (changed(t1="x"), "field 't1': not a number: 'x'"),
+        (changed(blocks="0", total_bits="x"), "blocks must be >= 1, got 0"),
+        (changed(total_bits="8.0"), "field 'total_bits': not a decimal integer: '8.0'"),
+        (changed("positions"), "missing field 'positions'"),
+        (changed(positions=""), "field 'positions': empty position list"),
+        (changed(positions="0 x1"), "field 'positions': not a decimal integer: 'x1'"),
+        (lambda t: t + "positions.0: 1\n", "unknown fields: ['positions.0']"),
+    ],
+    ids=["format-first", "missing", "missing-before-malformed", "float",
+         "blocks-before-total-bits", "int", "missing-positions", "empty-positions",
+         "position-token", "unknown"],
+)
+def test_spec_error_names_the_first_fault_in_file_order(tmp_path, edit, message):
+    path = edit_spec(tmp_path, edit)
+    with pytest.raises(SpecFormatError) as err:
+        read_spec(path)
+    assert str(err.value) == message
 
 
 def test_spec_duplicate_field(tmp_path):
@@ -373,6 +466,24 @@ def test_spec_document_validation():
     with pytest.raises(ValueError):
         doc.spec  # multi-block document has no single spec
     assert make_doc().spec is not None
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        dict(key=43),
+        dict(params=CodeParams(k=8, alpha=4, L=16)),
+        dict(thresholds=ThresholdPair(t0=0.001, t1=0.002)),
+    ],
+    ids=["key", "params", "thresholds"],
+)
+def test_spec_document_blocks_must_share_code(change):
+    first, second = make_doc(blocks=2).specs
+    with pytest.raises(ValueError, match="must share"):
+        SpecDocument(
+            specs=(first, dataclasses.replace(second, **change)),
+            sigma=0.01, rate=0.5, total_bits=16,
+        )
 
 
 def test_spec_atomicity_and_clean_directory(tmp_path):
