@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import CwmarkError
 from .rng import splitmix64_stream
-from .stats import _fill_normals, estimate_sigma
+from .stats import _fill_normals, _scratch, estimate_sigma
 from .watermark import _PIECE, _all_finite, _ArrayPieces, as_weight_vector
 
 
@@ -117,13 +117,13 @@ def _add_noise_into(source, sigma_noise: float, seed: int) -> None:
     piece; trusts sigma_noise. Refuses a level whose noised weights leave
     binary32 (CwmarkError), at the first piece that does. The sampler draws
     each piece's noise on this thread, under its errstate."""
-    drawn = np.empty(min(source.n, _PIECE), dtype=np.float64)
+    drawn, scratch = np.empty(min(source.n, _PIECE), dtype=np.float64), _scratch()
     for start, piece in source.pieces():
         # Adding 0 * normal would turn -0.0 into +0.0.
         if sigma_noise:
             noise = drawn[: piece.size]
             with np.errstate(over="ignore", invalid="ignore"):
-                _fill_normals(noise, seed, sigma_noise, start)
+                _fill_normals(noise, seed, sigma_noise, start, scratch=scratch)
                 noise += piece
                 piece[:] = noise
             if not _all_finite(piece):

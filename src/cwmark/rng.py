@@ -37,10 +37,16 @@ def splitmix64_stream(seed: int, count: int) -> np.ndarray:
     return _stream_at(seed, 0, count)
 
 
-def _stream_at(seed: int, first: int, count: int) -> np.ndarray:
+def _stream_at(seed: int, first: int, count: int, scratch=None) -> np.ndarray:
     """Outputs first + 1 .. first + count of the SplitMix64 stream of
-    `seed`, as uint64; trusts first and count to be nonnegative."""
-    return _stream_gather(seed, np.arange(first + 1, first + count + 1, dtype=np.uint64))
+    `seed`, as uint64; trusts first and count to be nonnegative. Given
+    scratch (steps, words, spare) with steps[j] = (j + 1) * GOLDEN_GAMMA
+    mod 2**64, they are computed in words and allocate nothing."""
+    if scratch is None:
+        return _stream_gather(seed, np.arange(first + 1, first + count + 1, dtype=np.uint64))
+    steps, words, spare = scratch
+    start = np.uint64((first * GOLDEN_GAMMA + int(seed)) & MASK64)
+    return _mix(np.add(steps[:count], start, out=words[:count]), spare[:count])
 
 
 def _stream_gather(seed: int, z: np.ndarray) -> np.ndarray:
@@ -48,11 +54,16 @@ def _stream_gather(seed: int, z: np.ndarray) -> np.ndarray:
     stream of `seed`, computed in z."""
     z *= np.uint64(GOLDEN_GAMMA)
     z += np.uint64(int(seed) & MASK64)  # a numpy seed is taken as a Python int
-    z ^= z >> np.uint64(30)
+    return _mix(z)
+
+
+def _mix(z: np.ndarray, spare=None) -> np.ndarray:
+    """mix64 of each of z, in z; spare, if given, takes the shifts."""
+    z ^= np.right_shift(z, np.uint64(30), out=spare)
     z *= np.uint64(0xBF58476D1CE4E5B9)
-    z ^= z >> np.uint64(27)
+    z ^= np.right_shift(z, np.uint64(27), out=spare)
     z *= np.uint64(0x94D049BB133111EB)
-    z ^= z >> np.uint64(31)
+    z ^= np.right_shift(z, np.uint64(31), out=spare)
     return z
 
 

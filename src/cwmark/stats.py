@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ThresholdDesignError
-from .rng import _stream_at, _stream_gather, u64_to_unit
+from .rng import GOLDEN_GAMMA, _stream_at, _stream_gather
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -204,25 +204,45 @@ def _check_sigma(sigma: float) -> None:
         raise ValueError(f"sigma must lie in (0, 3.9698e37) for a finite sample, got {sigma!r}")
 
 
-# Values per chunk of the sampler: each binary64 temporary is 64 KiB,
-# which the C heap reuses; from 128 KiB on they take fresh pages.
-_NORMAL_CHUNK = 1 << 13
+# Values per chunk of the sampler. A pass allocates its buffers once (see
+# _scratch), so no chunk takes fresh pages, whatever its size.
+_NORMAL_CHUNK = 1 << 14
 
 
-def _box_muller(words: np.ndarray, scale: float, screen: bool = False) -> np.ndarray:
-    """scale * the Box-Muller values of the stream word pairs, in binary64 and
-    in order. Screened, each angle is rounded to binary32 and its cos and sin
-    are taken there, 16 times faster; the radius's log stays binary64."""
-    u = u64_to_unit(words)
-    radius = np.sqrt(-2.0 * np.log(u[0::2]))
-    angle = (2.0 * np.pi) * u[1::2]
-    if screen:
-        angle = angle.astype(np.float32)
-    values = np.empty(u.size, dtype=np.float64)
-    np.multiply(radius, np.cos(angle), out=values[0::2])
-    np.multiply(radius, np.sin(angle), out=values[1::2])
-    values *= scale
-    return values
+def _scratch(pairs: int | None = None) -> tuple:
+    """One sampler pass's buffers, for chunks of up to `pairs` pairs (default
+    _NORMAL_CHUNK // 2): the draw's (steps, words, spare) (see _stream_at),
+    and u and trig, (2, pairs) binary64; the words lie in trig, spare in u."""
+    pairs = _NORMAL_CHUNK // 2 if pairs is None else pairs
+    steps = np.arange(1, 2 * pairs + 1, dtype=np.uint64) * np.uint64(GOLDEN_GAMMA)
+    u, trig = np.empty((2, 2, pairs))
+    return (steps, trig.reshape(-1).view(np.uint64), u.reshape(-1).view(np.uint64)), u, trig
+
+
+def _box_muller(words: np.ndarray, scale: float, screen: bool = False, scratch=None) -> np.ndarray:
+    """scale * the Box-Muller values of the stream word pairs, in binary64:
+    pair i's cos value at [0, i] and sin value at [1, i] of scratch's u (see
+    _scratch), as u1 and u2 were. Screened, each angle is rounded to binary32
+    and its cos and sin are taken there, 16 times faster; the radius's log
+    stays binary64. Every step after the first runs on contiguous rows."""
+    half = words.size // 2
+    (_, top, _), u, trig = scratch or _scratch(half)
+    u, trig = u[:, :half], (trig.view(np.float32) if screen else trig)[:, :half]
+    # u64_to_unit, in place; as int64 the top 53 bits convert faster, and exactly.
+    top = np.right_shift(words, np.uint64(11), out=top[: words.size])
+    np.copyto(u, top.view(np.int64).reshape(half, 2).T)
+    u += 1.0
+    u *= 2.0**-53
+    radius = np.log(u[0], out=u[0])
+    radius *= -2.0
+    np.sqrt(radius, out=radius)
+    np.multiply(u[1], 2.0 * np.pi, out=trig[1])
+    np.cos(trig[1], out=trig[0])
+    np.sin(trig[1], out=trig[1])
+    np.multiply(radius, trig[1], out=u[1])
+    np.multiply(radius, trig[0], out=u[0])
+    u *= scale
+    return u
 
 
 def _screen_error(scale: float) -> float:
@@ -231,7 +251,7 @@ def _screen_error(scale: float) -> float:
 
 
 def _fill_normals(
-    out: np.ndarray, seed: int, scale: float, first: int = 0, screen: bool = False
+    out: np.ndarray, seed: int, scale: float, first: int = 0, screen: bool = False, scratch=None
 ) -> None:
     """out[i] = scale * standard_normals(first + out.size, seed)[first + i]
     in binary64, rounded once to out's dtype; screened (see _box_muller),
@@ -239,24 +259,26 @@ def _fill_normals(
 
     Pair a of the sample is stream outputs 2a + 1 and 2a + 2, so each
     chunk of _NORMAL_CHUNK // 2 pairs draws only its own words, in order,
-    on the calling thread.
+    on the calling thread, in scratch (see _scratch) that every call of one
+    pass may share.
     """
-    step, stop = _NORMAL_CHUNK // 2, first + out.size
+    draw, u, _ = scratch = scratch or _scratch()
+    step, stop = u.shape[1], first + out.size
     total = (stop + 1) // 2
     for a in range(first // 2, total, step):
         b = min(a + step, total)
-        values = _box_muller(_stream_at(seed, 2 * a, 2 * (b - a)), scale, screen)
+        cos, sin = _box_muller(_stream_at(seed, 2 * a, 2 * (b - a), draw), scale, screen, scratch)
         at, end = max(2 * a, first), min(2 * b, stop)
-        out[at - first : end - first] = values[at - 2 * a : end - 2 * a]
-        del values  # so the next chunk's temporaries reuse its heap space
+        lo, hi, piece = at - 2 * a, end - 2 * a, out[at - first : end - first]
+        piece[lo % 2 :: 2] = cos[(lo + 1) // 2 : (hi + 1) // 2]
+        piece[1 - lo % 2 :: 2] = sin[lo // 2 : hi // 2]
 
 
 def _normals_at(seed: int, index: np.ndarray, scale: float) -> np.ndarray:
     """scale * standard_normals(n, seed)[index] for any n past index, in
     binary64: the two words of each value's pair are drawn at their counters."""
     counters = ((index // 2 * 2)[:, None] + (1, 2)).astype(np.uint64).ravel()
-    values = _box_muller(_stream_gather(seed, counters), scale)
-    return values[2 * np.arange(index.size) + index % 2]
+    return _box_muller(_stream_gather(seed, counters), scale)[index % 2, np.arange(index.size)]
 
 
 def standard_normals(n: int, seed: int) -> np.ndarray:
@@ -270,9 +292,9 @@ def standard_normals(n: int, seed: int) -> np.ndarray:
     and the sequence is truncated to n. The u64 stream is bit-exact across
     implementations; the float outputs are only comparable within normal
     transcendental-function tolerances. Outputs are produced in chunks of
-    at most 2**13 values, in order on the calling thread (see
-    _fill_normals); each chunk draws only its own stream words, with the
-    same bits as the whole-vector transform.
+    at most 2**14 values, in order on the calling thread, in buffers the
+    call allocates once (see _fill_normals); each chunk draws only its own
+    stream words, with the same bits as the whole-vector transform.
     _normals_at recomputes any values from their own words, with the same
     bits; the eval harness screens with binary32 angles and recomputes the
     values its rows read.
@@ -324,10 +346,10 @@ def _cutoffs(n, sigma, seed, positions, marked, ps, L):
     edges = {p: _bracket(p, n, L, sigma, delta) for p in ps}
     below, band = dict.fromkeys(edges, 0), {p: [] for p in edges}
     # Pieces of 2**16 values: the per-rate counts run once a piece.
-    buf = np.empty(min(n, 1 << 16), dtype=np.float32)
+    buf, scratch = np.empty(min(n, 1 << 16), dtype=np.float32), _scratch()
     for start in range(0, n, buf.size):
         piece = buf[: n - start]
-        _fill_normals(piece, seed, sigma, start, screen=True)
+        _fill_normals(piece, seed, sigma, start, screen=True, scratch=scratch)
         here = (positions >= start) & (positions < start + piece.size)
         piece[positions[here] - start] = marked[here]
         mag = np.abs(piece, out=piece)

@@ -138,7 +138,7 @@ class EmbedSpec:
     def __post_init__(self):
         if not 0 <= self.key <= MASK64:
             raise ValueError("key must be an unsigned 64-bit integer")
-        object.__setattr__(self, "positions", tuple(int(p) for p in self.positions))
+        object.__setattr__(self, "positions", tuple(map(int, self.positions)))
         if len(self.positions) != self.params.L:
             raise ValueError(
                 f"{len(self.positions)} positions for codeword length {self.params.L}"

@@ -92,7 +92,8 @@ def test_prune_peak(weights):
 
 
 def test_sample_gaussian_weights_peak():
-    # The result and one 2**13-value chunk of draws: 1.018 (2**15-value
+    # The result and the sampler's buffers for 2**14-value chunks: 1.024
+    # (the temporaries of each 2**13-value chunk: 1.018; 2**15-value
     # chunks, a half vector on each of two threads: 1.17; a whole chunk on
     # each thread: 1.38; the whole stream, its uniforms, radius, angle and
     # doubles at once: 7.0).
@@ -100,10 +101,10 @@ def test_sample_gaussian_weights_peak():
 
 
 def test_add_noise_peak(weights):
-    # The result, one piece of binary64 noise and one 2**13-value chunk of
-    # draws: 1.049 (2**15-value chunks: 1.12; a whole chunk of draws per
-    # piece: 1.17; whole-vector binary64 noise, widened weights and their
-    # sum: 5.0).
+    # The result, one piece of binary64 noise and the sampler's buffers:
+    # 1.059 (the temporaries of each 2**13-value chunk: 1.049; 2**15-value
+    # chunks: 1.12; a whole chunk of draws per piece: 1.17; whole-vector
+    # binary64 noise, widened weights and their sum: 5.0).
     assert peak_over_payload(add_noise, weights, 0.001, seed=22) <= 1.1
 
 
@@ -170,10 +171,11 @@ def test_cli_prune_peak(tmp_path, weights):
 
 
 def test_cli_noise_peak(tmp_path, weights):
-    # One piece of the file, one piece of binary64 noise and one 2**13-value
-    # chunk of draws with its temporaries: 0.070 (2**15-value chunks: 0.139;
-    # a whole chunk of draws per piece: 0.193; adding the noise into the
-    # vector read_weights returned: 1.19; into a copy of it: 2.19).
+    # One piece of the file, one piece of binary64 noise and the sampler's
+    # buffers: 0.079 (the temporaries of each 2**13-value chunk: 0.070;
+    # 2**15-value chunks: 0.139; a whole chunk of draws per piece: 0.193;
+    # adding the noise into the vector read_weights returned: 1.19; into a
+    # copy of it: 2.19).
     src = tmp_path / "w.cwcw"
     write_weights(src, weights)
     argv = ["--quiet", "noise", str(src), str(tmp_path / "n.cwcw"), "--level", "0.001"]
@@ -240,9 +242,10 @@ def test_cli_prune_child_maxrss(tmp_path, weights):
 )
 def test_cli_eval_child_maxrss():
     # Each trial draws its sample in pieces of 2**16 values and keeps only
-    # the bracketed magnitudes: 1.6-1.9 MiB above a bare encode child (with
-    # a lookup table for the marked positions: 3.2-3.4; the 16 MiB sample
-    # held whole, drawn on two threads: 21.3).
+    # the bracketed magnitudes: 2.0-2.2 MiB above a bare encode child (with
+    # the temporaries of each 2**13-value chunk in place of the sampler's
+    # buffers: 1.6-1.9; with a lookup table for the marked positions:
+    # 3.2-3.4; the 16 MiB sample held whole, drawn on two threads: 21.3).
     bare = child_maxrss_kib("--quiet", "encode", "--message", "ab", "-a", "2")
     evaluated = child_maxrss_kib(
         "--quiet", "--seed", "24", "eval", "--trials", "3", "--n", str(N), "--two-sided"
@@ -260,11 +263,12 @@ def test_extract_message_blocks_peak(weights):
 
 
 def test_eval_rows_peak():
-    # Three trials, each one screened pass in pieces that keeps the indices
-    # and magnitudes inside each rate's bracket: 0.070 (with a lookup table
-    # for the marked positions: 0.144; the sample held whole, marked in
-    # place: 1.20; with a marked copy: 2.02; with that copy alive into the
-    # next trial: 3.02).
+    # Three trials, each one screened pass in pieces, in the sampler's
+    # buffers, that keeps the indices and magnitudes inside each rate's
+    # bracket: 0.094 (with the temporaries of each 2**13-value chunk in
+    # place of those buffers: 0.070; with a lookup table for the marked
+    # positions: 0.144; the sample held whole, marked in place: 1.20; with
+    # a marked copy: 2.02; with that copy alive into the next trial: 3.02).
     args = build_parser().parse_args(
         ["--seed", "24", "eval", "--trials", "3", "--n", str(N), "--two-sided"]
     )

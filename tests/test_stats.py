@@ -262,13 +262,14 @@ def test_sampler_chunks_match_whole_vector_bit_for_bit(n, seed):
 
 
 def draws_by_thread(monkeypatch):
-    """Patch _stream_at to record (thread ident, first, count) for each call."""
+    """Patch _stream_at to record (thread ident, first, count) for each call;
+    the sampler's scratch, if any, is passed on."""
     calls = []
     draw = stats._stream_at
 
-    def recording(seed, first, count):
+    def recording(seed, first, count, *scratch):
         calls.append((threading.get_ident(), first, count))
-        return draw(seed, first, count)
+        return draw(seed, first, count, *scratch)
 
     monkeypatch.setattr(stats, "_stream_at", recording)
     return calls
@@ -460,8 +461,13 @@ def test_stream_gather_draws_any_counters():
 @pytest.mark.parametrize("length", [1, 3, 7, 13, 17, 31, 1001])
 def test_binary64_cos_and_sin_give_chunk_bits_on_gathered_angles(length):
     # _normals_at takes cos and sin of gathered angles; the exact sampler
-    # takes them of whole chunks. Both must give the same bits.
+    # takes them of whole chunks. Both must give the same bits. The sampler
+    # takes the log of u1 as a contiguous row, the recipe of u[0::2]: the
+    # strided and the contiguous log must agree too, also at u = 2**-53 and 1.
     u = u64_to_unit(_stream_at(3, 0, CHUNK))
+    edges = u64_to_unit(np.array([0, 1, 2**64 - 2**11, 2**64 - 1], dtype=np.uint64))
+    for head in (u[: 2 * length], np.resize(edges, 2 * length)):
+        assert np.log(head[0::2]).tobytes() == np.log(head[0::2].copy()).tobytes()
     angle = (2.0 * np.pi) * u[1::2]
     rng = np.random.default_rng(length)
     index = rng.choice(angle.size, length, replace=False)
@@ -494,6 +500,43 @@ def screened_and_exact(words, sigma):
         stats._box_muller(words, sigma, screen=True).astype(np.float32),
         stats._box_muller(words, sigma).astype(np.float32),
     )
+
+
+def whole_vector_screened(n: int, seed: int, sigma: float) -> np.ndarray:
+    # The screened recipe over the whole stream at once: the binary64
+    # radius, the angle rounded to binary32, its binary32 cos and sin, times
+    # the radius and then sigma in binary64, rounded once to binary32.
+    pairs = (n + 1) // 2
+    u = u64_to_unit(splitmix64_stream(seed, 2 * pairs))
+    radius = np.sqrt(-2.0 * np.log(u[0::2]))
+    angle = ((2.0 * np.pi) * u[1::2]).astype(np.float32)
+    out = np.empty(2 * pairs, dtype=np.float64)
+    out[0::2] = radius * np.cos(angle).astype(np.float64)
+    out[1::2] = radius * np.sin(angle).astype(np.float64)
+    return (out[:n] * sigma).astype(np.float32)
+
+
+# The README's delta assumes exactly these roundings. Stretches start inside
+# a pair or not, end on or past chunk edges, and come in odd pieces that
+# share one pass's scratch, as eval's pieces do.
+@pytest.mark.parametrize("chunk", [None, 3])
+@pytest.mark.parametrize("sigma", [0.01, 1e-44])
+@pytest.mark.parametrize("first", [0, 1, CHUNK - 1, 2 * CHUNK + 3])
+def test_screened_sampler_gives_the_recipe_bits(monkeypatch, chunk, sigma, first):
+    if chunk:
+        monkeypatch.setattr(stats, "_NORMAL_CHUNK", chunk)
+    sizes = (1, 2, 7, 100) if chunk else (1, 2, CHUNK - 1, CHUNK + 1, 2 * CHUNK + 2)
+    for n in sizes:
+        want = whole_vector_screened(first + n, 5, sigma)[first:]
+        got = np.empty(n, dtype=np.float32)
+        stats._fill_normals(got, 5, sigma, first, screen=True)
+        assert got.tobytes() == want.tobytes(), n
+    # All the sizes in turn, as pieces of one stretch drawn in one scratch.
+    stops, scratch = np.cumsum(sizes).tolist(), stats._scratch()
+    got = np.empty(stops[-1], dtype=np.float32)
+    for at, stop in zip([0] + stops[:-1], stops):
+        stats._fill_normals(got[at:stop], 5, sigma, first + at, screen=True, scratch=scratch)
+    assert got.tobytes() == whole_vector_screened(first + stops[-1], 5, sigma)[first:].tobytes()
 
 
 @pytest.mark.parametrize("sigma", [1.0, 0.01, 1e-44, SIGMA_MAX])
