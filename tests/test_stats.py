@@ -238,12 +238,13 @@ CHUNK = stats._NORMAL_CHUNK  # values per chunk
 
 
 # Sizes about _PIECE (the pieces eval and noise draw) end on or near a
-# chunk edge, past several chunks; 4 * CHUNK + 3 ends inside a Box-Muller pair.
+# chunk edge, past several chunks; 2 * CHUNK + 3 ends inside a Box-Muller pair
+# and inside the third chunk.
 @pytest.mark.parametrize("seed", [0, 2**64 - 1])
 @pytest.mark.parametrize(
     "n",
     [_PIECE - 2, _PIECE - 1, _PIECE, _PIECE + 1, _PIECE + 2, _PIECE + 3, 2 * _PIECE + 1,
-     4 * CHUNK + 3],
+     2 * CHUNK + 3],
 )
 def test_sampler_chunks_match_whole_vector_bit_for_bit(n, seed):
     want = whole_vector_normals(n, seed)
