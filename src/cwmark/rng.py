@@ -39,32 +39,28 @@ def splitmix64_stream(seed: int, count: int) -> np.ndarray:
 
 def _stream_at(seed: int, first: int, count: int, scratch=None) -> np.ndarray:
     """Outputs first + 1 .. first + count of the SplitMix64 stream of
-    `seed`, as uint64; trusts first and count to be nonnegative. Given
-    scratch (steps, words, spare) with steps[j] = (j + 1) * GOLDEN_GAMMA
-    mod 2**64, they are computed in words and allocate nothing."""
+    `seed`, in words of scratch (steps, words, spare), count or more uint64
+    each, steps[j] = (j + 1) * GOLDEN_GAMMA mod 2**64; trusts first and
+    count to be nonnegative. Without scratch, words is the steps it builds."""
     if scratch is None:
-        return _stream_gather(seed, np.arange(first + 1, first + count + 1, dtype=np.uint64))
-    steps, words, spare = scratch
-    start = np.uint64((first * GOLDEN_GAMMA + int(seed)) & MASK64)
-    return _mix(np.add(steps[:count], start, out=words[:count]), spare[:count])
-
-
-def _stream_gather(seed: int, z: np.ndarray) -> np.ndarray:
-    """Outputs z (1-based uint64 counters, in any order) of the SplitMix64
-    stream of `seed`, computed in z."""
-    z *= np.uint64(GOLDEN_GAMMA)
-    z += np.uint64(int(seed) & MASK64)  # a numpy seed is taken as a Python int
-    return _mix(z)
-
-
-def _mix(z: np.ndarray, spare=None) -> np.ndarray:
-    """mix64 of each of z, in z; spare, if given, takes the shifts."""
+        steps = np.arange(1, count + 1, dtype=np.uint64) * np.uint64(GOLDEN_GAMMA)
+        scratch = steps, steps, np.empty_like(steps)
+    steps, z, spare = scratch
+    start = np.uint64((first * GOLDEN_GAMMA + int(seed)) & MASK64)  # int: a numpy seed
+    z, spare = np.add(steps[:count], start, out=z[:count]), spare[:count]
     z ^= np.right_shift(z, np.uint64(30), out=spare)
     z *= np.uint64(0xBF58476D1CE4E5B9)
     z ^= np.right_shift(z, np.uint64(27), out=spare)
     z *= np.uint64(0x94D049BB133111EB)
     z ^= np.right_shift(z, np.uint64(31), out=spare)
     return z
+
+
+def _stream_gather(seed: int, z: np.ndarray) -> np.ndarray:
+    """Outputs z (1-based uint64 counters, in any order) of the SplitMix64
+    stream of `seed`, computed in z."""
+    z *= np.uint64(GOLDEN_GAMMA)
+    return _stream_at(seed, 0, z.size, (z, z, np.empty_like(z)))
 
 
 def u64_to_unit(values: np.ndarray) -> np.ndarray:

@@ -209,27 +209,25 @@ def _check_sigma(sigma: float) -> None:
 _NORMAL_CHUNK = 1 << 14
 
 
-def _scratch(pairs: int | None = None) -> tuple:
-    """One sampler pass's buffers, for chunks of up to `pairs` pairs (default
-    _NORMAL_CHUNK // 2): the draw's (steps, words, spare) (see _stream_at),
-    and u and trig, (2, pairs) binary64; the words lie in trig, spare in u."""
-    pairs = _NORMAL_CHUNK // 2 if pairs is None else pairs
-    steps = np.arange(1, 2 * pairs + 1, dtype=np.uint64) * np.uint64(GOLDEN_GAMMA)
-    u, trig = np.empty((2, 2, pairs))
+def _scratch() -> tuple:
+    """One sampler pass's buffers: the draw's (steps, words, spare) (see
+    _stream_at), and u and trig, (2, _NORMAL_CHUNK // 2) binary64; the
+    words lie in trig, spare in u."""
+    steps = np.arange(1, _NORMAL_CHUNK + 1, dtype=np.uint64) * np.uint64(GOLDEN_GAMMA)
+    u, trig = np.empty((2, 2, _NORMAL_CHUNK // 2))
     return (steps, trig.reshape(-1).view(np.uint64), u.reshape(-1).view(np.uint64)), u, trig
 
 
 def _box_muller(words: np.ndarray, scale: float, screen: bool = False, scratch=None) -> np.ndarray:
-    """scale * the Box-Muller values of the stream word pairs, in binary64:
-    pair i's cos value at [0, i] and sin value at [1, i] of scratch's u (see
-    _scratch), as u1 and u2 were. Screened, each angle is rounded to binary32
-    and its cos and sin are taken there, 16 times faster; the radius's log
-    stays binary64. Every step after the first runs on contiguous rows."""
+    """scale * the Box-Muller values of the stream word pairs, in binary64: pair
+    i's cos at [0, i], its sin at [1, i] of scratch's u (see _scratch; words drawn
+    there are overwritten) or a new array. Screened, each angle is rounded to
+    binary32 and its cos and sin are taken there, 16 times faster; logs stay binary64."""
     half = words.size // 2
-    (_, top, _), u, trig = scratch or _scratch(half)
+    u, trig = scratch[1:] if scratch else np.empty((2, 2, half))
     u, trig = u[:, :half], (trig.view(np.float32) if screen else trig)[:, :half]
     # u64_to_unit, in place; as int64 the top 53 bits convert faster, and exactly.
-    top = np.right_shift(words, np.uint64(11), out=top[: words.size])
+    top = np.right_shift(words, np.uint64(11), out=words if scratch else None)
     np.copyto(u, top.view(np.int64).reshape(half, 2).T)
     u += 1.0
     u *= 2.0**-53
