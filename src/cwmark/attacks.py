@@ -1,4 +1,4 @@
-"""Attacks to exercise the watermark against: pruning, noise, targeted flips."""
+"""Attacks to exercise the watermark against: pruning, noise, targeted flips, eval's trials."""
 
 from __future__ import annotations
 
@@ -7,10 +7,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .codec import encode, find_params
 from .errors import CwmarkError
-from .rng import splitmix64_stream
-from .stats import _fill_normals, _scratch, estimate_sigma
-from .watermark import _PIECE, _all_finite, _ArrayPieces, as_weight_vector
+from .rng import random_bits, splitmix64_stream
+from .stats import (
+    _check_sigma, _cutoffs, _fill_normals, _normals_at, _scratch, design_thresholds, estimate_sigma
+)
+from .watermark import (
+    _PIECE, EmbedSpec, _all_finite, _ArrayPieces, _check_selection, _top_alpha, as_weight_vector,
+    embed, select_positions,
+)
 
 
 @dataclass(frozen=True)
@@ -176,3 +182,27 @@ def targeted_flip_attack(
     out = w.copy()
     out[idx] = np.where(w[idx] >= 0, value, -value)
     return out, np.sort(idx)
+
+
+def _eval_trials(n, sigma, k, alpha, design_rate, two_sided, rates, seed, trials, allow_dense):
+    """eval's trials: a random k-bit message embedded in a Gaussian sample of n,
+    pruned at each rate, then extracted. Checks every argument before the first
+    trial; yields (seed, receipt, [(cutoff, bit errors) per rate]) per trial."""
+    _check_sigma(sigma)
+    params = find_params(k, alpha).params
+    thresholds = design_thresholds(sigma, design_rate, two_sided=two_sided)
+    _check_selection(params.L, n, allow_dense)
+    ps = [_prune_rank(rate, n) for rate in rates]
+    for trial_seed in splitmix64_stream(seed, trials).tolist():
+        weight_seed, key, message_seed = splitmix64_stream(trial_seed, 3).tolist()
+        codeword = encode(random_bits(message_seed, k), params)
+        # embed_message's selection and projection, on the selected weights alone.
+        positions = select_positions(key, n, params.L, allow_dense)
+        alone = EmbedSpec(key, params, thresholds, range(params.L))
+        marked, receipt = embed(_normals_at(weight_seed, positions, sigma), codeword, alone)
+        cutoffs = _cutoffs(n, sigma, weight_seed, positions, marked, ps, params.L)
+        sel = np.abs(marked).astype(np.float64)
+        # What prune leaves there (ties at the cutoff survive), read as extract does.
+        words = [_top_alpha(np.where(sel < cutoffs[p], 0.0, sel), params.alpha) for p in ps]
+        errors = [int(np.count_nonzero(word != codeword)) for word in words]
+        yield trial_seed, receipt, [(cutoffs[p], e) for p, e in zip(ps, errors)]

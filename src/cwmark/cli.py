@@ -4,10 +4,10 @@ Verbs: params, encode, decode, embed, extract, prune, noise, attack, eval.
 Global flags (before the verb): --seed, --quiet, --json.
 
 Each verb reads its inputs, makes one library call for the work (embed,
-extract, prune, ...; eval makes its calls once per trial) and writes the
-result. The pipeline and its checks live in the library, not here. A
-spec file of one codeword is a one-block document, so extract takes one
-path for every spec.
+extract, prune, ...; for eval, the trial generator whose entries it
+formats as CSV rows) and writes the result. The pipeline and its checks
+live in the library, not here. A spec file of one codeword is a
+one-block document, so extract takes one path for every spec.
 
 Exit codes: 0 success, 2 usage error, 3 unreadable or malformed data,
 4 verification failure (failed range check or failed recovery trial).
@@ -35,7 +35,7 @@ from .errors import (
     SpecFormatError,
     WeightFileError,
 )
-from .rng import MASK64, random_bits, splitmix64_stream
+from .rng import MASK64
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -331,52 +331,22 @@ def cmd_attack(args, console: _Console) -> int:
 
 
 def _eval_rows(args):
-    n, sigma = args.n, args.sigma
-    stats._check_sigma(sigma)
-    params = codec.find_params(args.k, args.alpha).params
-    thresholds = stats.design_thresholds(sigma, args.design_rate, two_sided=args.two_sided)
-    ps = [attacks._prune_rank(rate, n) for rate in args.attack_rates]
-    for trial_seed in splitmix64_stream(args.seed, args.trials).tolist():
-        weight_seed, key, message_seed = splitmix64_stream(trial_seed, 3).tolist()
-        message = random_bits(message_seed, args.k)
-        # embed_message's selection and projection, on the selected weights alone.
-        positions = watermark.select_positions(key, n, params.L, args.force)
-        codeword = codec.encode(message, params)
-        alone = watermark.EmbedSpec(key, params, thresholds, range(params.L))
-        exact = stats._normals_at(weight_seed, positions, sigma)
-        marked, receipt = watermark.embed(exact, codeword, alone)
-        cutoffs = stats._cutoffs(n, sigma, weight_seed, positions, marked, ps, params.L)
-        sel = np.abs(marked).astype(np.float64)
-        for rate, p in zip(args.attack_rates, ps):
-            # What prune leaves there; ties at the cutoff survive.
-            pruned = np.where(sel < cutoffs[p], 0.0, sel)
-            recovered = watermark._top_alpha(pruned, params.alpha)
-            errors = int(np.count_nonzero(recovered != codeword))
-            yield {
-                "seed": trial_seed,
-                "n": n,
-                "sigma": repr(sigma),
-                "k": params.k,
-                "alpha": params.alpha,
-                "L": params.L,
-                "design_rate": repr(args.design_rate),
-                "attack_rate": repr(rate),
-                "bit_errors": errors,
-                "recovered": "yes" if errors == 0 else "no",
-                "cutoff": repr(cutoffs[p]),
-                "t1": repr(thresholds.t1),
-                "modified_count": receipt.modified_count,
-            }
+    """The CSV rows of attacks._eval_trials: one per trial and attack rate."""
+    for seed, receipt, outcomes in attacks._eval_trials(
+        args.n, args.sigma, args.k, args.alpha, args.design_rate, args.two_sided,
+        args.attack_rates, args.seed, args.trials, args.force,
+    ):
+        p, t1 = receipt.spec.params, repr(receipt.spec.thresholds.t1)
+        trial = (seed, args.n, repr(args.sigma), p.k, p.alpha, p.L, repr(args.design_rate))
+        for rate, (cutoff, errors) in zip(args.attack_rates, outcomes):
+            pruned = (repr(rate), errors, "no" if errors else "yes", repr(cutoff))
+            yield dict(zip(CSV_HEADER, (*trial, *pruned, t1, receipt.modified_count)))
 
 
 def cmd_eval(args, console: _Console) -> int:
     rows = list(_eval_rows(args))
-    failures = [
-        row
-        for row in rows
-        if row["recovered"] == "no"
-        and float(row["attack_rate"]) <= args.design_rate - 0.01 + 1e-12
-    ]
+    protected = args.design_rate - 0.01 + 1e-12
+    failures = [r for r in rows if r["recovered"] == "no" and float(r["attack_rate"]) <= protected]
     console.put(rows=rows, trials=args.trials, failures=len(failures))
     if args.out is not None or not console.json:  # --out "" is an error, not stdout
         out = open(args.out, "w", newline="") if args.out is not None else None

@@ -603,6 +603,27 @@ def test_nan_in_last_piece_exits_3_and_leaves_no_file(capsys, tmp_path, verb):
     assert os.listdir(out_dir) == []
 
 
+@pytest.mark.parametrize("verb", ["extract", "noise"])
+def test_fault_before_the_pass_is_reported_before_a_nan(capsys, tmp_path, verb):
+    # Two faults: a NaN in the last piece, and a spec in a bad format
+    # (extract) or an output in a missing directory (noise). The spec is
+    # read, and noise's first piece put, before the pass reaches the NaN.
+    marked, spec = marked_pieces_file(capsys, tmp_path)
+    w = read_weights(marked)
+    w[-1] = np.nan
+    write_raw_weights(marked, w)
+    out = tmp_path / "missing" / "out.cwcw"
+    if verb == "extract":
+        spec.write_text(spec.read_text().replace("format: ", "format: x", 1))
+        want = "unknown format 'xcwmark-spec/1', expected 'cwmark-spec/1'"
+    else:
+        want = f"[Errno 2] No such file or directory: {str(out)!r}"
+    code, stdout, err = run(capsys, *file_verb_argv(verb, marked, out, spec))
+    assert code == 3 and stdout == ""
+    assert err == f"cwmark: error: {want}\n"
+    assert not out.parent.exists()
+
+
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
 @pytest.mark.parametrize("verb", ["embed", "extract", "prune", "noise"])
 def test_piped_weight_file_refused_by_its_size(capsys, tmp_path, verb):
@@ -925,6 +946,43 @@ def test_eval_sigma_whose_sample_overflows_binary32_exits_2(capsys, tmp_path):
     assert err.splitlines() == [
         "cwmark: error: sigma must lie in (0, 3.9698e37) for a finite sample, got 1e+38"
     ]
+
+
+SIGMA_MESSAGE = "sigma must lie in (0, 3.9698e37) for a finite sample, got 3e+38"
+CODE_MESSAGE = (
+    "2**k * alpha! would pass 16384 bits: no coding table within the 256 MiB limit "
+    "holds such a code"
+)
+THRESHOLD_MESSAGE = (
+    "rate 0.3 gives a non-positive t1; pick a rate above 0.5 or set thresholds explicitly"
+)
+
+
+# eval checks sigma, the code, the thresholds, then the selection. Each
+# input fails both checks its case names (at --n 100, every selection fails).
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (["--sigma", "3e38", "-k", "20000"], SIGMA_MESSAGE),
+        (["--sigma", "3e38"], SIGMA_MESSAGE),
+        (["-k", "20000", "--design-rate", "0.3"], CODE_MESSAGE),
+        (["--design-rate", "0.3"], THRESHOLD_MESSAGE),
+    ],
+    ids=[
+        "sigma-before-code", "sigma-before-thresholds", "code-before-thresholds",
+        "thresholds-before-selection",
+    ],
+)
+def test_eval_reports_the_first_failing_check(capsys, extra, message):
+    code, out, err = run(capsys, "eval", "--trials", "1", "--n", "100", *extra)
+    assert code == 2 and out == ""
+    assert err.splitlines() == [f"cwmark: error: {message}"]
+
+
+def test_eval_checks_the_selection_before_any_trial(capsys):
+    code, out, err = run(capsys, "--quiet", "eval", "--trials", "0", "--n", "100")
+    assert code == 2 and out == ""
+    assert err.splitlines() == ["cwmark: error: cannot select 393 positions from 100"]
 
 
 def test_eval_trials_zero_header_only(capsys):
