@@ -7,123 +7,66 @@ and capping 0-positions at t0 < t1. Detection reads the alpha largest
 magnitudes back, so the mark survives magnitude pruning up to a rate of
 1 - alpha/L by design, and the thresholds are sized from the Gaussian
 quantiles of the host weight distribution.
+
+Importing the package imports none of its modules. Each name in __all__
+is bound on first use (PEP 562 module __getattr__) from the module that
+_HOME names, so the CLI's codec verbs, which import codec and errors
+only, never load numpy. numpy is first imported with stats, watermark,
+attacks, model_io or rng, or by a codec function that takes or returns
+arrays.
 """
 
-from .codec import (
-    CodeParams,
-    ParamSearchResult,
-    as_bits,
-    binomial,
-    bits_to_int,
-    decode,
-    decode_index,
-    encode,
-    encode_index,
-    find_params,
-    find_params_for_tolerance,
-    int_to_bits,
-)
-from .errors import (
-    BadMagicError,
-    CapacityError,
-    CwmarkError,
-    MalformedCodewordError,
-    MessageRangeError,
-    NonFiniteWeightError,
-    PositionRangeError,
-    SelectionRatioError,
-    SpecFormatError,
-    ThresholdDesignError,
-    TrailingDataError,
-    TruncatedPayloadError,
-    UnsupportedVersionError,
-    WeightFileError,
-)
-from .stats import (
-    GaussianModel,
-    ThresholdPair,
-    design_t1,
-    design_thresholds,
-    estimate_sigma,
-    q_function,
-    q_inverse,
-    sample_gaussian_weights,
-    standard_normals,
-)
-from .watermark import (
-    DENSITY_LIMIT,
-    EmbedReceipt,
-    EmbedSpec,
-    embed,
-    embed_message,
-    embed_message_blocks,
-    extract,
-    extract_message,
-    extract_message_blocks,
-    join_blocks,
-    select_positions,
-    split_blocks,
-)
-from .attacks import PruneSpec, add_noise, prune, targeted_flip_attack
-from .model_io import SpecDocument, read_spec, read_weights, write_spec, write_weights
+from importlib import import_module
+
+# Where each public name lives: name -> module.
+_HOME = {
+    name: module
+    for module, names in {
+        "codec": (
+            "CodeParams", "ParamSearchResult", "as_bits", "binomial", "bits_to_int",
+            "decode", "decode_index", "encode", "encode_index", "find_params",
+            "find_params_for_tolerance", "int_to_bits",
+        ),
+        "errors": (
+            "BadMagicError", "CapacityError", "CwmarkError", "MalformedCodewordError",
+            "MessageRangeError", "NonFiniteWeightError", "PositionRangeError",
+            "SelectionRatioError", "SpecFormatError", "ThresholdDesignError",
+            "TrailingDataError", "TruncatedPayloadError", "UnsupportedVersionError",
+            "WeightFileError",
+        ),
+        "stats": (
+            "GaussianModel", "ThresholdPair", "design_t1", "design_thresholds",
+            "estimate_sigma", "q_function", "q_inverse", "sample_gaussian_weights",
+            "standard_normals",
+        ),
+        "watermark": (
+            "DENSITY_LIMIT", "EmbedReceipt", "EmbedSpec", "embed", "embed_message",
+            "embed_message_blocks", "extract", "extract_message",
+            "extract_message_blocks", "join_blocks", "select_positions",
+            "split_blocks",
+        ),
+        "attacks": ("PruneSpec", "add_noise", "prune", "targeted_flip_attack"),
+        "model_io": ("SpecDocument", "read_spec", "read_weights", "write_spec", "write_weights"),
+    }.items()
+    for name in names
+}
+# Submodules that cwmark.<name> reaches after a bare `import cwmark`.
+_MODULES = ("attacks", "codec", "errors", "model_io", "rng", "stats", "watermark")
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BadMagicError",
-    "CapacityError",
-    "CodeParams",
-    "CwmarkError",
-    "DENSITY_LIMIT",
-    "EmbedReceipt",
-    "EmbedSpec",
-    "GaussianModel",
-    "MalformedCodewordError",
-    "MessageRangeError",
-    "NonFiniteWeightError",
-    "ParamSearchResult",
-    "PositionRangeError",
-    "PruneSpec",
-    "SelectionRatioError",
-    "SpecDocument",
-    "SpecFormatError",
-    "ThresholdDesignError",
-    "ThresholdPair",
-    "TrailingDataError",
-    "TruncatedPayloadError",
-    "UnsupportedVersionError",
-    "WeightFileError",
-    "add_noise",
-    "as_bits",
-    "binomial",
-    "bits_to_int",
-    "decode",
-    "decode_index",
-    "design_t1",
-    "design_thresholds",
-    "embed",
-    "embed_message",
-    "embed_message_blocks",
-    "encode",
-    "encode_index",
-    "estimate_sigma",
-    "extract",
-    "extract_message",
-    "extract_message_blocks",
-    "find_params",
-    "find_params_for_tolerance",
-    "int_to_bits",
-    "join_blocks",
-    "prune",
-    "q_function",
-    "q_inverse",
-    "read_spec",
-    "read_weights",
-    "sample_gaussian_weights",
-    "select_positions",
-    "split_blocks",
-    "standard_normals",
-    "targeted_flip_attack",
-    "write_spec",
-    "write_weights",
-]
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    """Bind a public name, or import a module, on its first use."""
+    if name in _MODULES:
+        return import_module(f".{name}", __name__)
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f".{_HOME[name]}", __name__), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

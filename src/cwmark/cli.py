@@ -15,19 +15,22 @@ Exit codes: 0 success, 2 usage error, 3 unreadable or malformed data,
 Messages travel as hex strings. A hex string of d digits carries k = 4d
 bits: it is read as a big-endian integer whose bit t (LSB first) becomes
 message bit t, and extraction prints the same hex back.
+
+At import this module loads only codec and errors, which need no numpy.
+params, encode and decode run on codec's integer core and never import
+numpy; each data verb imports the modules it runs, and numpy with them,
+when it starts.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from contextlib import nullcontext
+from importlib import import_module
 
-import numpy as np
-
-from . import attacks, codec, model_io, stats, watermark
+from . import codec
 from .errors import (
     CwmarkError,
     MessageRangeError,
@@ -35,7 +38,6 @@ from .errors import (
     SpecFormatError,
     WeightFileError,
 )
-from .rng import MASK64
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -58,6 +60,13 @@ CSV_HEADER = (
 )
 
 
+def __getattr__(name: str):
+    """cli.attacks, cli.model_io, cli.stats, cli.watermark: the data verbs' modules."""
+    if name in ("attacks", "model_io", "stats", "watermark"):
+        return import_module(f".{name}", __package__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 def _number(parse, ok, rule: str):
     """argparse type: parse the text, then require ok(value), else report rule."""
     noun = "a number" if parse is float else "an integer"
@@ -76,7 +85,7 @@ def _number(parse, ok, rule: str):
 
 _u64 = _number(
     lambda text: int(text, 0),
-    lambda v: 0 <= v <= MASK64,
+    lambda v: 0 <= v < 1 << 64,
     "value must fit in 64 unsigned bits",
 )
 _positive_int = _number(int, lambda v: v >= 1, "value must be >= 1")
@@ -104,26 +113,28 @@ def _hex_message(text: str) -> str:
     return body.lower()
 
 
-def _bitstring(text: str) -> np.ndarray:
+def _bitstring(text: str) -> str:
     if not text or set(text) - {"0", "1"}:
         raise argparse.ArgumentTypeError("codeword must be a nonempty 0/1 string")
-    return np.frombuffer(text.encode("ascii"), dtype=np.uint8) - ord("0")
+    return text
 
 
-def hex_to_bits(message: str) -> np.ndarray:
+def hex_to_bits(message: str):
     """d hex digits -> 4d bits, bit t = (int(message, 16) >> t) & 1."""
     return codec.int_to_bits(int(message, 16), 4 * len(message))
 
 
-def bits_to_hex(bits, total_bits: int | None = None) -> str:
-    """Inverse of hex_to_bits; width covers total_bits (default len(bits))."""
-    arr = codec.as_bits(bits)
-    width = -(-(total_bits if total_bits is not None else arr.size) // 4)
-    return format(codec.bits_to_int(arr), f"0{width}x")
+def _hex(value: int, k: int) -> str:
+    """A k-bit value as the ceil(k/4)-digit hex that hex_to_bits reads."""
+    return format(value, f"0{-(-k // 4)}x")
 
 
-def codeword_str(bits) -> str:
-    return "".join("1" if b else "0" for b in codec.as_bits(bits))
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def _word_text(word) -> str:
+    """A codeword of 0/1 bytes (bytearray or uint8 array) as a 0/1 string."""
+    return bytes(word).translate(_DIGITS).decode("ascii")
 
 
 class _Console:
@@ -192,38 +203,34 @@ def cmd_params(args, console: _Console) -> int:
 
 
 def cmd_encode(args, console: _Console) -> int:
-    bits = hex_to_bits(args.message)
-    result = codec.find_params(bits.size, args.alpha)
-    word = codec.encode(bits, result.params)
-    console.put(
-        k=result.params.k,
-        alpha=result.params.alpha,
-        L=result.params.L,
-        codeword=codeword_str(word),
-    )
-    console.info(
-        f"k: {result.params.k}  alpha: {result.params.alpha}  L: {result.params.L}"
-    )
-    console.result(codeword_str(word))
+    # codec.encode of the message's bits, on the integer it is made of:
+    # the same word, with no array.
+    params = codec.find_params(4 * len(args.message), args.alpha).params
+    word = _word_text(codec._codeword(int(args.message, 16), params.alpha, params.L))
+    console.put(k=params.k, alpha=params.alpha, L=params.L, codeword=word)
+    console.info(f"k: {params.k}  alpha: {params.alpha}  L: {params.L}")
+    console.result(word)
     return EXIT_OK
 
 
 def cmd_decode(args, console: _Console) -> int:
-    bits = args.codeword
-    alpha = int(bits.sum())
-    params = codec.CodeParams(k=args.k, alpha=alpha, L=int(bits.size))
+    text = args.codeword
+    ones = [p for p, digit in enumerate(text) if digit == "1"]
+    params = codec.CodeParams(k=args.k, alpha=len(ones), L=len(text))
     try:
-        message = codec.decode(bits, params)
+        message = _hex(codec._message_index(ones, params), params.k)
     except MessageRangeError as exc:
         print(f"cwmark: range check failed: {exc}", file=sys.stderr)
         console.put(range_ok=False)
         return EXIT_VERIFY
-    console.put(message=bits_to_hex(message), k=params.k, range_ok=True)
-    console.result(bits_to_hex(message))
+    console.put(message=message, k=params.k, range_ok=True)
+    console.result(message)
     return EXIT_OK
 
 
 def _design_from_args(args, sigma: float) -> tuple[stats.ThresholdPair, float]:
+    from . import stats
+
     explicit = args.t0 is not None or args.t1 is not None
     if args.rate is not None and explicit:
         raise CwmarkError("--rate and --t0/--t1 are mutually exclusive")
@@ -238,6 +245,8 @@ def _design_from_args(args, sigma: float) -> tuple[stats.ThresholdPair, float]:
 
 
 def cmd_embed(args, console: _Console) -> int:
+    from . import model_io, stats, watermark
+
     with model_io._open_weights(args.weights_in, args.weights_out) as source:
         sigma = stats._rms(source.pieces(), source.n)
         bits = hex_to_bits(args.message)
@@ -274,6 +283,8 @@ def cmd_embed(args, console: _Console) -> int:
 
 
 def cmd_extract(args, console: _Console) -> int:
+    from . import model_io, watermark
+
     with model_io._open_weights(args.weights_in) as source:
         doc = model_io.read_spec(args.spec_in)
         words = watermark._extract_words(source, doc.specs)
@@ -282,10 +293,10 @@ def cmd_extract(args, console: _Console) -> int:
     except MessageRangeError:
         console.put(weight_ok=True, range_ok=False)
         for word in words:
-            console.result(f"codeword: {codeword_str(word)}")
+            console.result(f"codeword: {_word_text(word)}")
         console.result("range check: failed")
         return EXIT_VERIFY
-    message = bits_to_hex(joined, doc.total_bits)
+    message = _hex(codec.bits_to_int(joined), doc.total_bits)
     console.put(
         weight_ok=True, range_ok=True, message=message, total_bits=doc.total_bits
     )
@@ -295,6 +306,8 @@ def cmd_extract(args, console: _Console) -> int:
 
 
 def cmd_prune(args, console: _Console) -> int:
+    from . import attacks, model_io
+
     with model_io._open_weights(args.weights_in, args.weights_out) as source:
         report = attacks._prune_into(source, args.rate)
     console.put(
@@ -307,6 +320,8 @@ def cmd_prune(args, console: _Console) -> int:
 
 
 def cmd_noise(args, console: _Console) -> int:
+    from . import attacks, model_io
+
     with model_io._open_weights(args.weights_in, args.weights_out) as source:
         attacks._add_noise_into(source, args.level, args.seed)
     console.put(level=args.level, seed=args.seed, n=source.n)
@@ -315,6 +330,8 @@ def cmd_noise(args, console: _Console) -> int:
 
 
 def cmd_attack(args, console: _Console) -> int:
+    from . import attacks, model_io
+
     weights = model_io.read_weights(args.weights_in)
     attacked, touched = attacks.targeted_flip_attack(
         weights, args.budget, args.seed, strategy=args.strategy
@@ -332,6 +349,8 @@ def cmd_attack(args, console: _Console) -> int:
 
 def _eval_rows(args):
     """The CSV rows of attacks._eval_trials: one per trial and attack rate."""
+    from . import attacks
+
     for seed, receipt, outcomes in attacks._eval_trials(
         args.n, args.sigma, args.k, args.alpha, args.design_rate, args.two_sided,
         args.attack_rates, args.seed, args.trials, args.force,
@@ -344,6 +363,8 @@ def _eval_rows(args):
 
 
 def cmd_eval(args, console: _Console) -> int:
+    import csv
+
     rows = list(_eval_rows(args))
     protected = args.design_rate - 0.01 + 1e-12
     failures = [r for r in rows if r["recovered"] == "no" and float(r["attack_rate"]) <= protected]

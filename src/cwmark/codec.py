@@ -4,6 +4,13 @@ A codeword is a length-L bit vector with exactly `alpha` ones. The coder
 is a bijection between integers 0 .. binomial(L, alpha) - 1 and those
 vectors, built from binomial coefficients, so a k-bit payload fits as
 soon as binomial(L, alpha) >= 2**k.
+
+The coder itself is integer arithmetic on a bytearray (_codeword,
+_codeword_index), and find_params and CodeParams need no arrays either,
+so the CLI's params, encode and decode verbs run without numpy. numpy is
+imported by the functions that take or return arrays (as_bits,
+bits_to_int, int_to_bits, encode, decode, encode_index, decode_index),
+on their first call.
 """
 
 from __future__ import annotations
@@ -15,8 +22,6 @@ from functools import lru_cache
 from itertools import accumulate
 from math import floor
 from operator import getitem
-
-import numpy as np
 
 from .errors import CapacityError, MalformedCodewordError, MessageRangeError
 
@@ -57,6 +62,8 @@ class CodeParams:
 
 def _as_uint8(values) -> np.ndarray:
     """values as a one-dimensional uint8 array; a uint8 input is not yet checked for 0/1."""
+    import numpy as np
+
     arr = np.asarray(values)
     if arr.ndim != 1:
         raise ValueError("bit sequence must be one-dimensional")
@@ -85,6 +92,8 @@ def as_bits(values, expect_len: int | None = None) -> np.ndarray:
 
 def _bits_value(bits: np.ndarray) -> int:
     """Little-endian value of a uint8 0/1 array that as_bits already checked."""
+    import numpy as np
+
     return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
 
 
@@ -95,6 +104,8 @@ def bits_to_int(bits) -> int:
 
 def int_to_bits(value: int, k: int) -> np.ndarray:
     """Integer to k little-endian bits; rejects values needing more than k bits."""
+    import numpy as np
+
     if k < 1:
         raise ValueError("k must be >= 1")
     if value < 0:
@@ -202,8 +213,9 @@ def _weight_rows(L: int, alpha: int) -> _Rows:
     return _Rows(L, alpha)
 
 
-def _codeword(value: int, alpha: int, L: int) -> np.ndarray:
-    """Codeword for index `value`; trusts 0 <= value < binomial(L, alpha).
+def _codeword(value: int, alpha: int, L: int) -> bytearray:
+    """Codeword for index `value`, one 0/1 byte per position; trusts
+    0 <= value < binomial(L, alpha).
 
     The 1 at weight level l goes to the largest position p_l with
     binomial(p_l, l) <= the index left after the higher levels, so that
@@ -253,10 +265,10 @@ def _codeword(value: int, alpha: int, L: int) -> np.ndarray:
     left = alpha - word.count(1)
     if left == 1 and 0 <= rest < hi:
         word[rest] = 1
-        return np.frombuffer(word, dtype=np.uint8)
+        return word
     if not rest and left <= hi:
         word[:left] = b"\x01" * left
-        return np.frombuffer(word, dtype=np.uint8)
+        return word
     word = bytearray(L)
     hi = L
     for l in range(alpha, 0, -1):
@@ -265,7 +277,7 @@ def _codeword(value: int, alpha: int, L: int) -> np.ndarray:
         value -= row[p]
         word[p] = 1
         hi = p
-    return np.frombuffer(word, dtype=np.uint8)
+    return word
 
 
 def encode_index(value: int, alpha: int, L: int) -> np.ndarray:
@@ -275,13 +287,15 @@ def encode_index(value: int, alpha: int, L: int) -> np.ndarray:
     binomial(p, l) <= the index left after the higher levels; see
     _codeword for the search.
     """
+    import numpy as np
+
     if value < 0:
         raise ValueError("index must be nonnegative")
     if value >= binomial(L, alpha):
         raise CapacityError(
             f"index {value} >= binomial({L}, {alpha}); message exceeds code capacity"
         )
-    return _codeword(value, alpha, L)
+    return np.frombuffer(_codeword(value, alpha, L), dtype=np.uint8)
 
 
 def _codeword_ones(codeword, expect_len: int | None = None) -> tuple[int, list]:
@@ -291,6 +305,8 @@ def _codeword_ones(codeword, expect_len: int | None = None) -> tuple[int, list]:
     codeword is read once. nonzero runs on a bool view, ten times faster
     than on uint8, and counts every nonzero byte, 2 to 255 included.
     """
+    import numpy as np
+
     bits = _as_uint8(codeword)
     ones = bits.view(np.bool_).nonzero()[0]
     _check_bits(bits[ones], bits.size, expect_len)
@@ -305,6 +321,18 @@ def _codeword_index(L: int, ones: list, alpha: int) -> int:
         )
     rows = _weight_rows(L, alpha).use()
     return sum(map(getitem, rows[1:], ones))
+
+
+def _message_index(ones: list, params: CodeParams) -> int:
+    """Index of the params.L-long codeword with ones at the increasing
+    positions ones, checked to fit in params.k bits."""
+    value = _codeword_index(params.L, ones, params.alpha)
+    if value >= (1 << params.k):
+        raise MessageRangeError(
+            f"decoded index {value} does not fit in {params.k} bits; "
+            "codeword is corrupted"
+        )
+    return value
 
 
 def decode_index(codeword, alpha: int) -> int:
@@ -322,8 +350,10 @@ def encode(message, params: CodeParams) -> np.ndarray:
     A k-bit value always fits, since CodeParams guarantees
     binomial(L, alpha) >= 2**k.
     """
+    import numpy as np
+
     value = _bits_value(as_bits(message, expect_len=params.k))
-    return _codeword(value, params.alpha, params.L)
+    return np.frombuffer(_codeword(value, params.alpha, params.L), dtype=np.uint8)
 
 
 def decode(codeword, params: CodeParams) -> np.ndarray:
@@ -333,13 +363,8 @@ def decode(codeword, params: CodeParams) -> np.ndarray:
     MessageRangeError when the reconstructed index needs more than k bits
     (a corrupted codeword outside the message space).
     """
-    value = _codeword_index(*_codeword_ones(codeword, params.L), params.alpha)
-    if value >= (1 << params.k):
-        raise MessageRangeError(
-            f"decoded index {value} does not fit in {params.k} bits; "
-            "codeword is corrupted"
-        )
-    return int_to_bits(value, params.k)
+    _, ones = _codeword_ones(codeword, params.L)
+    return int_to_bits(_message_index(ones, params), params.k)
 
 
 # Largest bit length of find_params' target 2**k * alpha!. Codes whose ladder

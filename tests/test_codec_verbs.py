@@ -1,0 +1,184 @@
+"""The codec verbs (params, encode, decode) and the package's lazy exports.
+
+The verbs run on codec's integer core, so a child that runs one never
+imports numpy. Their output must stay what the library's array recipe
+gives: codec.encode of the message's bits, and codec.decode of the word.
+"""
+
+import json
+import os
+import random
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+
+import cwmark
+from cwmark import codec
+from cwmark.cli import DEMO_PARAM_GRID, main
+
+# Runs the CLI on its arguments, if any, after `import cwmark`, then prints
+# whether numpy was imported.
+NUMPY_PROBE = """
+import sys
+import cwmark
+if sys.argv[1:]:
+    from cwmark.cli import main
+    try:
+        main(sys.argv[1:])
+    except SystemExit:
+        pass
+print("numpy" in sys.modules)
+"""
+
+
+def child_lines(script, *argv) -> list[str]:
+    """stdout lines of a fresh interpreter that runs script with argv."""
+    root = os.path.dirname(os.path.dirname(cwmark.__file__))
+    path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *argv], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": path}, check=True,
+    )
+    return proc.stdout.splitlines()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["params", "-k", "64", "-a", "10"],
+        ["--json", "params", "--grid"],
+        ["params", "-k", "128", "--tolerance", "0.97"],
+        ["encode", "--message", "0123456789abcdef", "-a", "10"],
+        ["--json", "encode", "--message", "f" * 256, "-a", "127"],
+        ["decode", "--codeword", "0110", "-k", "2"],
+        ["--json", "decode", "--codeword", "0011", "-k", "2"],
+        ["decode", "--codeword", "0000", "-k", "2"],
+        ["--help"],
+    ],
+    ids=["import", "params", "params-grid", "params-tolerance", "encode",
+         "encode-k1024", "decode", "decode-range-failure", "decode-weight-0", "help"],
+)
+def test_codec_verbs_import_no_numpy(argv):
+    assert child_lines(NUMPY_PROBE, *argv)[-1] == "False"
+
+
+# In a fresh interpreter, where no export is bound yet: does dir() list
+# every export, does a module resolve after a bare import, and does a star
+# import bind exactly __all__?
+STAR_PROBE = """
+import cwmark
+listed = set(cwmark.__all__) <= set(dir(cwmark))
+module = callable(cwmark.watermark.select_positions)
+namespace = {}
+exec("from cwmark import *", namespace)
+del namespace["__builtins__"]
+print(listed, module, sorted(namespace) == cwmark.__all__)
+"""
+
+
+def test_star_import_binds_exactly_all():
+    assert child_lines(STAR_PROBE) == ["True True True"]
+    namespace = {}
+    exec("from cwmark import *", namespace)
+    assert namespace["encode"] is codec.encode and cwmark.codec is codec
+    assert namespace["SpecDocument"] is cwmark.model_io.SpecDocument
+    assert not hasattr(cwmark, "no_such_name")
+
+
+def run(capsys, *argv):
+    """One CLI call as a new process makes it: each code at its first use."""
+    codec._weight_rows.cache_clear()
+    code = main(list(argv))
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def word_text(word) -> str:
+    return "".join(map(str, word.tolist()))
+
+
+def check_encode(capsys, message, alpha):
+    """encode's text and JSON against codec.encode of the message's 4d bits."""
+    body = message[2:] if message[:2].lower() == "0x" else message
+    k = 4 * len(body)
+    params = codec.find_params(k, alpha).params
+    codec._weight_rows.cache_clear()
+    word = word_text(codec.encode(codec.int_to_bits(int(body, 16), k), params))
+    header = f"k: {k}  alpha: {alpha}  L: {params.L}"
+    argv = ["encode", "--message", message, "-a", str(alpha)]
+    assert run(capsys, *argv) == (0, f"{header}\n{word}\n", "")
+    assert run(capsys, "--quiet", *argv) == (0, f"{word}\n", "")
+    code, out, err = run(capsys, "--json", *argv)
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"k": k, "alpha": alpha, "L": params.L, "codeword": word}
+    return word
+
+
+def check_decode(capsys, word, k):
+    """decode's text and JSON against codec.decode of the word."""
+    params = codec.CodeParams(k=k, alpha=word.count("1"), L=len(word))
+    codec._weight_rows.cache_clear()
+    bits = codec.decode(np.frombuffer(word.encode(), dtype=np.uint8) - ord("0"), params)
+    message = format(codec.bits_to_int(bits), f"0{-(-k // 4)}x")
+    argv = ["decode", "--codeword", word, "-k", str(k)]
+    assert run(capsys, *argv) == (0, f"{message}\n", "")
+    code, out, err = run(capsys, "--json", *argv)
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"message": message, "k": k, "range_ok": True}
+    return message
+
+
+@pytest.mark.parametrize("k, alpha", DEMO_PARAM_GRID)
+def test_codec_verbs_match_the_library_on_the_grid(capsys, k, alpha):
+    # A k-bit message in ceil(k/4) digits: the CLI codes it at k = 4d,
+    # which is k itself except at k = 254.
+    digits = -(-k // 4)
+    message = format(random.Random(k * 1000 + alpha).getrandbits(k), f"0{digits}x")
+    word = check_encode(capsys, message, alpha)
+    assert check_decode(capsys, word, 4 * digits) == message
+    # The library's word at the row's own (k, alpha), decoded at k.
+    params = codec.find_params(k, alpha).params
+    bits = codec.int_to_bits(int(message, 16), k)
+    assert check_decode(capsys, word_text(codec.encode(bits, params)), k) == message
+
+
+@pytest.mark.parametrize(
+    "message, alpha",
+    [("0" * 16, 10), ("f" * 16, 10), ("7", 2), ("0xDEADbeef01234567", 10)],
+    ids=["all-zero", "all-f", "one-digit", "0x-prefix"],
+)
+def test_codec_verbs_match_the_library_on_edge_messages(capsys, message, alpha):
+    word = check_encode(capsys, message, alpha)
+    body = message[2:] if message[:2].lower() == "0x" else message
+    assert check_decode(capsys, word, 4 * len(body)) == body.lower()
+
+
+def test_decode_failures_match_the_library(capsys):
+    # Ones at the high positions: an index past 2**k, the library's
+    # MessageRangeError, exit 4. Weight 0 is no code: exit 2.
+    params = codec.CodeParams(k=2, alpha=2, L=4)
+    with pytest.raises(cwmark.MessageRangeError) as exc:
+        codec.decode(np.array([0, 0, 1, 1], dtype=np.uint8), params)
+    argv = ["decode", "--codeword", "0011", "-k", "2"]
+    assert run(capsys, *argv) == (4, "", f"cwmark: range check failed: {exc.value}\n")
+    assert run(capsys, "--json", *argv) == (
+        4, '{"range_ok": false}\n', f"cwmark: range check failed: {exc.value}\n"
+    )
+    code, out, err = run(capsys, "decode", "--codeword", "0000", "-k", "2")
+    assert (code, out) == (2, "")
+    assert err == "cwmark: error: alpha must satisfy 1 <= alpha <= L\n"
+
+
+@pytest.mark.parametrize("k, alpha, L", [(2, 2, 4), (64, 10, 393)])
+def test_range_check_at_the_boundary(capsys, k, alpha, L):
+    # Index 2**k - 1 is the largest message; 2**k is the first corrupted word.
+    params = codec.CodeParams(k=k, alpha=alpha, L=L)
+    top, past = (word_text(codec.encode_index(v, alpha, L)) for v in (2**k - 1, 2**k))
+    assert check_decode(capsys, top, k) == format(2**k - 1, "x")
+    with pytest.raises(cwmark.MessageRangeError):
+        codec.decode(codec.encode_index(2**k, alpha, L), params)
+    code, out, err = run(capsys, "decode", "--codeword", past, "-k", str(k))
+    assert (code, out) == (4, "") and err.startswith("cwmark: range check failed: ")

@@ -196,19 +196,26 @@ def test_cli_extract_peak(tmp_path, weights, blocks):
     assert cli_peak(["--quiet", "extract", str(marked), str(spec)]) <= 0.1
 
 
-# Spawns one cwmark child with its stdout on /dev/null and prints its exit
-# code and ru_maxrss (KiB). Standard library only: on Linux a child's
-# ru_maxrss includes the high-water RSS of the process that spawned it, so
-# the test process, which holds numpy and these vectors, must not spawn it.
+# Spawns one Python child (its arguments after the interpreter's) with its
+# stdout on /dev/null and prints its exit code and ru_maxrss (KiB). Standard
+# library only: on Linux a child's ru_maxrss includes the high-water RSS of
+# the process that spawned it, so the test process, which holds numpy and
+# these vectors, must not spawn it.
 SPAWN_ONE = """
 import os, sys
 pid = os.posix_spawn(
-    sys.executable, [sys.executable, "-m", "cwmark", *sys.argv[1:]], dict(os.environ),
+    sys.executable, [sys.executable, *sys.argv[1:]], dict(os.environ),
     file_actions=[(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)],
 )
 _, status, usage = os.wait4(pid, 0)
 print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
 """
+
+
+# The baseline child: the interpreter, numpy and every module a data verb
+# runs, imported and compiled, and no work. A codec verb's child imports
+# no numpy and peaks about 14 MiB lower, so it is no baseline for them.
+IMPORT_ONLY = ("-c", "import cwmark.cli, cwmark.attacks, cwmark.model_io")
 
 
 def child_maxrss_kib(*argv) -> int:
@@ -228,12 +235,14 @@ def child_maxrss_kib(*argv) -> int:
 )
 def test_cli_prune_child_maxrss(tmp_path, weights):
     # tracemalloc misses page-cache and mapped pages; the child's RSS does
-    # not. prune streams the file: about 1 MiB above a bare encode child
+    # not. prune streams the file: about 1 MiB above an import-only child
     # (the vector read_weights returned, pruned in place: about 17 MiB).
     src = tmp_path / "w.cwcw"
     write_weights(src, weights)
-    bare = child_maxrss_kib("--quiet", "encode", "--message", "ab", "-a", "2")
-    pruned = child_maxrss_kib("prune", str(src), str(tmp_path / "p.cwcw"), "--rate", "0.9")
+    bare = child_maxrss_kib(*IMPORT_ONLY)
+    pruned = child_maxrss_kib(
+        "-m", "cwmark", "prune", str(src), str(tmp_path / "p.cwcw"), "--rate", "0.9"
+    )
     assert pruned <= bare + 16 * 1024
 
 
@@ -242,13 +251,16 @@ def test_cli_prune_child_maxrss(tmp_path, weights):
 )
 def test_cli_eval_child_maxrss():
     # Each trial draws its sample in pieces of 2**16 values and keeps only
-    # the bracketed magnitudes: 2.0-2.2 MiB above a bare encode child (with
-    # the temporaries of each 2**13-value chunk in place of the sampler's
-    # buffers: 1.6-1.9; with a lookup table for the marked positions:
-    # 3.2-3.4; the 16 MiB sample held whole, drawn on two threads: 21.3).
-    bare = child_maxrss_kib("--quiet", "encode", "--message", "ab", "-a", "2")
+    # the bracketed magnitudes: about 2.6 MiB above an import-only child.
+    # Against a bare encode child, which peaked 0.3-0.4 MiB above it while
+    # it imported numpy, this was 2.0-2.2 (with the temporaries of each
+    # 2**13-value chunk in place of the sampler's buffers: 1.6-1.9; with a
+    # lookup table for the marked positions: 3.2-3.4; the 16 MiB sample
+    # held whole, drawn on two threads: 21.3).
+    bare = child_maxrss_kib(*IMPORT_ONLY)
     evaluated = child_maxrss_kib(
-        "--quiet", "--seed", "24", "eval", "--trials", "3", "--n", str(N), "--two-sided"
+        "-m", "cwmark", "--quiet", "--seed", "24", "eval",
+        "--trials", "3", "--n", str(N), "--two-sided",
     )
     assert evaluated <= bare + 3 * 1024
 
