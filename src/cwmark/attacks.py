@@ -9,13 +9,13 @@ import numpy as np
 
 from .codec import encode, find_params
 from .errors import CwmarkError
-from .rng import random_bits, splitmix64_stream
+from .rng import MASK64, _stream_at, random_bits, splitmix64_stream
 from .stats import (
-    _check_sigma, _cutoffs, _fill_normals, _normals_at, _scratch, design_thresholds, estimate_sigma
+    _check_sigma, _cutoffs, _fill_normals, _normals_at, _rms, _scratch, design_thresholds
 )
 from .watermark import (
-    _PIECE, EmbedSpec, _all_finite, _ArrayPieces, _check_selection, _top_alpha, as_weight_vector,
-    embed, select_positions,
+    _PIECE, EmbedSpec, _all_finite, _ArrayPieces, _at_positions, _check_selection, _top_alpha,
+    as_weight_vector, embed, select_positions,
 )
 
 
@@ -49,14 +49,15 @@ def _prune_rank(rate: float, n: int) -> int:
     return min(int(math.floor(rate * n)), n - 1)
 
 
-def _magnitude_patterns(source, buf: np.ndarray):
-    """One pass over source: (bits, mag) for each piece, where bits are its
-    binary32 patterns and mag, written into buf, is bits & 0x7FFFFFFF."""
-    for _, piece in source.pieces():
+def _magnitude_patterns(source):
+    """One pass over source: (start, bits, mag) for each piece, where bits are
+    its binary32 patterns and mag, in one reused buffer, is bits & 0x7FFFFFFF."""
+    buf = np.empty(min(source.n, _PIECE), dtype=np.uint32)
+    for start, piece in source.pieces():
         bits = piece.view(np.uint32)
         mag = buf[: bits.size]
         np.bitwise_and(bits, 0x7FFFFFFF, out=mag)
-        yield bits, mag
+        yield start, bits, mag
 
 
 def _bucket_of(counts: np.ndarray, rank: int) -> tuple[int, int]:
@@ -68,39 +69,41 @@ def _bucket_of(counts: np.ndarray, rank: int) -> tuple[int, int]:
     return bucket, rank - (int(counts[bucket - 1]) if bucket else 0)
 
 
-def _prune_into(source, rate: float) -> PruneSpec:
-    """prune on the finite binary32 source, whose last pass puts every
-    piece pruned; trusts the source and rate.
+def _pattern_at(source, rank: int) -> tuple[int, int, int]:
+    """The rank-th smallest (0-indexed) magnitude pattern of the finite binary32
+    source in two passes: (pattern, rank's rank among its ties, count above it).
 
-    Finite magnitudes order like their bit patterns with the sign cleared,
-    and clearing it maps -0.0 to +0.0 as np.abs does. So the cutoff's
-    pattern is found without an n-sized buffer: its high 16 bits by
-    counting the high bits of all n patterns, its low 16 bits by counting
-    the low bits of the patterns that share those high bits. A third pass
-    zeroes every weight whose pattern lies below it, to +0.0.
-    """
-    n = source.n
-    p = _prune_rank(rate, n)
-    buf = np.empty(min(n, _PIECE), dtype=np.uint32)
+    Finite magnitudes order like their bit patterns with the sign cleared
+    (-0.0 as +0.0, as np.abs gives), so no n-sized buffer is needed: the high
+    16 bits come from counting those of all n patterns, the low 16 bits
+    from counting those of the patterns that share the high bits."""
     counts = np.zeros(1 << 16, dtype=np.int64)
-    for _, mag in _magnitude_patterns(source, buf):
+    for _, _, mag in _magnitude_patterns(source):
         mag >>= 16
         np.add.at(counts, mag, 1)
-    top, rank = _bucket_of(counts, p)
+    top, rank = _bucket_of(counts, rank)
+    above = source.n - int(counts[top])
     counts[:] = 0
-    for _, mag in _magnitude_patterns(source, buf):
+    for _, _, mag in _magnitude_patterns(source):
         mag -= top << 16  # patterns below the bucket wrap past it
         np.add.at(counts, mag[mag < counts.size], 1)
     bottom, rank = _bucket_of(counts, rank)
-    pattern = top << 16 | bottom
-    for bits, mag in _magnitude_patterns(source, buf):
+    return top << 16 | bottom, rank, above + int(counts[-1] - counts[bottom])
+
+
+def _prune_into(source, rate: float) -> PruneSpec:
+    """prune on the finite binary32 source, whose last pass puts every piece pruned;
+    trusts the source and rate. It zeroes each pattern below the cutoff's, to +0.0."""
+    p = _prune_rank(rate, source.n)
+    pattern, rank, _ = _pattern_at(source, p)
+    for _, bits, mag in _magnitude_patterns(source):
         # 0 below the cutoff's pattern, 1 from it on: the product turns a
         # pruned weight into +0.0 and keeps every other bit for bit.
         np.greater_equal(mag, pattern, out=mag, casting="unsafe")
         bits *= mag
         source.put(bits)
     cutoff = float(np.uint32(pattern).view(np.float32))
-    # rank is now p's rank among the ties at the cutoff, which all survive.
+    # rank is p's rank among the ties at the cutoff, which all survive.
     return PruneSpec(rate=rate, p=p, cutoff=cutoff, zeroed=p - rank)
 
 
@@ -146,42 +149,72 @@ def targeted_flip_attack(
     magnitude below them, hoping to knock 1-positions out of the top set.
     "inflate" grows `budget` small-magnitude entries (chosen by seed) to
     twice the RMS weight scale so they crowd into the top set. Returns
-    the attacked vector and the sorted touched indices.
+    the attacked vector and the sorted touched indices. Beside the copy, the
+    candidate pool and the touched list are O(budget); budget = n touches
+    every weight, and suppress then sets each to 0.
     """
-    w = as_weight_vector(weights)
+    out = as_weight_vector(weights).copy()
+    return out, _attack_into(_ArrayPieces(out), budget, seed, strategy)
+
+
+def _attack_into(source, budget: int, seed: int, strategy: str) -> np.ndarray:
+    """targeted_flip_attack on the finite binary32 source, whose last pass puts
+    every piece attacked: the touched indices. Checks all before the first pass."""
+    n = source.n
     if budget < 0:
         raise ValueError("budget must be nonnegative")
-    if budget > w.size:
-        raise ValueError(f"budget {budget} exceeds vector length {w.size}")
-    if budget == 0:
-        return w.copy(), np.empty(0, dtype=np.int64)
-    mag = np.abs(w)  # binary32 keeps the order and ties of the binary64 widening
-    if strategy == "suppress":
-        if budget < w.size:
-            # A stable descending order takes every magnitude above the
-            # budget-th largest, top, then the lowest-index ties at it.
-            mag.partition(w.size - budget - 1)
-            value, top = mag[w.size - budget - 1], mag[w.size - budget :].min()
-            np.abs(w, out=mag)
-            above = np.flatnonzero(mag > top)
-            ties = np.flatnonzero(mag == top)[: budget - above.size]
-            idx = np.concatenate([above, ties])
-        else:
-            idx, value = np.arange(w.size), 0.0
-    elif strategy == "inflate":
-        scale = estimate_sigma(w) or 1.0
-        # In binary64: scale / 2 rounded to binary32 may admit a weight above it.
-        candidates = np.flatnonzero(mag <= np.float64(scale / 2.0))
-        if candidates.size < budget:
-            candidates = np.argsort(mag, kind="stable")[:budget]
-        keys = splitmix64_stream(seed, candidates.size)
-        idx = candidates[np.argsort(keys, kind="stable")[:budget]]
-        value = 2.0 * scale
-    else:
+    if budget > n:
+        raise ValueError(f"budget {budget} exceeds vector length {n}")
+    if strategy not in ("suppress", "inflate"):
         raise ValueError(f"unknown attack strategy {strategy!r}")
-    out = w.copy()
-    out[idx] = np.where(w[idx] >= 0, value, -value)
-    return out, np.sort(idx)
+    touched, value = np.empty(0, dtype=np.int64), 0.0
+    if budget and strategy == "suppress":
+        # Stable descending order: all above the value, then its first ties (n: all, at 0).
+        pattern, _, above = _pattern_at(source, n - budget - 1) if budget < n else (0, 0, 0)
+        touched = _ranked(source, np.greater, pattern, budget - above)
+        value = float(np.uint32(pattern).view(np.float32))
+    elif budget:
+        scale = _rms(source.pieces(), n) or 1.0
+        # In binary64: scale / 2 rounded to binary32 may admit a weight above it.
+        touched, value = _bottom_k(source, budget, seed, np.float64(scale / 2.0)), 2.0 * scale
+        if touched is None:  # too few candidates: the budget smallest magnitudes
+            pattern, rank, _ = _pattern_at(source, budget - 1)
+            touched = _ranked(source, np.less, pattern, rank + 1)
+    for piece, at, _ in _at_positions(source, touched):
+        piece[at] = np.where(piece[at] >= 0, value, -value)  # -0.0 counts as >= 0
+        source.put(piece)
+    return touched
+
+
+def _ranked(source, beyond, pattern: int, ties: int) -> np.ndarray:
+    """In one pass, the sorted indices of beyond(mag, pattern) and of pattern's first ties."""
+    found = []
+    for start, _, mag in _magnitude_patterns(source):
+        tied = np.flatnonzero(mag == pattern)[:ties]
+        ties -= tied.size
+        found += [np.flatnonzero(beyond(mag, pattern)) + start, tied + start]
+    return np.sort(np.concatenate(found))
+
+
+def _bottom_k(source, budget: int, seed: int, bound) -> np.ndarray | None:
+    """Bottom-k sampling (Cohen & Kaplan, PODC 2007) in one pass: the sorted indices
+    of the budget candidates (magnitude <= bound) with the smallest keys, candidate
+    j's key being output j + 1 of seed's stream; None if there are fewer. The keys
+    are distinct; those held fold to the budget smallest at 2 * budget."""
+    keys, idx, seen, cut = [], [], 0, np.uint64(MASK64)
+    for start, _, mag in _magnitude_patterns(source):
+        at = np.flatnonzero(mag.view(np.float32) <= bound)
+        drawn = _stream_at(seed, seen, at.size)
+        seen += at.size
+        kept = drawn <= cut
+        keys.append(drawn[kept])
+        idx.append(at[kept] + start)
+        last = start + mag.size == source.n
+        if sum(map(len, keys)) >= 2 * budget or last and seen >= budget:
+            keys, idx = np.concatenate(keys), np.concatenate(idx)
+            keep = np.argpartition(keys, budget - 1)[:budget]
+            keys, idx, cut = [keys[keep]], [idx[keep]], keys[keep].max()
+    return np.sort(idx[0]) if seen >= budget else None
 
 
 def _eval_trials(n, sigma, k, alpha, design_rate, two_sided, rates, seed, trials, allow_dense):

@@ -332,11 +332,8 @@ def cmd_noise(args, console: _Console) -> int:
 def cmd_attack(args, console: _Console) -> int:
     from . import attacks, model_io
 
-    weights = model_io.read_weights(args.weights_in)
-    attacked, touched = attacks.targeted_flip_attack(
-        weights, args.budget, args.seed, strategy=args.strategy
-    )
-    model_io.write_weights(args.weights_out, attacked)
+    with model_io._open_weights(args.weights_in, args.weights_out) as source:
+        touched = attacks._attack_into(source, args.budget, args.seed, args.strategy)
     console.put(
         strategy=args.strategy,
         budget=args.budget,

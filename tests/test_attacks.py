@@ -284,6 +284,8 @@ def test_flip_attack_budget_validation():
         targeted_flip_attack(w, 11, seed=0)
     with pytest.raises(ValueError):
         targeted_flip_attack(w, 1, seed=0, strategy="mystery")
+    with pytest.raises(ValueError, match="unknown attack strategy 'mystery'"):
+        targeted_flip_attack(w, 0, seed=0, strategy="mystery")
 
 
 def test_flip_attack_suppress_lowers_top_magnitudes():
@@ -414,6 +416,23 @@ def test_attacks_match_binary64_recipes(data):
         assert touched.tolist() == want_touched.tolist()
     sigma = data.draw(st.sampled_from([0.0, 1e-40, 0.25]) | st.floats(0.0, 10.0))
     assert add_noise(w, sigma, seed).tobytes() == old_add_noise(w, sigma, seed).tobytes()
+
+
+@pytest.mark.parametrize("strategy", ["suppress", "inflate"])
+@pytest.mark.parametrize("n", [1, 5, 1000, 2**12 + 3])
+def test_flip_attack_pieces_match_binary64_recipe(monkeypatch, n, strategy):
+    # Pieces of 7 weights: inflate's pool folds across pieces, ties at the
+    # new magnitude straddle piece edges, and the larger budgets leave
+    # inflate too few candidates, so it takes the budget smallest.
+    monkeypatch.setattr(watermark, "_PIECE", 7)
+    w = np.round(np.random.default_rng(n).normal(0, 1, n) * 4).astype(np.float32) / 4
+    w[::5] = 0.0
+    w[1::11] = -0.0
+    for budget in sorted({0, 1, min(3, n), n // 2, n - 1, n}):
+        out, touched = targeted_flip_attack(w, budget, seed=n, strategy=strategy)
+        want, want_touched = old_flip(w, budget, n, strategy)
+        assert out.tobytes() == want.tobytes()
+        assert touched.tolist() == want_touched.tolist()
 
 
 @pytest.mark.parametrize("n", [1, 5, 6, 7, 13, 1001])

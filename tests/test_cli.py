@@ -503,7 +503,7 @@ N_PIECES = 2 * _PIECE + 5
 
 def file_verb_argv(verb, weights, out, spec, message=MSG64):
     """argv of one file verb on weights: embed writes out and spec,
-    extract reads spec, prune and noise write out."""
+    extract reads spec, prune, noise and attack write out."""
     return {
         "embed": [
             "embed", str(weights), str(spec), str(out), "--message", message,
@@ -512,6 +512,7 @@ def file_verb_argv(verb, weights, out, spec, message=MSG64):
         "extract": ["--quiet", "extract", str(weights), str(spec)],
         "prune": ["prune", str(weights), str(out), "--rate", "0.9"],
         "noise": ["noise", str(weights), str(out), "--level", "0.001"],
+        "attack": ["attack", str(weights), str(out), "--budget", "10"],
     }[verb]
 
 
@@ -533,9 +534,11 @@ def marked_pieces_file(capsys, tmp_path, message=MSG64):
         ("extract", LONG128, 4),
         ("prune", MSG64, 0),
         ("noise", MSG64, 0),
+        ("attack", MSG64, 0),
     ],
     ids=[
         "embed-single", "embed-block", "extract", "extract-range-failure", "prune", "noise",
+        "attack",
     ],
 )
 def test_file_verbs_check_each_weight_once_in_pieces(
@@ -564,7 +567,7 @@ def test_file_verbs_check_each_weight_once_in_pieces(
     public = {
         cli.model_io: ["read_weights", "write_weights"],
         cli.stats: ["estimate_sigma"],
-        cli.attacks: ["prune", "add_noise"],
+        cli.attacks: ["prune", "add_noise", "targeted_flip_attack"],
         cli.watermark: [
             "embed", "embed_message", "embed_message_blocks",
             "extract", "extract_message", "extract_message_blocks",
@@ -584,7 +587,7 @@ def write_raw_weights(path, w):
     path.write_bytes(b"CWCW" + struct.pack("<HQ", 1, w.size) + w.astype("<f4").tobytes())
 
 
-@pytest.mark.parametrize("verb", ["embed", "extract", "prune", "noise"])
+@pytest.mark.parametrize("verb", ["embed", "extract", "prune", "noise", "attack"])
 def test_nan_in_last_piece_exits_3_and_leaves_no_file(capsys, tmp_path, verb):
     # The NaN is read after every earlier piece, which noise has already
     # written to its temp file; the temp file goes, and extract prints nothing.
@@ -624,8 +627,23 @@ def test_fault_before_the_pass_is_reported_before_a_nan(capsys, tmp_path, verb):
     assert not out.parent.exists()
 
 
+def test_attack_budget_is_checked_before_a_nan(capsys, tmp_path):
+    # The budget is checked against the header's count before the first
+    # pass, so a budget past n is reported before the NaN in the last piece.
+    marked, _ = marked_pieces_file(capsys, tmp_path)
+    w = read_weights(marked)
+    w[-1] = np.nan
+    write_raw_weights(marked, w)
+    out = tmp_path / "out.cwcw"
+    argv = ["attack", str(marked), str(out), "--budget", str(N_PIECES + 1)]
+    code, stdout, err = run(capsys, *argv)
+    assert code == 2 and stdout == ""
+    assert err == f"cwmark: error: budget {N_PIECES + 1} exceeds vector length {N_PIECES}\n"
+    assert not out.exists()
+
+
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
-@pytest.mark.parametrize("verb", ["embed", "extract", "prune", "noise"])
+@pytest.mark.parametrize("verb", ["embed", "extract", "prune", "noise", "attack"])
 def test_piped_weight_file_refused_by_its_size(capsys, tmp_path, verb):
     # A pipe's fstat size is 0, so the size checks refuse it after the
     # header, before any pass reads the payload.
@@ -647,7 +665,7 @@ def test_piped_weight_file_refused_by_its_size(capsys, tmp_path, verb):
     assert not (tmp_path / "out.cwcw").exists()
 
 
-@pytest.mark.parametrize("verb", ["embed", "prune", "noise"])
+@pytest.mark.parametrize("verb", ["embed", "prune", "noise", "attack"])
 def test_file_verbs_write_over_their_own_input(capsys, tmp_path, verb):
     # Every pass reads the input until os.replace moves the output over it,
     # so writing over the input gives the bytes of a separate output.
@@ -770,6 +788,17 @@ def test_attack_verb(capsys, tmp_path):
     payload = json.loads(out)
     assert payload["touched"] == 2 and payload["touched_indices"] == [1, 3]
     assert read_weights(dst).tolist() == pytest.approx([0.1, -0.3, 0.2, 0.3, -0.3])
+
+
+@pytest.mark.parametrize("strategy", ["suppress", "inflate"])
+def test_attack_budget_past_the_vector_exits_2_and_leaves_no_file(capsys, tmp_path, strategy):
+    src = tmp_path / "w.cwcw"
+    write_weights(src, np.array([0.1, -5.0, 0.2, 4.0, -0.3], dtype=np.float32))
+    argv = ["attack", str(src), str(tmp_path / "a.cwcw"), "--budget", "6", "--strategy", strategy]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == "cwmark: error: budget 6 exceeds vector length 5\n"
+    assert os.listdir(tmp_path) == ["w.cwcw"]
 
 
 # --- eval --------------------------------------------------------------------
