@@ -28,7 +28,6 @@ import argparse
 import json
 import sys
 from contextlib import nullcontext
-from importlib import import_module
 
 from . import codec
 from .errors import (
@@ -58,13 +57,6 @@ CSV_HEADER = (
     "seed", "n", "sigma", "k", "alpha", "L", "design_rate", "attack_rate",
     "bit_errors", "recovered", "cutoff", "t1", "modified_count",
 )
-
-
-def __getattr__(name: str):
-    """cli.attacks, cli.model_io, cli.stats, cli.watermark: the data verbs' modules."""
-    if name in ("attacks", "model_io", "stats", "watermark"):
-        return import_module(f".{name}", __package__)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _number(parse, ok, rule: str):
@@ -119,13 +111,8 @@ def _bitstring(text: str) -> str:
     return text
 
 
-def hex_to_bits(message: str):
-    """d hex digits -> 4d bits, bit t = (int(message, 16) >> t) & 1."""
-    return codec.int_to_bits(int(message, 16), 4 * len(message))
-
-
 def _hex(value: int, k: int) -> str:
-    """A k-bit value as the ceil(k/4)-digit hex that hex_to_bits reads."""
+    """A k-bit value as ceil(k/4) hex digits, the form a message is given in."""
     return format(value, f"0{-(-k // 4)}x")
 
 
@@ -249,7 +236,7 @@ def cmd_embed(args, console: _Console) -> int:
 
     with model_io._open_weights(args.weights_in, args.weights_out) as source:
         sigma = stats._rms(source.pieces(), source.n)
-        bits = hex_to_bits(args.message)
+        bits = codec.int_to_bits(int(args.message, 16), 4 * len(args.message))
         thresholds, rate = _design_from_args(args, sigma)
 
         blocked = args.block_bits is not None and args.block_bits < bits.size
@@ -334,12 +321,9 @@ def cmd_attack(args, console: _Console) -> int:
 
     with model_io._open_weights(args.weights_in, args.weights_out) as source:
         touched = attacks._attack_into(source, args.budget, args.seed, args.strategy)
-    console.put(
-        strategy=args.strategy,
-        budget=args.budget,
-        touched=int(touched.size),
-        touched_indices=[int(i) for i in touched],
-    )
+    console.put(strategy=args.strategy, budget=args.budget, touched=int(touched.size))
+    if console.json:  # O(budget) ints: only JSON prints them
+        console.put(touched_indices=touched.tolist())
     console.result(f"strategy: {args.strategy}  touched: {touched.size}")
     return EXIT_OK
 
@@ -361,17 +345,24 @@ def _eval_rows(args):
 
 def cmd_eval(args, console: _Console) -> int:
     import csv
+    import io
 
-    rows = list(_eval_rows(args))
+    from . import model_io
+
+    # --out is claimed before the first trial; --out "" is an error, not stdout.
+    with model_io._atomic_file(args.out) if args.out is not None else nullcontext() as out:
+        rows = list(_eval_rows(args))
+        text = io.StringIO()
+        writer = csv.writer(text, lineterminator="\n")
+        writer.writerow(CSV_HEADER)
+        writer.writerows([row[name] for name in CSV_HEADER] for row in rows)
+        if out is not None:
+            out.write(text.getvalue().encode("ascii"))
+    if out is None and not console.json:
+        sys.stdout.write(text.getvalue())
     protected = args.design_rate - 0.01 + 1e-12
     failures = [r for r in rows if r["recovered"] == "no" and float(r["attack_rate"]) <= protected]
     console.put(rows=rows, trials=args.trials, failures=len(failures))
-    if args.out is not None or not console.json:  # --out "" is an error, not stdout
-        out = open(args.out, "w", newline="") if args.out is not None else None
-        with out or nullcontext(sys.stdout) as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(CSV_HEADER)
-            writer.writerows([row[name] for name in CSV_HEADER] for row in rows)
     if not args.quiet:
         recovered = sum(1 for row in rows if row["recovered"] == "yes")
         print(

@@ -10,9 +10,10 @@ a half-written file.
 
 The weight format has one reader and one writer. _open_weights gives a
 weight file as pieces of one reused buffer of at most watermark._PIECE
-weights; _weight_writer writes the header and then each piece put. The
-file verbs stream through both and never hold an n-sized array;
-read_weights and write_weights are their array case.
+weights; right after its header, _weight_writer opens the output and
+writes its header, then each piece put. The file verbs stream through
+both and never hold an n-sized array; read_weights and write_weights
+are their array case.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import os
 import struct
 import sys
 import tempfile
-from contextlib import ExitStack, contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,6 +65,8 @@ def _atomic_file(path):
     ends and removed if the block raises. Failing to create or move the
     temp file raises the same OSError naming path, not the temp file."""
     path = os.fspath(path)
+    if not path:  # mkstemp would take "."; os.replace refuses "" only after the block
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
     if os.path.isdir(path) and not os.path.islink(path):
         # os.replace would refuse it only after the block: embed writes its
         # spec inside its weight file's block, and would leave that spec.
@@ -155,15 +158,14 @@ class _WeightFile:
     watermark._ArrayPieces): each pass reads it again into one reused
     buffer, and the first whole pass refuses a NaN or an infinity
     (NonFiniteWeightError) before handing out the piece that holds it.
-    put writes a finished piece to the output, opened by the first put."""
+    put writes a finished piece to the output (None with no output)."""
 
-    def __init__(self, handle, n: int, open_output):
+    def __init__(self, handle, n: int, put):
         self.n = n
+        self.put = put
         self._handle = handle
         self._buf = np.empty(min(n, _PIECE), dtype=np.float32)
         self._checked = False
-        self._open_output = open_output
-        self._put = None
 
     def pieces(self):
         self._handle.seek(_HEADER.size)
@@ -182,22 +184,19 @@ class _WeightFile:
             yield start, piece
         self._checked = True
 
-    def put(self, piece: np.ndarray) -> None:
-        if self._put is None:
-            self._put = self._open_output()
-        self._put(piece)
-
 
 @contextmanager
 def _open_weights(path, out=None):
     """The weight file at path as a piece source, after _payload_count's
-    checks. What the step puts goes through _weight_writer to a temp file
-    beside out, which replaces out when the block ends, so out may be path
-    itself; if the block raises, the temp file is removed and out is left
-    as it was."""
-    with open(path, "rb") as handle, ExitStack() as stack:
+    checks. Then out, if given, is opened through _weight_writer as a temp
+    file beside it, so an unwritable out fails before any pass; what the
+    step puts goes there, and the temp file replaces out when the block
+    ends, so out may be path itself. If the block raises, the temp file is
+    removed and out is left as it was."""
+    with open(path, "rb") as handle:
         n = _payload_count(handle)
-        yield _WeightFile(handle, n, lambda: stack.enter_context(_weight_writer(out, n)))
+        with _weight_writer(out, n) if out is not None else nullcontext() as put:
+            yield _WeightFile(handle, n, put)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """End-to-end CLI coverage: verbs, exit codes, JSON mode, determinism."""
 
 import contextlib
+import csv
 import errno
 import functools
 import hashlib
@@ -14,6 +15,7 @@ import sys
 import tempfile
 import threading
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,6 +24,8 @@ from hypothesis import strategies as st
 
 import cwmark
 from cwmark import (
+    NonFiniteWeightError,
+    PositionRangeError,
     SpecDocument,
     SpecFormatError,
     WeightFileError,
@@ -551,7 +555,7 @@ def test_file_verbs_check_each_weight_once_in_pieces(
     marked, spec = marked_pieces_file(capsys, tmp_path, message)
     if code == 4:
         block_out_of_range(spec, marked, block=len(read_spec(spec).specs) - 1)
-    check = cli.model_io._all_finite
+    check = cwmark.model_io._all_finite
     checked = []
 
     def counted(piece):
@@ -563,12 +567,12 @@ def test_file_verbs_check_each_weight_once_in_pieces(
             raise AssertionError(f"{verb} called {name}")
         return call
 
-    monkeypatch.setattr(cli.model_io, "_all_finite", counted)
+    monkeypatch.setattr(cwmark.model_io, "_all_finite", counted)
     public = {
-        cli.model_io: ["read_weights", "write_weights"],
-        cli.stats: ["estimate_sigma"],
-        cli.attacks: ["prune", "add_noise", "targeted_flip_attack"],
-        cli.watermark: [
+        cwmark.model_io: ["read_weights", "write_weights"],
+        cwmark.stats: ["estimate_sigma"],
+        cwmark.attacks: ["prune", "add_noise", "targeted_flip_attack"],
+        cwmark.watermark: [
             "embed", "embed_message", "embed_message_blocks",
             "extract", "extract_message", "extract_message_blocks",
         ],
@@ -606,14 +610,22 @@ def test_nan_in_last_piece_exits_3_and_leaves_no_file(capsys, tmp_path, verb):
     assert os.listdir(out_dir) == []
 
 
-@pytest.mark.parametrize("verb", ["extract", "noise"])
-def test_fault_before_the_pass_is_reported_before_a_nan(capsys, tmp_path, verb):
-    # Two faults: a NaN in the last piece, and a spec in a bad format
-    # (extract) or an output in a missing directory (noise). The spec is
-    # read, and noise's first piece put, before the pass reaches the NaN.
+@pytest.mark.parametrize(
+    "verb, nan_at",
+    [
+        ("extract", -1), ("embed", -1), ("prune", -1), ("noise", -1), ("attack", -1),
+        ("noise", 0),
+    ],
+    ids=["extract", "embed", "prune", "noise", "attack", "noise-first-piece"],
+)
+def test_fault_before_the_pass_is_reported_before_a_nan(capsys, tmp_path, verb, nan_at):
+    # Two faults: a NaN in the first or last piece, and a spec in a bad
+    # format (extract) or an output in a missing directory (every verb that
+    # writes). The spec is read, and the output opened, right after the
+    # header, before any pass reaches the NaN.
     marked, spec = marked_pieces_file(capsys, tmp_path)
     w = read_weights(marked)
-    w[-1] = np.nan
+    w[nan_at] = np.nan
     write_raw_weights(marked, w)
     out = tmp_path / "missing" / "out.cwcw"
     if verb == "extract":
@@ -924,9 +936,9 @@ def count_exact_samples(monkeypatch):
     """Record each call of the exact sampler, which the harness makes only
     when a rate falls back to the exact recipe."""
     calls = []
-    sample = cli.stats.sample_gaussian_weights
+    sample = cwmark.stats.sample_gaussian_weights
     monkeypatch.setattr(
-        cli.stats, "sample_gaussian_weights", lambda *a: calls.append(a) or sample(*a)
+        cwmark.stats, "sample_gaussian_weights", lambda *a: calls.append(a) or sample(*a)
     )
     return calls
 
@@ -938,7 +950,7 @@ def test_eval_falls_back_to_the_exact_recipe_when_a_bracket_misses(monkeypatch):
     assert eval_rows(argv) == want and calls == []
     # Brackets far below every cutoff: no screened select may be trusted.
     monkeypatch.setattr(
-        cli.stats, "_bracket", lambda p, n, L, sigma, delta: (np.float32(1e-9), np.float32(2e-9))
+        cwmark.stats, "_bracket", lambda p, n, L, sigma, delta: (np.float32(1e-9), np.float32(2e-9))
     )
     assert eval_rows(argv) == want
     assert len(calls) == 2  # one exact sample per trial, partitioned for each p
@@ -953,11 +965,11 @@ def test_eval_bracket_edges_on_sample_values(monkeypatch):
     weight_seed = splitmix64_stream(trial_seed, 1).tolist()[0]
     [(_, marked, positions, _)] = public_recipe(5, 1, 20000, 0.01, 16, 8, [])
     screened = np.empty(20000, dtype=np.float32)
-    cli.stats._fill_normals(screened, weight_seed, 0.01, screen=True)
+    cwmark.stats._fill_normals(screened, weight_seed, 0.01, screen=True)
     screened[positions] = marked[positions]
     mags = np.sort(np.abs(screened))
     monkeypatch.setattr(
-        cli.stats, "_bracket", lambda p, n, L, sigma, delta: (mags[p - 300], mags[p + 300])
+        cwmark.stats, "_bracket", lambda p, n, L, sigma, delta: (mags[p - 300], mags[p + 300])
     )
     calls = count_exact_samples(monkeypatch)
     assert eval_rows(argv) == want and calls == []
@@ -975,6 +987,43 @@ def test_eval_sigma_whose_sample_overflows_binary32_exits_2(capsys, tmp_path):
     assert err.splitlines() == [
         "cwmark: error: sigma must lie in (0, 3.9698e37) for a finite sample, got 1e+38"
     ]
+
+
+@pytest.mark.parametrize("name", ["missing/e.csv", ""], ids=["missing-directory", "empty"])
+def test_eval_unwritable_out_exits_3_before_the_argument_checks(
+    capsys, tmp_path, monkeypatch, name
+):
+    # --out is claimed before the first trial and before the argument
+    # checks, so the sigma eval refuses (exit 2) is not reached.
+    monkeypatch.chdir(tmp_path)
+    given = str(tmp_path / name) if name else ""
+    code, stdout, err = run(
+        capsys, "eval", "--trials", "1", "--n", "100", "--sigma", "3e38", "--out", given
+    )
+    assert code == 3 and stdout == ""
+    assert err == f"cwmark: error: [Errno 2] No such file or directory: {given!r}\n"
+    assert os.listdir(tmp_path) == []
+
+
+def test_eval_write_that_fails_leaves_an_existing_out_as_it_was(capsys, tmp_path, monkeypatch):
+    # The CSV goes to a temp file that replaces --out only when it is whole.
+    out = tmp_path / "e.csv"
+    out.write_bytes(b"previous")
+    real = csv.writer
+
+    class Full:
+        def __init__(self, handle, **kwargs):
+            self.writerow = real(handle, **kwargs).writerow
+
+        def writerows(self, rows):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(csv, "writer", Full)
+    code, _, err = run(capsys, *EVAL_SMALL, "--out", str(out))
+    assert code == 3
+    assert err == f"cwmark: error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
+    assert out.read_bytes() == b"previous"
+    assert os.listdir(tmp_path) == ["e.csv"]
 
 
 SIGMA_MESSAGE = "sigma must lie in (0, 3.9698e37) for a finite sample, got 3e+38"
@@ -1191,23 +1240,97 @@ def mutate(data, blob: bytes) -> bytes:
     return bytes(out)
 
 
+def fuzz_argv(verb, weights, spec, out, out_spec):
+    """A valid argv of verb for the fuzz corpus's 400 weights and spec."""
+    return {
+        "embed": [
+            "embed", weights, out_spec, out, "--message", "beef", "--key", "3", "-a", "2",
+            "--rate", "0.95", "--block-bits", "8", "--force",
+        ],
+        "extract": ["extract", weights, spec],
+        "prune": ["prune", weights, out, "--rate", "0.9"],
+        "noise": ["noise", weights, out, "--level", "0.001"],
+        "attack": ["attack", weights, out, "--budget", "1"],
+    }[verb]
+
+
+def contents(path):
+    """The bytes of the file at path, or None if there is none."""
+    with contextlib.suppress(FileNotFoundError), open(path, "rb") as handle:
+        return handle.read()
+    return None
+
+
+def reader_error(path):
+    try:
+        read_weights(path)
+    except WeightFileError as exc:
+        return exc
+    return None
+
+
+@pytest.mark.parametrize("verb", ["embed", "extract", "prune", "noise", "attack"])
 @settings(max_examples=100, deadline=None)
-@given(data=st.data(), blocks=st.sampled_from((1, 2)))
-def test_fuzzed_files_raise_typed_errors_and_extract_exits_0_3_or_4(data, blocks):
+@given(data=st.data(), blocks=st.sampled_from((1, 2)), existed=st.booleans())
+def test_fuzzed_files_exit_with_a_documented_code_in_every_file_verb(
+    verb, data, blocks, existed
+):
+    # Each verb meets the mutated bytes that the readers refuse with typed
+    # errors. It reports the reader's fault, in one line, and leaves its
+    # outputs as they were; it reports no weight fault the reader does not.
     weight_bytes, spec_bytes = fuzz_inputs()
     with tempfile.TemporaryDirectory() as tmp:
         weights, spec = os.path.join(tmp, "w.cwcw"), os.path.join(tmp, "s.spec")
+        outs = [os.path.join(tmp, "o.cwcw"), os.path.join(tmp, "o.spec")]
         with open(weights, "wb") as handle:
             handle.write(mutate(data, weight_bytes))
         with open(spec, "wb") as handle:
             handle.write(mutate(data, spec_bytes[blocks]))
-        with contextlib.suppress(WeightFileError):
-            read_weights(weights)
+        for path in outs if existed else []:
+            with open(path, "wb") as handle:
+                handle.write(b"previous")
+        before = [contents(path) for path in outs]
+        weight_error = reader_error(weights)
         with contextlib.suppress(SpecFormatError):
             read_spec(spec)
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            code = main(["extract", weights, spec])
-    assert code in (0, 3, 4)
+
+        raised = []
+        cmd = getattr(cli, f"cmd_{verb}")
+
+        def recording(args, console):
+            try:
+                return cmd(args, console)
+            except Exception as exc:
+                raised.append(exc)
+                raise
+
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with mock.patch.object(cli, f"cmd_{verb}", recording), \
+                contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(fuzz_argv(verb, weights, spec, *outs))
+        after = [contents(path) for path in outs]
+        left = [name for name in os.listdir(tmp) if name.startswith(".cwmark-")]
+    err = stderr.getvalue()
+    assert code in ((0, 3, 4) if verb == "extract" else (0, 2, 3))
+    assert "Traceback" not in err and not left
+    if code in (2, 3):
+        [exc] = raised
+        assert err == f"cwmark: error: {exc}\n"
+    else:
+        assert raised == [] and "cwmark: error:" not in err
+    if code == 3:
+        assert stdout.getvalue() == ""
+    if code != 0:
+        assert after == before
+    if weight_error is None:
+        assert not any(isinstance(exc, WeightFileError) for exc in raised)
+    elif verb == "extract" and isinstance(weight_error, NonFiniteWeightError):
+        # extract reads its spec, and checks its positions, before the pass.
+        assert code == 3
+        assert isinstance(raised[0], (NonFiniteWeightError, SpecFormatError, PositionRangeError))
+    else:
+        assert code == 3 and type(raised[0]) is type(weight_error)
+        assert str(raised[0]) == str(weight_error)
 
 
 # --- entry point -------------------------------------------------------------

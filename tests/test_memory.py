@@ -185,6 +185,17 @@ def test_cli_noise_peak(tmp_path, weights):
     assert cli_peak(argv) <= 0.1
 
 
+def test_cli_attack_text_mode_peak(tmp_path, weights):
+    # Every weight touched, in text mode: the int64 touched indices and
+    # watermark._at_positions' argsort and sorted copy of them: 6.1 (with a
+    # Python int per index for a JSON payload that text mode never prints:
+    # 12.1).
+    src = tmp_path / "w.cwcw"
+    write_weights(src, weights)
+    argv = ["--quiet", "attack", str(src), str(tmp_path / "a.cwcw"), "--budget", str(N)]
+    assert cli_peak(argv) <= 6.5
+
+
 @pytest.mark.parametrize("blocks", [1, 4], ids=["single", "block"])
 def test_cli_extract_peak(tmp_path, weights, blocks):
     # One piece of the file and the L * blocks gathered values: 0.035
