@@ -14,7 +14,7 @@ from .stats import (
     _check_sigma, _cutoffs, _fill_normals, _normals_at, _rms, _scratch, design_thresholds
 )
 from .watermark import (
-    _PIECE, EmbedSpec, _all_finite, _ArrayPieces, _at_positions, _check_selection, _top_alpha,
+    _PIECE, EmbedSpec, _all_finite, _ArrayPieces, _check_selection, _top_alpha,
     as_weight_vector, embed, select_positions,
 )
 
@@ -148,18 +148,18 @@ def targeted_flip_attack(
     "suppress" shrinks the `budget` largest magnitudes down to the first
     magnitude below them, hoping to knock 1-positions out of the top set.
     "inflate" grows `budget` small-magnitude entries (chosen by seed) to
-    twice the RMS weight scale so they crowd into the top set. Returns
-    the attacked vector and the sorted touched indices. Beside the copy, the
-    candidate pool and the touched list are O(budget); budget = n touches
-    every weight, and suppress then sets each to 0.
+    twice the RMS weight scale so they crowd into the top set. Returns the
+    attacked vector and the touched indices, which come out of the write pass
+    in index order. Beside the copy, the candidate pool and the touched list
+    are O(budget); budget = n touches every weight, and suppress sets each to 0.
     """
     out = as_weight_vector(weights).copy()
     return out, _attack_into(_ArrayPieces(out), budget, seed, strategy)
 
 
 def _attack_into(source, budget: int, seed: int, strategy: str) -> np.ndarray:
-    """targeted_flip_attack on the finite binary32 source, whose last pass puts
-    every piece attacked: the touched indices. Checks all before the first pass."""
+    """targeted_flip_attack on the finite binary32 source: checks all, then its last
+    pass puts every piece attacked and gives the touched indices in index order."""
     n = source.n
     if budget < 0:
         raise ValueError("budget must be nonnegative")
@@ -167,33 +167,33 @@ def _attack_into(source, budget: int, seed: int, strategy: str) -> np.ndarray:
         raise ValueError(f"budget {budget} exceeds vector length {n}")
     if strategy not in ("suppress", "inflate"):
         raise ValueError(f"unknown attack strategy {strategy!r}")
-    touched, value = np.empty(0, dtype=np.int64), 0.0
+    picked, value, beyond = None, 0.0, None
     if budget and strategy == "suppress":
         # Stable descending order: all above the value, then its first ties (n: all, at 0).
         pattern, _, above = _pattern_at(source, n - budget - 1) if budget < n else (0, 0, 0)
-        touched = _ranked(source, np.greater, pattern, budget - above)
+        beyond, ties = np.greater, budget - above
         value = float(np.uint32(pattern).view(np.float32))
     elif budget:
         scale = _rms(source.pieces(), n) or 1.0
         # In binary64: scale / 2 rounded to binary32 may admit a weight above it.
-        touched, value = _bottom_k(source, budget, seed, np.float64(scale / 2.0)), 2.0 * scale
-        if touched is None:  # too few candidates: the budget smallest magnitudes
+        picked, value = _bottom_k(source, budget, seed, np.float64(scale / 2.0)), 2.0 * scale
+        if picked is None:  # too few candidates: the budget smallest magnitudes
             pattern, rank, _ = _pattern_at(source, budget - 1)
-            touched = _ranked(source, np.less, pattern, rank + 1)
-    for piece, at, _ in _at_positions(source, touched):
+            beyond, ties = np.less, rank + 1
+    touched, lo = np.empty(budget, dtype=np.int64) if picked is None else picked, 0
+    for start, bits, mag in _magnitude_patterns(source):
+        if beyond is None:  # _bottom_k's sorted picks (or none)
+            hi = np.searchsorted(touched, start + mag.size)
+        else:  # beyond(mag, pattern), then pattern's first ties
+            hit, tied = beyond(mag, pattern), np.flatnonzero(mag == pattern)[:ties]
+            hit[tied], ties = True, ties - tied.size
+            hi = lo + np.count_nonzero(hit)
+            touched[lo:hi] = np.flatnonzero(hit) + start
+        at, lo = touched[lo:hi] - start, hi
+        piece = bits.view(np.float32)
         piece[at] = np.where(piece[at] >= 0, value, -value)  # -0.0 counts as >= 0
         source.put(piece)
     return touched
-
-
-def _ranked(source, beyond, pattern: int, ties: int) -> np.ndarray:
-    """In one pass, the sorted indices of beyond(mag, pattern) and of pattern's first ties."""
-    found = []
-    for start, _, mag in _magnitude_patterns(source):
-        tied = np.flatnonzero(mag == pattern)[:ties]
-        ties -= tied.size
-        found += [np.flatnonzero(beyond(mag, pattern)) + start, tied + start]
-    return np.sort(np.concatenate(found))
 
 
 def _bottom_k(source, budget: int, seed: int, bound) -> np.ndarray | None:

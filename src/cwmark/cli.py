@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from contextlib import nullcontext
 
@@ -232,6 +233,8 @@ def _design_from_args(args, sigma: float) -> tuple[stats.ThresholdPair, float]:
 
 
 def cmd_embed(args, console: _Console) -> int:
+    if os.path.realpath(args.spec_out) == os.path.realpath(args.weights_out):
+        raise ValueError(f"spec_out and weights_out are the same file: {args.spec_out}")
     from . import model_io, stats, watermark
 
     with model_io._open_weights(args.weights_in, args.weights_out) as source:

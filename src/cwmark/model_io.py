@@ -295,10 +295,14 @@ def _parse_fields(text: str) -> dict[str, str]:
 
 def _parse(name: str, value: str | None, kind):
     """The value of field name as kind (str, int or float); SpecFormatError
-    if the field is missing (value None) or its value does not parse."""
+    if the field is missing (value None) or its value does not parse as
+    write_spec writes it: int() and float() also take '_' separators and a
+    leading '+', so these are refused (a '+' in a float's exponent stays)."""
     if value is None:
         raise SpecFormatError(f"missing field {name!r}")
     try:
+        if kind is not str and ("_" in value or "+" in (value[:1] if kind is float else value)):
+            raise ValueError
         return kind(value)
     except ValueError:
         noun = "a decimal integer" if kind is int else "a number"
@@ -308,7 +312,12 @@ def _parse(name: str, value: str | None, kind):
 def _parse_positions(name: str, value: str) -> tuple[int, ...]:
     if not value:
         raise SpecFormatError(f"field {name!r}: empty position list")
-    return tuple(_parse(name, token, int) for token in value.split())
+    try:
+        if "_" in value or "+" in value:  # refused as _parse refuses them, once per line
+            raise ValueError
+        return tuple(map(int, value.split()))
+    except ValueError:  # token by token, to name the first bad one
+        return tuple(_parse(name, token, int) for token in value.split())
 
 
 def read_spec(path) -> SpecDocument:

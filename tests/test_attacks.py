@@ -435,6 +435,35 @@ def test_flip_attack_pieces_match_binary64_recipe(monkeypatch, n, strategy):
         assert touched.tolist() == want_touched.tolist()
 
 
+class CountedPieces(_ArrayPieces):
+    """An array piece source that counts its passes."""
+
+    passes = 0
+
+    def pieces(self):
+        self.passes += 1
+        return super().pieces()
+
+
+COUNTED_N = 2 * _PIECE + 3
+
+
+@pytest.mark.parametrize(
+    "strategy, budget, passes",
+    [("suppress", 10, 3), ("suppress", COUNTED_N, 1), ("inflate", 10, 3),
+     ("inflate", COUNTED_N - 1, 5)],
+    ids=["suppress", "suppress-all", "inflate-pool", "inflate-fallback"],
+)
+def test_flip_attack_pass_counts(strategy, budget, passes):
+    # suppress: the rank select's two passes and the write pass, which picks
+    # the touched indices itself (budget n: only the write). inflate: the RMS,
+    # the bottom-k pool and the write; with too few candidates, the rank
+    # select's two passes come before the write.
+    source = CountedPieces(sample_gaussian_weights(COUNTED_N, sigma=0.01, seed=31))
+    assert attacks._attack_into(source, budget, 5, strategy).size == budget
+    assert source.passes == passes
+
+
 @pytest.mark.parametrize("n", [1, 5, 6, 7, 13, 1001])
 def test_add_noise_small_chunks_match_binary64_recipe(monkeypatch, n):
     # Chunks of 3 pairs: every edge, and an odd tail.

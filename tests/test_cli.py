@@ -40,6 +40,7 @@ from cwmark import (
     read_spec,
     read_weights,
     sample_gaussian_weights,
+    targeted_flip_attack,
     write_spec,
     write_weights,
 )
@@ -239,6 +240,28 @@ def test_embed_bad_hex_rejected_before_writing(capsys, tmp_path):
             "--message", "de_ad", "--key", "7", "-a", "10", "--rate", "0.95")
     assert err.value.code == 2
     assert not spec.exists() and not out.exists()
+
+
+@pytest.mark.parametrize("spelled", ["same", "dotted", "link"])
+def test_embed_spec_and_weights_to_one_file_exits_2_and_leaves_no_file(
+    capsys, tmp_path, spelled
+):
+    # The weight file's temp file would replace the spec written inside its
+    # block, so the mark could not be read back: both outputs are refused.
+    weights = make_weights(tmp_path)
+    before = weights.read_bytes()
+    out = tmp_path / "same.out"
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "link").symlink_to(out)
+    spec = {"same": out, "dotted": tmp_path / "sub" / ".." / "same.out", "link": tmp_path / "link"}
+    code, stdout, stderr = run(
+        capsys, "embed", str(weights), str(spec[spelled]), str(out),
+        "--message", MSG64, "--key", "3", "-a", "10", "--rate", "0.95",
+    )
+    assert code == 2 and stdout == ""
+    assert stderr == f"cwmark: error: spec_out and weights_out are the same file: {spec[spelled]}\n"
+    assert sorted(os.listdir(tmp_path)) == ["link", "sub", "w.cwcw"]
+    assert not os.listdir(tmp_path / "sub") and weights.read_bytes() == before
 
 
 # --- embed / extract ---------------------------------------------------------
@@ -800,6 +823,37 @@ def test_attack_verb(capsys, tmp_path):
     payload = json.loads(out)
     assert payload["touched"] == 2 and payload["touched_indices"] == [1, 3]
     assert read_weights(dst).tolist() == pytest.approx([0.1, -0.3, 0.2, 0.3, -0.3])
+
+
+def tie_budget(w, strategy):
+    """A budget whose cutoff ties straddle the first piece edge: it takes the
+    ties of the first piece and two more. suppress cuts among the magnitude
+    1.0; inflate, past its candidates (at most RMS / 2), among 0.75."""
+    mag = np.abs(w)
+    tie = np.float32(1.0 if strategy == "suppress" else 0.75)
+    beyond = mag > tie if strategy == "suppress" else mag < tie
+    return int(np.count_nonzero(beyond) + np.count_nonzero(mag[:_PIECE] == tie) + 2)
+
+
+@pytest.mark.parametrize("strategy", ["suppress", "inflate"])
+def test_attack_on_a_file_equals_targeted_flip_attack(capsys, tmp_path, strategy):
+    # The file's pieces go through the write path of a _WeightFile; the
+    # library's through an array. Magnitudes on a grid of 0.25 tie everywhere.
+    w = np.round(np.random.default_rng(5).normal(0, 1, N_PIECES) * 4).astype(np.float32) / 4
+    w[::5] = 0.0
+    w[1::11] = -0.0
+    src, out, want = tmp_path / "w.cwcw", tmp_path / "a.cwcw", tmp_path / "want.cwcw"
+    write_weights(src, w)
+    rms = np.sqrt(np.mean(w.astype(np.float64) ** 2))
+    tied = tie_budget(w, strategy)
+    assert strategy == "suppress" or np.count_nonzero(np.abs(w) <= rms / 2) < tied
+    for budget in [1, tied, N_PIECES - 1, N_PIECES]:
+        argv = ["--json", "--seed", "9", "attack", str(src), str(out), "--budget", str(budget)]
+        code, stdout, _ = run(capsys, *argv, "--strategy", strategy)
+        attacked, touched = targeted_flip_attack(w, budget, 9, strategy)
+        write_weights(want, attacked)
+        assert code == 0 and out.read_bytes() == want.read_bytes()
+        assert json.loads(stdout)["touched_indices"] == touched.tolist()
 
 
 @pytest.mark.parametrize("strategy", ["suppress", "inflate"])

@@ -388,6 +388,44 @@ def test_spec_error_names_the_first_fault_in_file_order(tmp_path, edit, message)
     assert str(err.value) == message
 
 
+SIXTEEN = [str(i) for i in range(16)]
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (changed(key="+42"), "field 'key': not a decimal integer: '+42'"),
+        (changed(key="4_2"), "field 'key': not a decimal integer: '4_2'"),
+        (changed(k="0_8"), "field 'k': not a decimal integer: '0_8'"),
+        (changed(alpha="0_0_3"), "field 'alpha': not a decimal integer: '0_0_3'"),
+        (changed(blocks="+1"), "field 'blocks': not a decimal integer: '+1'"),
+        (changed(sigma="0.0_1"), "field 'sigma': not a number: '0.0_1'"),
+        (changed(sigma="+0.01"), "field 'sigma': not a number: '+0.01'"),
+        (changed(rate="9.5e-0_1"), "field 'rate': not a number: '9.5e-0_1'"),
+        (changed(positions=" ".join(SIXTEEN[:15] + ["+15"])),
+         "field 'positions': not a decimal integer: '+15'"),
+        (changed(positions=" ".join(["0_0"] + SIXTEEN[1:])),
+         "field 'positions': not a decimal integer: '0_0'"),
+        (changed(positions=" ".join(["0", "x1", "+2"] + SIXTEEN[3:])),
+         "field 'positions': not a decimal integer: 'x1'"),
+    ],
+    ids=["int-plus", "int-underscore", "k-underscore", "int-underscores", "blocks-plus",
+         "float-underscore", "float-plus", "exponent-underscore", "position-plus",
+         "position-underscore", "position-first-fault"],
+)
+def test_spec_refuses_number_forms_write_spec_never_writes(tmp_path, edit, message):
+    # int() and float() take '_' separators and a leading '+'; the spec does not.
+    path = edit_spec(tmp_path, edit)
+    with pytest.raises(SpecFormatError) as err:
+        read_spec(path)
+    assert str(err.value) == message
+
+
+def test_spec_float_exponent_keeps_its_sign(tmp_path):
+    path = edit_spec(tmp_path, changed(sigma="1e+16", rate="9.5e-01"))
+    assert read_spec(path) == dataclasses.replace(make_doc(), sigma=1e16)
+
+
 def test_spec_duplicate_field(tmp_path):
     path = edit_spec(tmp_path, lambda t: t + "k: 8\n")
     with pytest.raises(SpecFormatError):
