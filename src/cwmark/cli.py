@@ -233,7 +233,8 @@ def _design_from_args(args, sigma: float) -> tuple[stats.ThresholdPair, float]:
 
 
 def cmd_embed(args, console: _Console) -> int:
-    if os.path.realpath(args.spec_out) == os.path.realpath(args.weights_out):
+    spec, out = (os.path.split(p) for p in (args.spec_out, args.weights_out))
+    if spec[1] == out[1] and os.path.realpath(spec[0]) == os.path.realpath(out[0]):
         raise ValueError(f"spec_out and weights_out are the same file: {args.spec_out}")
     from . import model_io, stats, watermark
 

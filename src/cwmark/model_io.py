@@ -297,11 +297,11 @@ def _parse(name: str, value: str | None, kind):
     """The value of field name as kind (str, int or float); SpecFormatError
     if the field is missing (value None) or its value does not parse as
     write_spec writes it: int() and float() also take '_' separators and a
-    leading '+', so these are refused (a '+' in a float's exponent stays)."""
+    leading '+', so these are refused (a float's exponent keeps its sign)."""
     if value is None:
         raise SpecFormatError(f"missing field {name!r}")
     try:
-        if kind is not str and ("_" in value or "+" in (value[:1] if kind is float else value)):
+        if kind is not str and ("_" in value or value.startswith("+")):
             raise ValueError
         return kind(value)
     except ValueError:
@@ -312,12 +312,7 @@ def _parse(name: str, value: str | None, kind):
 def _parse_positions(name: str, value: str) -> tuple[int, ...]:
     if not value:
         raise SpecFormatError(f"field {name!r}: empty position list")
-    try:
-        if "_" in value or "+" in value:  # refused as _parse refuses them, once per line
-            raise ValueError
-        return tuple(map(int, value.split()))
-    except ValueError:  # token by token, to name the first bad one
-        return tuple(_parse(name, token, int) for token in value.split())
+    return tuple(_parse(name, token, int) for token in value.split())
 
 
 def read_spec(path) -> SpecDocument:

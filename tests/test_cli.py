@@ -242,26 +242,43 @@ def test_embed_bad_hex_rejected_before_writing(capsys, tmp_path):
     assert not spec.exists() and not out.exists()
 
 
-@pytest.mark.parametrize("spelled", ["same", "dotted", "link"])
+@pytest.mark.parametrize("spelled", ["same", "dotted", "dir-link"])
 def test_embed_spec_and_weights_to_one_file_exits_2_and_leaves_no_file(
     capsys, tmp_path, spelled
 ):
     # The weight file's temp file would replace the spec written inside its
     # block, so the mark could not be read back: both outputs are refused.
+    # Symlinks and '..' in the directory part lead to the same entry.
     weights = make_weights(tmp_path)
     before = weights.read_bytes()
     out = tmp_path / "same.out"
     (tmp_path / "sub").mkdir()
-    (tmp_path / "link").symlink_to(out)
-    spec = {"same": out, "dotted": tmp_path / "sub" / ".." / "same.out", "link": tmp_path / "link"}
+    (tmp_path / "dir").symlink_to(tmp_path)
+    spec = {"same": out, "dotted": tmp_path / "sub" / ".." / "same.out",
+            "dir-link": tmp_path / "dir" / "same.out"}
     code, stdout, stderr = run(
         capsys, "embed", str(weights), str(spec[spelled]), str(out),
         "--message", MSG64, "--key", "3", "-a", "10", "--rate", "0.95",
     )
     assert code == 2 and stdout == ""
     assert stderr == f"cwmark: error: spec_out and weights_out are the same file: {spec[spelled]}\n"
-    assert sorted(os.listdir(tmp_path)) == ["link", "sub", "w.cwcw"]
+    assert sorted(os.listdir(tmp_path)) == ["dir", "sub", "w.cwcw"]
     assert not os.listdir(tmp_path / "sub") and weights.read_bytes() == before
+
+
+def test_embed_spec_to_a_symlink_of_the_weight_output_replaces_the_link(capsys, tmp_path):
+    # os.replace replaces a symlink at the end of a path, not its target:
+    # the spec takes the link's place and the weights go to its old target.
+    weights = make_weights(tmp_path)
+    out, link = tmp_path / "same.out", tmp_path / "link"
+    link.symlink_to(out)
+    code, _, _ = run(
+        capsys, "embed", str(weights), str(link), str(out),
+        "--message", MSG64, "--key", "3", "-a", "10", "--rate", "0.95",
+    )
+    assert code == 0 and not link.is_symlink()
+    code, stdout, _ = run(capsys, "--quiet", "extract", str(out), str(link))
+    assert code == 0 and stdout.strip() == MSG64
 
 
 # --- embed / extract ---------------------------------------------------------

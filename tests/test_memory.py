@@ -186,11 +186,8 @@ def test_cli_noise_peak(tmp_path, weights):
 
 
 def test_cli_attack_text_mode_peak(tmp_path, weights):
-    # Every weight touched, in text mode: the int64 touched indices, which
-    # the write pass fills in index order, and one piece's temporaries: 2.13
-    # (with an argsort and a sorted copy of the indices in the write pass:
-    # 6.1; with a Python int per index for a JSON payload that text mode
-    # never prints: 12.1).
+    # Every weight touched, in text mode: the int64 touched indices plus
+    # one piece's temporaries: 2.13.
     src = tmp_path / "w.cwcw"
     write_weights(src, weights)
     argv = ["--quiet", "attack", str(src), str(tmp_path / "a.cwcw"), "--budget", str(N)]
