@@ -10,10 +10,12 @@ quantiles of the host weight distribution.
 
 Importing the package imports none of its modules. Each name in __all__
 is bound on first use (PEP 562 module __getattr__) from the module that
-_HOME names, so the CLI's codec verbs, which import codec and errors
-only, never load numpy. numpy is first imported with stats, watermark,
-attacks, model_io or rng, or by a codec function that takes or returns
-arrays.
+_HOME names. codec, errors, detect and model_io import no numpy, so the
+CLI's codec verbs and its extract verb never load it. numpy is first
+imported with stats, watermark, attacks or rng, by a codec function that
+takes or returns arrays, or by a model_io function that does
+(read_weights, write_weights) and the verbs that compute on a weight
+file's pieces.
 """
 
 from importlib import import_module
@@ -34,24 +36,24 @@ _HOME = {
             "TrailingDataError", "TruncatedPayloadError", "UnsupportedVersionError",
             "WeightFileError",
         ),
+        "detect": ("EmbedSpec", "SpecDocument", "ThresholdPair"),
         "stats": (
-            "GaussianModel", "ThresholdPair", "design_t1", "design_thresholds",
-            "estimate_sigma", "q_function", "q_inverse", "sample_gaussian_weights",
-            "standard_normals",
+            "GaussianModel", "design_t1", "design_thresholds", "estimate_sigma",
+            "q_function", "q_inverse", "sample_gaussian_weights", "standard_normals",
         ),
         "watermark": (
-            "DENSITY_LIMIT", "EmbedReceipt", "EmbedSpec", "embed", "embed_message",
+            "DENSITY_LIMIT", "EmbedReceipt", "embed", "embed_message",
             "embed_message_blocks", "extract", "extract_message",
             "extract_message_blocks", "join_blocks", "select_positions",
             "split_blocks",
         ),
         "attacks": ("PruneSpec", "add_noise", "prune", "targeted_flip_attack"),
-        "model_io": ("SpecDocument", "read_spec", "read_weights", "write_spec", "write_weights"),
+        "model_io": ("read_spec", "read_weights", "write_spec", "write_weights"),
     }.items()
     for name in names
 }
 # Submodules that cwmark.<name> reaches after a bare `import cwmark`.
-_MODULES = ("attacks", "codec", "errors", "model_io", "rng", "stats", "watermark")
+_MODULES = ("attacks", "codec", "detect", "errors", "model_io", "rng", "stats", "watermark")
 
 __version__ = "0.1.0"
 

@@ -8,14 +8,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codec import encode, find_params
+from .detect import _PIECE, EmbedSpec, _top_alpha
 from .errors import CwmarkError
 from .rng import MASK64, _stream_at, random_bits, splitmix64_stream
 from .stats import (
     _check_sigma, _cutoffs, _fill_normals, _normals_at, _rms, _scratch, design_thresholds
 )
 from .watermark import (
-    _PIECE, EmbedSpec, _all_finite, _ArrayPieces, _check_selection, _top_alpha,
-    as_weight_vector, embed, select_positions,
+    _all_finite, _ArrayPieces, _check_selection, as_weight_vector, embed, select_positions
 )
 
 
@@ -199,22 +199,25 @@ def _attack_into(source, budget: int, seed: int, strategy: str) -> np.ndarray:
 def _bottom_k(source, budget: int, seed: int, bound) -> np.ndarray | None:
     """Bottom-k sampling (Cohen & Kaplan, PODC 2007) in one pass: the sorted indices
     of the budget candidates (magnitude <= bound) with the smallest keys, candidate
-    j's key being output j + 1 of seed's stream; None if there are fewer. The keys
-    are distinct; those held fold to the budget smallest at 2 * budget."""
+    j's key being output j + 1 of seed's stream; None, as soon as the candidates
+    seen and the weights left fall short of budget. The keys are distinct; those
+    held fold to the budget smallest at 2 * budget."""
     keys, idx, seen, cut = [], [], 0, np.uint64(MASK64)
     for start, _, mag in _magnitude_patterns(source):
         at = np.flatnonzero(mag.view(np.float32) <= bound)
+        left = source.n - start - mag.size
+        if seen + at.size + left < budget:
+            return None
         drawn = _stream_at(seed, seen, at.size)
         seen += at.size
         kept = drawn <= cut
         keys.append(drawn[kept])
         idx.append(at[kept] + start)
-        last = start + mag.size == source.n
-        if sum(map(len, keys)) >= 2 * budget or last and seen >= budget:
+        if sum(map(len, keys)) >= 2 * budget or not left:
             keys, idx = np.concatenate(keys), np.concatenate(idx)
             keep = np.argpartition(keys, budget - 1)[:budget]
             keys, idx, cut = [keys[keep]], [idx[keep]], keys[keep].max()
-    return np.sort(idx[0]) if seen >= budget else None
+    return np.sort(idx[0])
 
 
 def _eval_trials(n, sigma, k, alpha, design_rate, two_sided, rates, seed, trials, allow_dense):
@@ -236,6 +239,7 @@ def _eval_trials(n, sigma, k, alpha, design_rate, two_sided, rates, seed, trials
         cutoffs = _cutoffs(n, sigma, weight_seed, positions, marked, ps, params.L)
         sel = np.abs(marked).astype(np.float64)
         # What prune leaves there (ties at the cutoff survive), read as extract does.
-        words = [_top_alpha(np.where(sel < cutoffs[p], 0.0, sel), params.alpha) for p in ps]
+        kept = [np.where(sel < cutoffs[p], 0.0, sel).tolist() for p in ps]
+        words = [np.frombuffer(_top_alpha(mag, params.alpha), np.uint8) for mag in kept]
         errors = [int(np.count_nonzero(word != codeword)) for word in words]
         yield trial_seed, receipt, [(cutoffs[p], e) for p, e in zip(ps, errors)]

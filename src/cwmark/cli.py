@@ -17,9 +17,10 @@ bits: it is read as a big-endian integer whose bit t (LSB first) becomes
 message bit t, and extraction prints the same hex back.
 
 At import this module loads only codec and errors, which need no numpy.
-params, encode and decode run on codec's integer core and never import
-numpy; each data verb imports the modules it runs, and numpy with them,
-when it starts.
+params, encode and decode run on codec's integer core, and extract on
+model_io's byte-level reader and detect's integer decode, and none of
+them imports numpy; every other data verb imports the modules it runs,
+and numpy with them, when it starts.
 """
 
 from __future__ import annotations
@@ -120,8 +121,8 @@ def _hex(value: int, k: int) -> str:
 _DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
-def _word_text(word) -> str:
-    """A codeword of 0/1 bytes (bytearray or uint8 array) as a 0/1 string."""
+def _word_text(word: bytearray) -> str:
+    """A codeword of 0/1 bytes as a 0/1 string."""
     return bytes(word).translate(_DIGITS).decode("ascii")
 
 
@@ -274,20 +275,20 @@ def cmd_embed(args, console: _Console) -> int:
 
 
 def cmd_extract(args, console: _Console) -> int:
-    from . import model_io, watermark
+    from . import detect, model_io
 
     with model_io._open_weights(args.weights_in) as source:
         doc = model_io.read_spec(args.spec_in)
-        words = watermark._extract_words(source, doc.specs)
+        words = detect._extract_words(source, doc.specs)
     try:
-        joined = watermark._decode_blocks(words, doc.specs, doc.total_bits)
+        value = detect._decode_blocks(words, doc.specs, doc.total_bits)
     except MessageRangeError:
         console.put(weight_ok=True, range_ok=False)
         for word in words:
             console.result(f"codeword: {_word_text(word)}")
         console.result("range check: failed")
         return EXIT_VERIFY
-    message = _hex(codec.bits_to_int(joined), doc.total_bits)
+    message = _hex(value, doc.total_bits)
     console.put(
         weight_ok=True, range_ok=True, message=message, total_bits=doc.total_bits
     )

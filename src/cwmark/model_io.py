@@ -9,27 +9,29 @@ All writes go through a temp file and os.replace, so readers never see
 a half-written file.
 
 The weight format has one reader and one writer. _open_weights gives a
-weight file as pieces of one reused buffer of at most watermark._PIECE
-weights; right after its header, _weight_writer opens the output and
-writes its header, then each piece put. The file verbs stream through
-both and never hold an n-sized array; read_weights and write_weights
-are their array case.
+weight file as pieces of one reused bytearray of at most detect._PIECE
+weights, and tests each piece's finiteness on its bytes; right after its
+header, _weight_writer opens the output and writes its header, then each
+piece put. The file verbs stream through both and never hold an n-sized
+array; read_weights and write_weights are their array case.
+
+The module imports no numpy. The reader hands its pieces out as native
+bytes (extract gathers from those) or, for the verbs that compute on
+them, as a binary32 view of the same buffer; that view, the writer,
+read_weights and write_weights import numpy when they run.
 """
 
 from __future__ import annotations
 
 import errno
-import math
 import os
 import struct
 import sys
 import tempfile
 from contextlib import contextmanager, nullcontext
-from dataclasses import dataclass
-
-import numpy as np
 
 from .codec import CodeParams
+from .detect import _PIECE, EmbedSpec, SpecDocument, ThresholdPair
 from .errors import (
     BadMagicError,
     NonFiniteWeightError,
@@ -39,14 +41,18 @@ from .errors import (
     UnsupportedVersionError,
     WeightFileError,
 )
-from .stats import ThresholdPair
-from .watermark import _PIECE, EmbedSpec, _all_finite, _ArrayPieces, as_weight_vector
 
 MAGIC = b"CWCW"
 VERSION = 1
 _HEADER = struct.Struct("<4sHQ")
 # The payload is little-endian; a big-endian host swaps each piece.
 _SWAP = sys.byteorder != "little"
+# In a native binary32 value, the byte holding the sign and the top seven
+# exponent bits, and the byte whose bit 7 is the last exponent bit.
+_TOP, _NEXT = (3, 2) if sys.byteorder == "little" else (0, 1)
+# Maps a top byte with all seven of its exponent bits set (0x7F, 0xFF) to
+# 0x80, and every other byte to 0.
+_TOP_FULL = bytes(0x80 if byte & 0x7F == 0x7F else 0 for byte in range(256))
 
 SPEC_FORMAT = "cwmark-spec/1"
 # The spec header's fields in file order, each with the type its value is
@@ -94,6 +100,8 @@ def _atomic_file(path):
 def _weight_writer(path, n: int):
     """put(piece) for a new weight file of n weights at path (see _atomic_file):
     the header, then each piece, made contiguous and little-endian."""
+    import numpy as np
+
     with _atomic_file(path) as handle:
         handle.write(_HEADER.pack(MAGIC, VERSION, n))
         yield lambda piece: handle.write(
@@ -107,6 +115,8 @@ def write_weights(path, weights) -> None:
     Rejects vectors the reader would refuse, so every written file parses.
     Its pieces go through _weight_writer; a strided one is copied per piece.
     """
+    from .watermark import _ArrayPieces, as_weight_vector
+
     source = _ArrayPieces(as_weight_vector(weights))
     with _weight_writer(path, source.n) as put:
         for _, piece in source.pieces():
@@ -146,6 +156,8 @@ def _payload_count(handle) -> int:
 def read_weights(path) -> np.ndarray:
     """Parse a weight file into a binary32 vector, allocated after the checks
     of _open_weights and filled from its pieces."""
+    import numpy as np
+
     with _open_weights(path) as source:
         w = np.empty(source.n, dtype=np.float32)
         for start, piece in source.pieces():
@@ -153,36 +165,67 @@ def read_weights(path) -> np.ndarray:
     return w
 
 
+def _all_finite(raw) -> bool:
+    """No NaN or infinity among the native binary32 values in the bytearray raw.
+
+    A value is NaN or infinite exactly when its eight exponent bits are
+    all set: its top byte is 0x7F or 0xFF and bit 7 of the next is set. A
+    piece with neither top byte passes on two byte searches; otherwise
+    _TOP_FULL marks each such top byte with 0x80, and one AND of big
+    integers finds any that meets a set bit 7.
+    """
+    top = raw[_TOP::4]
+    if b"\x7f" not in top and b"\xff" not in top:
+        return True
+    full = int.from_bytes(top.translate(_TOP_FULL), "little")
+    return not full & int.from_bytes(raw[_NEXT::4], "little")
+
+
 class _WeightFile:
-    """The payload of an open weight file as a piece source (see
-    watermark._ArrayPieces): each pass reads it again into one reused
-    buffer, and the first whole pass refuses a NaN or an infinity
-    (NonFiniteWeightError) before handing out the piece that holds it.
-    put writes a finished piece to the output (None with no output)."""
+    """The payload of an open weight file as a piece source (see detect._PIECE):
+    each pass reads it again into one reused bytearray, and the first whole
+    pass refuses a NaN or an infinity (NonFiniteWeightError) before handing
+    out the piece that holds it. put writes a finished piece to the output
+    (None with no output)."""
 
     def __init__(self, handle, n: int, put):
         self.n = n
         self.put = put
         self._handle = handle
-        self._buf = np.empty(min(n, _PIECE), dtype=np.float32)
+        self._buf = bytearray(4 * min(n, _PIECE))
         self._checked = False
 
-    def pieces(self):
+    def raw(self):
+        """A pass as native bytes: the buffer, or a copy of its start for a
+        short last piece."""
+        buf = self._buf
+        view = memoryview(buf)
         self._handle.seek(_HEADER.size)
-        for start in range(0, self.n, self._buf.size):
-            piece = self._buf[: min(self._buf.size, self.n - start)]
-            got = self._handle.readinto(memoryview(piece).cast("B"))
-            if got != piece.nbytes:
+        for start in range(0, self.n, _PIECE):
+            size = 4 * min(_PIECE, self.n - start)
+            got = self._handle.readinto(view[:size])
+            if got != size:
                 raise TruncatedPayloadError(
                     f"header declares {self.n} weights ({_HEADER.size + 4 * self.n} "
                     f"bytes) but only {_HEADER.size + 4 * start + got} could be read"
                 )
-            if _SWAP:
-                piece.byteswap(inplace=True)
-            if not self._checked and not _all_finite(piece):
+            if _SWAP:  # before the check, which reads the values it hands out
+                buf[0::4], buf[1::4], buf[2::4], buf[3::4] = (
+                    buf[3::4], buf[2::4], buf[1::4], buf[0::4]
+                )
+            raw = buf if size == len(buf) else buf[:size]
+            if not self._checked and not _all_finite(raw):
                 raise NonFiniteWeightError("payload contains NaN or infinity")
-            yield start, piece
+            yield start, raw
         self._checked = True
+
+    def pieces(self):
+        """A pass as binary32 views of the buffer, which put may write."""
+        import numpy as np
+
+        values = np.frombuffer(self._buf, dtype=np.float32)
+        for start, raw in self.raw():
+            yield start, values[: len(raw) // 4]
 
 
 @contextmanager
@@ -197,60 +240,6 @@ def _open_weights(path, out=None):
         n = _payload_count(handle)
         with _weight_writer(out, n) if out is not None else nullcontext() as put:
             yield _WeightFile(handle, n, put)
-
-
-@dataclass(frozen=True)
-class SpecDocument:
-    """One watermark's full recovery record: metadata plus per-block specs.
-
-    Single-codeword watermarks are the one-block case. All blocks share
-    the key, code parameters, and thresholds; position sets are disjoint.
-    total_bits is the payload length before zero-padding the last block.
-    """
-
-    specs: tuple[EmbedSpec, ...]
-    sigma: float
-    rate: float
-    total_bits: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "specs", tuple(self.specs))
-        if not self.specs:
-            raise ValueError("document needs at least one block spec")
-        first = self.specs[0]
-        for spec in self.specs[1:]:
-            if (
-                spec.key != first.key
-                or spec.params != first.params
-                or spec.thresholds != first.thresholds
-            ):
-                raise ValueError("blocks must share key, params, and thresholds")
-        seen: set[int] = set()
-        for spec in self.specs:
-            if not seen.isdisjoint(spec.positions):
-                raise ValueError("block position sets must be disjoint")
-            seen.update(spec.positions)
-        k = first.params.k
-        blocks = len(self.specs)
-        if not (blocks - 1) * k < self.total_bits <= blocks * k:
-            raise ValueError(
-                f"total_bits {self.total_bits} inconsistent with "
-                f"{blocks} blocks of {k} bits"
-            )
-        if not (math.isfinite(self.sigma) and self.sigma > 0):
-            raise ValueError("sigma must be positive and finite")
-        if not 0.0 <= self.rate < 1.0:
-            raise ValueError("rate must lie in [0, 1)")
-
-    @classmethod
-    def single(cls, spec: EmbedSpec, sigma: float, rate: float) -> "SpecDocument":
-        return cls(specs=(spec,), sigma=sigma, rate=rate, total_bits=spec.params.k)
-
-    @property
-    def spec(self) -> EmbedSpec:
-        if len(self.specs) != 1:
-            raise ValueError("document holds multiple blocks; use .specs")
-        return self.specs[0]
 
 
 def write_spec(path, doc: SpecDocument) -> None:
@@ -296,14 +285,19 @@ def _parse_fields(text: str) -> dict[str, str]:
 def _parse(name: str, value: str | None, kind):
     """The value of field name as kind (str, int or float); SpecFormatError
     if the field is missing (value None) or its value does not parse as
-    write_spec writes it: int() and float() also take '_' separators and a
-    leading '+', so these are refused (a float's exponent keeps its sign)."""
+    write_spec writes it. An int must read back as the same text, so '08',
+    '-0', '+7' and '0_7' are refused; a float may not hold the '_'
+    separators or the leading '+' that float() takes (its exponent keeps
+    its sign)."""
     if value is None:
         raise SpecFormatError(f"missing field {name!r}")
     try:
-        if kind is not str and ("_" in value or value.startswith("+")):
+        parsed = kind(value)
+        if kind is int and str(parsed) != value or kind is float and (
+            "_" in value or value.startswith("+")
+        ):
             raise ValueError
-        return kind(value)
+        return parsed
     except ValueError:
         noun = "a decimal integer" if kind is int else "a number"
         raise SpecFormatError(f"field {name!r}: not {noun}: {value!r}") from None

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .detect import ThresholdPair
 from .errors import ThresholdDesignError
 from .rng import GOLDEN_GAMMA, _stream_at, _stream_gather
 
@@ -74,35 +75,6 @@ class GaussianModel:
 
     def sample(self, n: int, seed: int) -> np.ndarray:
         return sample_gaussian_weights(n, self.sigma, seed)
-
-
-@dataclass(frozen=True)
-class ThresholdPair:
-    """Classification thresholds 0 < t0 < t1.
-
-    Also requires t1 to round to a finite binary32 value and the two
-    values to remain distinct after that rounding, since embedded weights
-    are stored at that precision and extraction exactness needs strict
-    magnitude separation there.
-    """
-
-    t0: float
-    t1: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.t0) and math.isfinite(self.t1)):
-            raise ValueError("thresholds must be finite")
-        if not 0.0 < self.t0 < self.t1:
-            raise ValueError("thresholds must satisfy 0 < t0 < t1")
-        with np.errstate(over="ignore"):  # a t1 past binary32 is refused below
-            t0, t1 = np.float32(self.t0), np.float32(self.t1)
-        if math.isinf(t1):
-            raise ValueError("t1 overflows binary32")
-        if not t0 < t1:
-            raise ValueError("t0 and t1 collapse to the same binary32 value")
-
-    def __iter__(self):
-        return iter((self.t0, self.t1))
 
 
 def design_t1(sigma: float, rate: float, two_sided: bool = False) -> float:

@@ -14,23 +14,17 @@ from itertools import chain
 
 import numpy as np
 
-from .codec import CodeParams, as_bits, decode, encode, find_params
-from .errors import (
-    MalformedCodewordError,
-    MessageRangeError,
-    PositionRangeError,
-    SelectionRatioError,
+from .codec import CodeParams, _bits_value, as_bits, encode, find_params, int_to_bits
+from .detect import (
+    _PIECE, EmbedSpec, ThresholdPair, _check_positions, _decode_blocks, _extract_words,
+    _join,
 )
+from .errors import MalformedCodewordError, SelectionRatioError
 from .rng import GOLDEN_GAMMA, MASK64, _stream_at, mix64
-from .stats import ThresholdPair
 
 # Positions must cover at most 1/DENSITY_LIMIT of the host vector so the
 # watermark stays statistically invisible; override only for tests/toys.
 DENSITY_LIMIT = 100
-
-
-# Weights per piece of a pass over a vector or a weight file (256 KiB).
-_PIECE = 1 << 16
 
 
 def _all_finite(w: np.ndarray) -> bool:
@@ -39,13 +33,10 @@ def _all_finite(w: np.ndarray) -> bool:
 
 
 class _ArrayPieces:
-    """A finite binary32 vector as a piece source for the chunked steps.
-
-    A piece source has n and pieces(), a pass over its values as (start,
-    piece) of at most _PIECE values each; a step that changes the values
-    changes each piece and then hands it to put. Here each piece is a view
-    of the vector, so a step changes the vector in place and put has
-    nothing to do. model_io reads and writes a weight file the same way.
+    """A finite binary32 vector as a piece source for the chunked steps
+    (see detect._PIECE). Here each piece is a view of the vector, so a step
+    changes the vector in place and put has nothing to do. model_io reads
+    and writes a weight file the same way.
     """
 
     def __init__(self, w: np.ndarray):
@@ -55,6 +46,10 @@ class _ArrayPieces:
     def pieces(self):
         for start in range(0, self.n, _PIECE):
             yield start, self.w[start : start + _PIECE]
+
+    def raw(self):
+        for start, piece in self.pieces():
+            yield start, memoryview(np.ascontiguousarray(piece)).cast("B")
 
     def put(self, piece: np.ndarray) -> None:
         pass
@@ -127,45 +122,12 @@ def _stream_pieces(seed: int, l: int):
 
 
 @dataclass(frozen=True)
-class EmbedSpec:
-    """Everything needed to embed or re-extract one codeword."""
-
-    key: int
-    params: CodeParams
-    thresholds: ThresholdPair
-    positions: tuple[int, ...]
-
-    def __post_init__(self):
-        if not 0 <= self.key <= MASK64:
-            raise ValueError("key must be an unsigned 64-bit integer")
-        object.__setattr__(self, "positions", tuple(map(int, self.positions)))
-        if len(self.positions) != self.params.L:
-            raise ValueError(
-                f"{len(self.positions)} positions for codeword length {self.params.L}"
-            )
-        if len(set(self.positions)) != len(self.positions):
-            raise ValueError("positions must be distinct")
-        if min(self.positions) < 0:
-            raise ValueError("positions must be nonnegative")
-
-
-@dataclass(frozen=True)
 class EmbedReceipt:
     """Audit record of one embedding."""
 
     spec: EmbedSpec
     modified_count: int
     max_perturbation: float
-
-
-def _positions_array(spec: EmbedSpec, n: int) -> np.ndarray:
-    # Bounded on the Python ints, so a position past int64 is a range error.
-    top = max(spec.positions)
-    if top >= n:
-        raise PositionRangeError(
-            f"spec position {top} out of range for vector of length {n}"
-        )
-    return np.asarray(spec.positions, dtype=np.int64)
 
 
 def embed(weights, codeword, spec: EmbedSpec) -> tuple[np.ndarray, EmbedReceipt]:
@@ -178,7 +140,7 @@ def embed(weights, codeword, spec: EmbedSpec) -> tuple[np.ndarray, EmbedReceipt]
     to the input, which is left unchanged.
     """
     w = as_weight_vector(weights)
-    _positions_array(spec, w.size)
+    _check_positions([spec], w.size)
     bits = as_bits(codeword, expect_len=spec.params.L)
     if int(bits.sum()) != spec.params.alpha:
         raise MalformedCodewordError(
@@ -233,29 +195,8 @@ def extract(weights, spec: EmbedSpec) -> np.ndarray:
     lower position-list index (stable sort), so the output weight is
     always exactly alpha even on corrupted input.
     """
-    return _extract_words(_ArrayPieces(as_weight_vector(weights)), [spec])[0]
-
-
-def _extract_words(source, specs) -> list[np.ndarray]:
-    """extract for each spec, gathering all their positions in one pass
-    over the finite binary32 source; every position is range-checked first."""
-    pos = np.concatenate([_positions_array(spec, source.n) for spec in specs])
-    values = np.empty(pos.size, dtype=np.float32)
-    for piece, at, sel in _at_positions(source, pos):
-        values[sel] = piece[at]
-    bounds = np.cumsum([spec.params.L for spec in specs])[:-1]
-    return [
-        _top_alpha(np.abs(block.astype(np.float64)), spec.params.alpha)
-        for block, spec in zip(np.split(values, bounds), specs)
-    ]
-
-
-def _top_alpha(mag: np.ndarray, alpha: int) -> np.ndarray:
-    """Ones at the alpha largest of mag; ties go to the lower index (stable sort)."""
-    order = np.argsort(-mag, kind="stable")
-    bits = np.zeros(mag.size, dtype=np.uint8)
-    bits[order[:alpha]] = 1
-    return bits
+    word = _extract_words(_ArrayPieces(as_weight_vector(weights)), [spec])[0]
+    return np.frombuffer(word, dtype=np.uint8)
 
 
 def _embed_into(source, message, key, thresholds, params, blocked, allow_dense):
@@ -324,14 +265,8 @@ def join_blocks(blocks, total_bits: int) -> np.ndarray:
     Nonzero padding means the message does not fit in total_bits, so it
     raises MessageRangeError, as an out-of-range block does.
     """
-    if total_bits < 1:
-        raise ValueError("total_bits must be >= 1")
-    joined = np.concatenate([as_bits(b) for b in blocks])
-    if joined.size < total_bits:
-        raise ValueError(f"blocks hold {joined.size} bits, need {total_bits}")
-    if np.any(joined[total_bits:]):
-        raise MessageRangeError("padding bits beyond total_bits must be zero")
-    return joined[:total_bits]
+    pairs = ((_bits_value(bits), bits.size) for bits in map(as_bits, blocks))
+    return int_to_bits(_join(pairs, total_bits), total_bits)
 
 
 def _block_selection_seeds(key: int, block_index: int):
@@ -378,12 +313,6 @@ def embed_message_blocks(
     return out, [r.spec for r in receipts], receipts
 
 
-def _decode_blocks(words, specs, total_bits: int) -> np.ndarray:
-    """Decode each spec's codeword and rejoin the first total_bits bits."""
-    blocks = [decode(word, spec.params) for word, spec in zip(words, specs)]
-    return join_blocks(blocks, total_bits)
-
-
 def extract_message_blocks(weights, specs, total_bits: int) -> np.ndarray:
     """Extract, decode and rejoin a message; one spec is the single-codeword case.
 
@@ -393,4 +322,4 @@ def extract_message_blocks(weights, specs, total_bits: int) -> np.ndarray:
     PositionRangeError first.
     """
     words = _extract_words(_ArrayPieces(as_weight_vector(weights)), specs)
-    return _decode_blocks(words, specs, total_bits)
+    return int_to_bits(_decode_blocks(words, specs, total_bits), total_bits)

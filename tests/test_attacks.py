@@ -464,6 +464,31 @@ def test_flip_attack_pass_counts(strategy, budget, passes):
     assert source.passes == passes
 
 
+@pytest.mark.parametrize("short_at", [0, 1], ids=["first-piece", "second-piece"])
+def test_inflate_pool_stops_once_too_few_candidates_can_follow(monkeypatch, short_at):
+    # Once the candidates seen and the weights left fall short of the
+    # budget, the bottom-k pass returns before it draws that piece's keys,
+    # and inflate takes the budget smallest magnitudes.
+    w = sample_gaussian_weights(COUNTED_N, sigma=0.01, seed=31)
+    bound = estimate_sigma(w) / 2.0
+    per_piece = [int(np.count_nonzero(np.abs(w[s : s + _PIECE]) <= bound))
+                 for s in range(0, COUNTED_N, _PIECE)]
+    budget = COUNTED_N - 1 if short_at == 0 else per_piece[0] + per_piece[1] + 4
+    assert per_piece[0] + COUNTED_N - _PIECE >= budget or short_at == 0
+    draws, stream_at = [], attacks._stream_at
+
+    def counted(seed, first, count, *rest):
+        draws.append(count)
+        return stream_at(seed, first, count, *rest)
+
+    monkeypatch.setattr(attacks, "_stream_at", counted)
+    out, touched = targeted_flip_attack(w, budget, 5, strategy="inflate")
+    assert draws == per_piece[:short_at]
+    want, want_touched = old_flip(w, budget, 5, "inflate")
+    assert out.tobytes() == want.tobytes()
+    assert touched.tolist() == want_touched.tolist()
+
+
 @pytest.mark.parametrize("n", [1, 5, 6, 7, 13, 1001])
 def test_add_noise_small_chunks_match_binary64_recipe(monkeypatch, n):
     # Chunks of 3 pairs: every edge, and an odd tail.

@@ -598,9 +598,9 @@ def test_file_verbs_check_each_weight_once_in_pieces(
     check = cwmark.model_io._all_finite
     checked = []
 
-    def counted(piece):
-        checked.append(piece.size)
-        return check(piece)
+    def counted(raw):  # a piece's binary32 values as bytes
+        checked.append(len(raw) // 4)
+        return check(raw)
 
     def refused(name):
         def call(*args, **kwargs):
@@ -1242,11 +1242,14 @@ def with_first_position(value, field="positions"):
         set_field("k", "1" + "0" * 4000),
         with_first_position(str(2**63)),
         set_field("t1", "1e39"),
+        set_field("k", "064"),
+        with_first_position("-0"),
     ],
     ids=[
         "duplicate-field", "t0-not-below-t1", "negative-key", "non-ascii",
         "L-below-alpha", "duplicate-positions", "position-count", "capacity",
-        "oversized-k", "position-past-int64", "t1-past-binary32",
+        "oversized-k", "position-past-int64", "t1-past-binary32", "k-leading-zero",
+        "position-minus-zero",
     ],
 )
 def test_corrupt_spec_file_exits_3(capsys, tmp_path, edit):
@@ -1292,23 +1295,43 @@ def fuzz_inputs():
     return weight_bytes, spec_bytes
 
 
+# NaN and infinity patterns of binary32: the infinities, quiet and
+# signalling NaNs of both signs.
+NONFINITE_PATTERNS = (0x7F800000, 0xFF800000, 0x7FC00000, 0xFFC00000, 0x7F800001, 0xFFBFFFFF)
+
+
 def mutate(data, blob: bytes) -> bytes:
-    """Up to three bit flips, truncations or inserted digit runs, often near the start."""
+    """Up to three bit flips, truncations, inserted digit runs or non-finite
+    weights, often near the start."""
     out = bytearray(blob)
     for _ in range(data.draw(st.integers(0, 3))):
         if not out:
             break
         last = len(out) - 1
         at = data.draw(st.integers(0, min(31, last)) | st.integers(0, last))
-        kind = data.draw(st.sampled_from(("flip", "truncate", "digits")))
+        kind = data.draw(st.sampled_from(("flip", "truncate", "digits", "nonfinite")))
         if kind == "flip":
             out[at] ^= 1 << data.draw(st.integers(0, 7))
         elif kind == "truncate":
             del out[at:]
-        else:
+        elif kind == "digits":
             digit = data.draw(st.sampled_from(b"0123456789"))
             out[at:at] = bytes([digit]) * data.draw(st.integers(1, 24))
+        elif len(out) >= 18:  # a weight after the 14-byte header
+            at = 14 + 4 * data.draw(st.integers(0, (len(out) - 18) // 4))
+            struct.pack_into("<I", out, at, data.draw(st.sampled_from(NONFINITE_PATTERNS)))
     return bytes(out)
+
+
+def payload_finite(blob: bytes):
+    """Whether numpy finds the payload of the weight file blob finite; None if
+    its header or size is at fault."""
+    if len(blob) < 14:
+        return None
+    magic, version, n = struct.unpack("<4sHQ", blob[:14])
+    if magic != b"CWCW" or version != 1 or n == 0 or len(blob) != 14 + 4 * n:
+        return None
+    return bool(np.isfinite(np.frombuffer(blob[14:], dtype="<f4")).all())
 
 
 def fuzz_argv(verb, weights, spec, out, out_spec):
@@ -1353,8 +1376,9 @@ def test_fuzzed_files_exit_with_a_documented_code_in_every_file_verb(
     with tempfile.TemporaryDirectory() as tmp:
         weights, spec = os.path.join(tmp, "w.cwcw"), os.path.join(tmp, "s.spec")
         outs = [os.path.join(tmp, "o.cwcw"), os.path.join(tmp, "o.spec")]
+        blob = mutate(data, weight_bytes)
         with open(weights, "wb") as handle:
-            handle.write(mutate(data, weight_bytes))
+            handle.write(blob)
         with open(spec, "wb") as handle:
             handle.write(mutate(data, spec_bytes[blocks]))
         for path in outs if existed else []:
@@ -1402,6 +1426,12 @@ def test_fuzzed_files_exit_with_a_documented_code_in_every_file_verb(
     else:
         assert code == 3 and type(raised[0]) is type(weight_error)
         assert str(raised[0]) == str(weight_error)
+    # NonFiniteWeightError exactly when numpy finds a NaN or an infinity in
+    # a payload whose header holds, unless extract refused its spec or its
+    # positions before the pass.
+    before_pass = raised and isinstance(raised[0], (SpecFormatError, PositionRangeError))
+    nonfinite = [exc for exc in raised if isinstance(exc, NonFiniteWeightError)]
+    assert bool(nonfinite) == (payload_finite(blob) is False and not before_pass)
 
 
 # --- entry point -------------------------------------------------------------

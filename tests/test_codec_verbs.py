@@ -1,8 +1,11 @@
-"""The codec verbs (params, encode, decode) and the package's lazy exports.
+"""The codec verbs (params, encode, decode), extract's start-up, and the
+package's lazy exports.
 
-The verbs run on codec's integer core, so a child that runs one never
-imports numpy. Their output must stay what the library's array recipe
-gives: codec.encode of the message's bits, and codec.decode of the word.
+The codec verbs run on codec's integer core, and extract on model_io's
+byte-level reader and detect's integer decode, so a child that runs one
+never imports numpy. The codec verbs' output must stay what the library's
+array recipe gives: codec.encode of the message's bits, and codec.decode
+of the word.
 """
 
 import json
@@ -15,18 +18,27 @@ import numpy as np
 import pytest
 
 import cwmark
+from cwmark import (
+    SpecDocument,
+    design_thresholds,
+    embed_message_blocks,
+    sample_gaussian_weights,
+    write_spec,
+    write_weights,
+)
 from cwmark import codec
 from cwmark.cli import DEMO_PARAM_GRID, main
+from cwmark.rng import random_bits
 
-# Runs the CLI on its arguments, if any, after `import cwmark`, then prints
-# whether numpy was imported.
+# Runs the CLI on its arguments, if any, after `import cwmark`, and prints
+# its exit code; then prints whether numpy was imported.
 NUMPY_PROBE = """
 import sys
 import cwmark
 if sys.argv[1:]:
     from cwmark.cli import main
     try:
-        main(sys.argv[1:])
+        print("exit", main(sys.argv[1:]))
     except SystemExit:
         pass
 print("numpy" in sys.modules)
@@ -63,6 +75,63 @@ def child_lines(script, *argv) -> list[str]:
 )
 def test_codec_verbs_import_no_numpy(argv):
     assert child_lines(NUMPY_PROBE, *argv)[-1] == "False"
+
+
+@pytest.fixture(scope="module")
+def extract_files(tmp_path_factory):
+    """A marked file, its one- and four-block specs, and faulty variants."""
+    root = tmp_path_factory.mktemp("extract")
+    pair = design_thresholds(0.01, 0.95, two_sided=True)
+    w = sample_gaussian_weights(200_000, sigma=0.01, seed=4)
+    marked, specs, _ = embed_message_blocks(w, random_bits(4, 256), 4, pair, 10, 64)
+    write_weights(root / "marked.cwcw", marked)
+    write_spec(root / "one.spec", SpecDocument.single(specs[0], sigma=0.01, rate=0.95))
+    write_spec(root / "four.spec", SpecDocument(specs, sigma=0.01, rate=0.95, total_bits=256))
+    # Ones packed at the last positions give an index >= 2**k.
+    packed = marked.copy()
+    packed[list(specs[0].positions)] = np.linspace(0.1, 1.0, specs[0].params.L)
+    write_weights(root / "packed.cwcw", packed)
+    blob = bytearray((root / "marked.cwcw").read_bytes())
+    blob[-4:] = np.float32(np.nan).tobytes()
+    (root / "nan.cwcw").write_bytes(blob)
+    write_weights(root / "short.cwcw", marked[:50])
+    text = (root / "one.spec").read_text()
+    (root / "bad.spec").write_text(text.replace("\nk: 64\n", "\nk: 064\n"))
+    return root
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["extract", "marked.cwcw", "one.spec"], 0),
+        (["--json", "extract", "marked.cwcw", "one.spec"], 0),
+        (["extract", "marked.cwcw", "four.spec"], 0),
+        (["extract", "packed.cwcw", "one.spec"], 4),
+        (["extract", "nan.cwcw", "one.spec"], 3),
+        (["extract", "short.cwcw", "one.spec"], 3),
+        (["extract", "marked.cwcw", "bad.spec"], 3),
+    ],
+    ids=["text", "json", "four-blocks", "range-failure", "nan-payload",
+         "position-out-of-range", "malformed-spec"],
+)
+def test_extract_imports_no_numpy(extract_files, argv, code):
+    paths = [str(extract_files / arg) if "." in arg else arg for arg in argv]
+    assert child_lines(NUMPY_PROBE, *paths)[-2:] == [f"exit {code}", "False"]
+
+
+# Binds each export named in its arguments, then prints whether numpy was imported.
+EXPORT_PROBE = """
+import sys
+import cwmark
+for name in sys.argv[1:]:
+    getattr(cwmark, name)
+print("numpy" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("name", ["EmbedSpec", "ThresholdPair", "SpecDocument", "read_spec"])
+def test_spec_exports_import_no_numpy(name):
+    assert child_lines(EXPORT_PROBE, name) == ["False"]
 
 
 # In a fresh interpreter, where no export is bound yet: does dir() list

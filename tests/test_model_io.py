@@ -24,7 +24,9 @@ from cwmark import (
     UnsupportedVersionError,
     WeightFileError,
     design_thresholds,
+    embed_message,
     extract,
+    find_params,
     read_spec,
     read_weights,
     sample_gaussian_weights,
@@ -33,6 +35,7 @@ from cwmark import (
 )
 from cwmark import model_io
 from cwmark.cli import main
+from cwmark.rng import random_bits
 from cwmark.watermark import _PIECE
 
 PAIR = ThresholdPair(t0=0.008224268134757361, t1=0.016448536269514722)
@@ -179,6 +182,61 @@ def test_weights_nonfinite_rejected_both_ways(tmp_path, bad, index):
     path.write_bytes(b"CWCW" + struct.pack("<HQ", 1, 5) + values.astype("<f4").tobytes())
     with pytest.raises(NonFiniteWeightError):
         read_weights(path)
+
+
+# The binary32 patterns whose top byte, 0x7F or 0xFF, holds a sign and
+# seven set exponent bits: NaN and the infinities have the eighth set too,
+# and the finite ones do not.
+TOP_BYTE_PATTERNS = {
+    "+inf": 0x7F800000, "-inf": 0xFF800000,
+    "+quiet-nan": 0x7FC00000, "-quiet-nan": 0xFFC00000,
+    "+signalling-nan": 0x7F800001, "-signalling-nan": 0xFFBFFFFF,
+    "flt-max": 0x7F7FFFFF, "-flt-max": 0xFF7FFFFF,
+    "0x7f000000": 0x7F000000, "0xff000000": 0xFF000000,
+}
+# The first, a middle and the last weight of a full piece, then of a short last one.
+SPOTS = {
+    "full-first": 0, "full-middle": _PIECE // 2, "full-last": _PIECE - 1,
+    "short-first": _PIECE, "short-middle": _PIECE + 2, "short-last": _PIECE + 4,
+}
+
+
+@pytest.fixture(scope="module")
+def marked_file_and_spec(tmp_path_factory):
+    """A weight file of a full piece and 5 weights, with one codeword marked."""
+    root = tmp_path_factory.mktemp("marked")
+    pair = design_thresholds(0.01, 0.95, two_sided=True)
+    w = sample_gaussian_weights(_PIECE + 5, sigma=0.01, seed=8)
+    marked, receipt = embed_message(w, random_bits(8, 64), 8, pair, find_params(64, 10).params)
+    write_weights(root / "m.cwcw", marked)
+    write_spec(root / "m.spec", SpecDocument.single(receipt.spec, sigma=0.01, rate=0.95))
+    return (root / "m.cwcw").read_bytes(), root / "m.spec"
+
+
+@pytest.mark.parametrize("spot", SPOTS)
+@pytest.mark.parametrize("pattern", TOP_BYTE_PATTERNS)
+def test_byte_level_finiteness_check_on_the_top_byte_patterns(
+    capsys, tmp_path, marked_file_and_spec, pattern, spot
+):
+    # read_weights and extract refuse exactly the payloads that numpy finds
+    # a NaN or an infinity in, wherever in a piece the pattern sits.
+    blob, spec = marked_file_and_spec
+    blob = bytearray(blob)
+    struct.pack_into("<I", blob, 14 + 4 * SPOTS[spot], TOP_BYTE_PATTERNS[pattern])
+    path = tmp_path / "w.cwcw"
+    path.write_bytes(blob)
+    payload = np.frombuffer(bytes(blob[14:]), dtype="<f4")
+    finite = bool(np.isfinite(payload).all())
+    if finite:
+        assert read_weights(path).view(np.uint32).tolist() == payload.view("<u4").tolist()
+    else:
+        with pytest.raises(NonFiniteWeightError):
+            read_weights(path)
+    code = main(["extract", str(path), str(spec)])
+    out, err = capsys.readouterr()
+    assert (code == 3) == (not finite)
+    if not finite:
+        assert (out, err) == ("", "cwmark: error: payload contains NaN or infinity\n")
 
 
 def test_weights_empty_rejected_both_ways(tmp_path):
@@ -408,13 +466,22 @@ SIXTEEN = [str(i) for i in range(16)]
          "field 'positions': not a decimal integer: '0_0'"),
         (changed(positions=" ".join(["0", "x1", "+2"] + SIXTEEN[3:])),
          "field 'positions': not a decimal integer: 'x1'"),
+        (changed(k="08"), "field 'k': not a decimal integer: '08'"),
+        (changed(key="0_7"), "field 'key': not a decimal integer: '0_7'"),
+        (changed(total_bits="+7"), "field 'total_bits': not a decimal integer: '+7'"),
+        (changed(positions=" ".join(["-0"] + SIXTEEN[1:])),
+         "field 'positions': not a decimal integer: '-0'"),
+        (changed(positions=" ".join(SIXTEEN[:15] + ["015"])),
+         "field 'positions': not a decimal integer: '015'"),
     ],
     ids=["int-plus", "int-underscore", "k-underscore", "int-underscores", "blocks-plus",
          "float-underscore", "float-plus", "exponent-underscore", "position-plus",
-         "position-underscore", "position-first-fault"],
+         "position-underscore", "position-first-fault", "k-leading-zero", "key-underscore",
+         "total-bits-plus", "position-minus-zero", "position-leading-zero"],
 )
 def test_spec_refuses_number_forms_write_spec_never_writes(tmp_path, edit, message):
-    # int() and float() take '_' separators and a leading '+'; the spec does not.
+    # int() takes '_' separators, a leading '+', leading zeros and '-0', and
+    # float() the first two; an int of the spec must read back as its text.
     path = edit_spec(tmp_path, edit)
     with pytest.raises(SpecFormatError) as err:
         read_spec(path)

@@ -243,6 +243,26 @@ def test_extract_tie_break_lowest_position_index():
     assert extract(weights, spec_rev).tolist() == [0, 1, 1, 0]
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_extract_matches_the_binary64_argsort_recipe(data):
+    # The pick on bit patterns against the stable argsort of binary64
+    # magnitudes it replaced, on ties, both zeros and subnormals.
+    values = st.one_of(
+        st.sampled_from([0.0, -0.0, 0.25, -0.25, 1e-45, -1e-45, 1e-40]),
+        st.floats(min_value=-4.0, max_value=4.0, width=32),
+    )
+    L = data.draw(st.integers(2, 40))
+    w = np.array(data.draw(st.lists(values, min_size=L, max_size=3 * L)), dtype=np.float32)
+    positions = data.draw(st.permutations(range(w.size)))[:L]
+    alpha = data.draw(st.integers(1, L - 1))
+    spec = small_spec(w.size, alpha=alpha, L=L, k=1, positions=positions)
+    want = np.zeros(L, dtype=np.uint8)
+    mag = np.abs(w[list(positions)].astype(np.float64))
+    want[np.argsort(-mag, kind="stable")[:alpha]] = 1
+    assert extract(w, spec).tolist() == want.tolist()
+
+
 def test_extract_weight_always_alpha():
     spec = small_spec(8, alpha=3, L=8, k=2, positions=tuple(range(8)))
     for weights in [
