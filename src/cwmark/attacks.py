@@ -54,7 +54,7 @@ def _magnitude_patterns(source):
     its binary32 patterns and mag, in one reused buffer, is bits & 0x7FFFFFFF."""
     buf = np.empty(min(source.n, _PIECE), dtype=np.uint32)
     for start, piece in source.pieces():
-        bits = piece.view(np.uint32)
+        bits = np.frombuffer(piece, dtype=np.uint32)
         mag = buf[: bits.size]
         np.bitwise_and(bits, 0x7FFFFFFF, out=mag)
         yield start, bits, mag
@@ -128,6 +128,7 @@ def _add_noise_into(source, sigma_noise: float, seed: int) -> None:
     each piece's noise on this thread, under its errstate."""
     drawn, scratch = np.empty(min(source.n, _PIECE), dtype=np.float64), _scratch()
     for start, piece in source.pieces():
+        piece = np.asarray(piece)
         # Adding 0 * normal would turn -0.0 into +0.0.
         if sigma_noise:
             noise = drawn[: piece.size]

@@ -18,9 +18,9 @@ message bit t, and extraction prints the same hex back.
 
 At import this module loads only codec and errors, which need no numpy.
 params, encode and decode run on codec's integer core, and extract on
-model_io's byte-level reader and detect's integer decode, and none of
-them imports numpy; every other data verb imports the modules it runs,
-and numpy with them, when it starts.
+model_io's reader, whose pieces are binary32 memoryviews, and detect's
+integer decode; none of them imports numpy. Every other data verb
+imports the modules it runs, and numpy with them, when it starts.
 """
 
 from __future__ import annotations

@@ -1,12 +1,14 @@
 """Detection in plain Python: the records a spec holds, and extraction.
 
 ThresholdPair, EmbedSpec and SpecDocument are what a spec file records.
-_extract_words gathers the selected weights' binary32 patterns in one
-pass over a piece source and marks the alpha largest magnitudes of each
-block as its ones; _decode_blocks maps those codewords back to the
-message. Nothing here imports numpy, so the CLI's extract verb, which
-reads its weight file through model_io, runs without it. watermark,
-stats and model_io re-export these names.
+_by_piece walks keyed positions through a pass over a piece source, for
+embedding (watermark._project) and extraction alike. _extract_words
+gathers the selected weights' binary32 patterns in one such pass and
+marks the alpha largest magnitudes of each block as its ones;
+_decode_blocks maps those codewords back to the message. Nothing here
+imports numpy, so the CLI's extract verb, which reads its weight file
+through model_io, runs without it. watermark, stats and model_io
+re-export these names.
 """
 
 from __future__ import annotations
@@ -21,10 +23,10 @@ from .codec import CodeParams, _message_index
 from .errors import MessageRangeError, PositionRangeError
 
 # Weights per piece of a pass over a vector or a weight file (256 KiB).
-# A piece source has n and two passes over its values in order, each as
-# (start, piece) of at most _PIECE values: raw() gives each piece's
-# binary32 values as native bytes, and pieces() as a binary32 array,
-# which a step that changes the values changes and then hands to put.
+# A piece source has n and one pass over its values in order, pieces(),
+# which yields (start, piece) with piece a C-contiguous buffer of at most
+# _PIECE native binary32 values. A step that changes the values changes
+# them through an array on that buffer and then hands the array to put.
 # watermark._ArrayPieces and model_io._WeightFile are the two sources.
 _PIECE = 1 << 16
 
@@ -147,6 +149,19 @@ def _check_positions(specs, n: int) -> None:
             )
 
 
+def _by_piece(pieces, pos):
+    """(start, piece, js) for each (start, piece) that pieces yields in order,
+    where js lists the indices j of the positions pos[j] that piece holds,
+    in position order; each index comes once, in the piece that holds it."""
+    ranked = sorted(range(len(pos)), key=pos.__getitem__)
+    edges = [pos[j] for j in ranked]
+    lo = 0
+    for start, piece in pieces:
+        hi = bisect_left(edges, start + len(piece), lo)
+        yield start, piece, ranked[lo:hi]
+        lo = hi
+
+
 def _extract_words(source, specs) -> list[bytearray]:
     """Each spec's codeword (one 0/1 byte per position) from the finite
     binary32 source, gathering all their positions in one pass over it;
@@ -157,16 +172,11 @@ def _extract_words(source, specs) -> list[bytearray]:
     """
     _check_positions(specs, source.n)
     pos = [p for spec in specs for p in spec.positions]
-    ranked = sorted(range(len(pos)), key=pos.__getitem__)
-    edges = [pos[j] for j in ranked]
     mag = [0] * len(pos)
-    lo = 0
-    for start, raw in source.raw():
-        bits = memoryview(raw).cast("I")
-        hi = bisect_left(edges, start + len(bits), lo)
-        for j in ranked[lo:hi]:
+    for start, piece, js in _by_piece(source.pieces(), pos):
+        bits = memoryview(piece).cast("B").cast("I")
+        for j in js:
             mag[j] = bits[pos[j] - start] & 0x7FFFFFFF
-        lo = hi
     words, at = [], 0
     for spec in specs:
         words.append(_top_alpha(mag[at : at + spec.params.L], spec.params.alpha))

@@ -15,10 +15,10 @@ header, _weight_writer opens the output and writes its header, then each
 piece put. The file verbs stream through both and never hold an n-sized
 array; read_weights and write_weights are their array case.
 
-The module imports no numpy. The reader hands its pieces out as native
-bytes (extract gathers from those) or, for the verbs that compute on
-them, as a binary32 view of the same buffer; that view, the writer,
-read_weights and write_weights import numpy when they run.
+The module imports no numpy. The reader hands each piece out as a
+binary32 memoryview of its buffer: extract gathers bit patterns from it,
+and the verbs that compute on it make an array on it. Only read_weights
+and write_weights import numpy, when they run.
 """
 
 from __future__ import annotations
@@ -99,21 +99,18 @@ def _atomic_file(path):
 @contextmanager
 def _weight_writer(path, n: int):
     """put(piece) for a new weight file of n weights at path (see _atomic_file):
-    the header, then each piece, made contiguous and little-endian."""
-    import numpy as np
-
+    the header, then each piece, a C-contiguous binary32 array, little-endian."""
     with _atomic_file(path) as handle:
         handle.write(_HEADER.pack(MAGIC, VERSION, n))
-        yield lambda piece: handle.write(
-            np.ascontiguousarray(piece.byteswap() if _SWAP else piece)
-        )
+        yield lambda piece: handle.write(piece.byteswap() if _SWAP else piece)
 
 
 def write_weights(path, weights) -> None:
     """Serialize a weight vector; read_weights(write_weights(w)) is bit-identical.
 
     Rejects vectors the reader would refuse, so every written file parses.
-    Its pieces go through _weight_writer; a strided one is copied per piece.
+    Its pieces go through _weight_writer; _ArrayPieces copies a strided
+    vector one piece at a time.
     """
     from .watermark import _ArrayPieces, as_weight_vector
 
@@ -161,7 +158,7 @@ def read_weights(path) -> np.ndarray:
     with _open_weights(path) as source:
         w = np.empty(source.n, dtype=np.float32)
         for start, piece in source.pieces():
-            w[start : start + piece.size] = piece
+            w[start : start + len(piece)] = piece
     return w
 
 
@@ -183,10 +180,11 @@ def _all_finite(raw) -> bool:
 
 class _WeightFile:
     """The payload of an open weight file as a piece source (see detect._PIECE):
-    each pass reads it again into one reused bytearray, and the first whole
-    pass refuses a NaN or an infinity (NonFiniteWeightError) before handing
-    out the piece that holds it. put writes a finished piece to the output
-    (None with no output)."""
+    each pass reads it again into one reused bytearray and hands each piece
+    out as a binary32 memoryview of it. The first whole pass refuses a NaN
+    or an infinity (NonFiniteWeightError) before handing out the piece that
+    holds it. put writes a finished piece to the output (None with no
+    output)."""
 
     def __init__(self, handle, n: int, put):
         self.n = n
@@ -195,9 +193,7 @@ class _WeightFile:
         self._buf = bytearray(4 * min(n, _PIECE))
         self._checked = False
 
-    def raw(self):
-        """A pass as native bytes: the buffer, or a copy of its start for a
-        short last piece."""
+    def pieces(self):
         buf = self._buf
         view = memoryview(buf)
         self._handle.seek(_HEADER.size)
@@ -213,19 +209,11 @@ class _WeightFile:
                 buf[0::4], buf[1::4], buf[2::4], buf[3::4] = (
                     buf[3::4], buf[2::4], buf[1::4], buf[0::4]
                 )
-            raw = buf if size == len(buf) else buf[:size]
-            if not self._checked and not _all_finite(raw):
+            # On the bytearray: `in` on a memoryview compares items, never bytes.
+            if not self._checked and not _all_finite(buf if size == len(buf) else buf[:size]):
                 raise NonFiniteWeightError("payload contains NaN or infinity")
-            yield start, raw
+            yield start, view[:size].cast("f")
         self._checked = True
-
-    def pieces(self):
-        """A pass as binary32 views of the buffer, which put may write."""
-        import numpy as np
-
-        values = np.frombuffer(self._buf, dtype=np.float32)
-        for start, raw in self.raw():
-            yield start, values[: len(raw) // 4]
 
 
 @contextmanager

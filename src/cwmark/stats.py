@@ -141,8 +141,8 @@ def _rms(pieces, n: int) -> float:
     filled = 0
     for start, piece in pieces:
         at = 0
-        while at < piece.size:
-            take = min(ends[len(sums)] - start - at, piece.size - at)
+        while at < len(piece):
+            take = min(ends[len(sums)] - start - at, len(piece) - at)
             leaf = squares[filled : filled + take]
             np.square(piece[at : at + take], out=leaf, dtype=np.float64)
             at, filled = at + take, filled + take

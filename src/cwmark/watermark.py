@@ -16,8 +16,8 @@ import numpy as np
 
 from .codec import CodeParams, _bits_value, as_bits, encode, find_params, int_to_bits
 from .detect import (
-    _PIECE, EmbedSpec, ThresholdPair, _check_positions, _decode_blocks, _extract_words,
-    _join,
+    _PIECE, EmbedSpec, ThresholdPair, _by_piece, _check_positions, _decode_blocks,
+    _extract_words, _join,
 )
 from .errors import MalformedCodewordError, SelectionRatioError
 from .rng import GOLDEN_GAMMA, MASK64, _stream_at, mix64
@@ -34,9 +34,11 @@ def _all_finite(w: np.ndarray) -> bool:
 
 class _ArrayPieces:
     """A finite binary32 vector as a piece source for the chunked steps
-    (see detect._PIECE). Here each piece is a view of the vector, so a step
-    changes the vector in place and put has nothing to do. model_io reads
-    and writes a weight file the same way.
+    (see detect._PIECE). Each piece is the vector's slice made C-contiguous:
+    a view of a contiguous vector, as the copies that the steps which change
+    values own are, so they change it in place and put has nothing to do;
+    a copy, one piece at a time, of a strided vector, which steps only
+    read. model_io reads and writes a weight file the same way.
     """
 
     def __init__(self, w: np.ndarray):
@@ -45,11 +47,7 @@ class _ArrayPieces:
 
     def pieces(self):
         for start in range(0, self.n, _PIECE):
-            yield start, self.w[start : start + _PIECE]
-
-    def raw(self):
-        for start, piece in self.pieces():
-            yield start, memoryview(np.ascontiguousarray(piece)).cast("B")
+            yield start, np.ascontiguousarray(self.w[start : start + _PIECE])
 
     def put(self, piece: np.ndarray) -> None:
         pass
@@ -150,26 +148,19 @@ def embed(weights, codeword, spec: EmbedSpec) -> tuple[np.ndarray, EmbedReceipt]
     return out, _project(_ArrayPieces(out), [spec], [bits])[0]
 
 
-def _at_positions(source, positions: np.ndarray):
-    """One pass over source: (piece, at, sel) for each piece, where
-    piece[at] holds the values at positions[sel]."""
-    sel = np.argsort(positions, kind="stable")
-    ordered = positions[sel]
-    for start, piece in source.pieces():
-        lo, hi = np.searchsorted(ordered, (start, start + piece.size))
-        yield piece, ordered[lo:hi] - start, sel[lo:hi]
-
-
 def _project(source, specs, words) -> list[EmbedReceipt]:
     """embed's projection of each codeword onto its spec's positions, in one
     pass over source that puts every piece; trusts the positions, which are
     distinct, and the bits. All specs share the thresholds and L."""
     t0, t1 = specs[0].thresholds
-    pos = np.concatenate([np.asarray(spec.positions, dtype=np.int64) for spec in specs])
+    pos = [p for spec in specs for p in spec.positions]
+    where = np.array(pos, dtype=np.int64)
     bits = np.concatenate(words)
-    old = np.empty(pos.size, dtype=np.float32)
-    new = np.empty(pos.size, dtype=np.float32)
-    for piece, at, sel in _at_positions(source, pos):
+    old = np.empty(len(pos), dtype=np.float32)
+    new = np.empty(len(pos), dtype=np.float32)
+    for start, piece, js in _by_piece(source.pieces(), pos):
+        piece, sel = np.asarray(piece), np.array(js, dtype=np.intp)
+        at = where[sel] - start
         old[sel] = piece[at]
         vals = old[sel].astype(np.float64)
         mag = np.abs(vals)

@@ -31,12 +31,14 @@ from cwmark import (
     find_params,
     int_to_bits,
     join_blocks,
+    prune,
     q_function,
     q_inverse,
     select_positions,
     split_blocks,
 )
 from cwmark import watermark
+from cwmark.detect import _by_piece
 from cwmark.rng import MASK64, mix64, random_bits, splitmix64_stream
 from cwmark.watermark import _block_selection_seeds, _draw_positions
 
@@ -455,6 +457,46 @@ def test_small_pieces_embed_and_extract_alike(monkeypatch):
     assert extract_message_blocks(marked, specs, 32).tolist() == message.tolist()
     words = [encode(block, specs[0].params) for block in split_blocks(message, 8)]
     assert [extract(marked, s).tolist() for s in specs] == [w.tolist() for w in words]
+
+
+def test_strided_vector_reads_as_its_contiguous_copy():
+    # Every other weight of a vector with NaN between them, over three
+    # pieces: extract and prune read only the view's weights, one piece at
+    # a time, and give the bits and bytes its contiguous copy gives.
+    n = 2 * watermark._PIECE + 123
+    w = np.random.default_rng(29).normal(0, 0.01, size=n).astype(np.float32)
+    pair = ThresholdPair(t0=0.01, t1=0.02)
+    message = random_bits(10, 100)
+    marked, specs, _ = embed_message_blocks(
+        w, message, key=31, thresholds=pair, alpha=10, k_block=64
+    )
+    host = np.full(2 * n, np.nan, dtype=np.float32)
+    host[::2] = marked
+    strided = host[::2]
+    got = extract_message_blocks(strided, specs, 100)
+    assert got.tolist() == extract_message_blocks(marked, specs, 100).tolist()
+    assert got.tolist() == message.tolist()
+    for spec in specs:
+        assert extract(strided, spec).tolist() == extract(marked, spec).tolist()
+    pruned, receipt = prune(strided, 0.9)
+    want, want_receipt = prune(marked, 0.9)
+    assert pruned.tobytes() == want.tobytes()
+    assert receipt == want_receipt
+
+
+def test_by_piece_yields_each_index_once_in_position_order():
+    # Pieces [0, 5), [5, 10), [10, 15) and a short last [15, 17); the third
+    # holds no position, and 0, 4, 5, 9, 15 and 16 sit on piece edges.
+    pieces = [(0, [0.0] * 5), (5, [1.0] * 5), (10, [2.0] * 5), (15, [3.0] * 2)]
+    pos = [16, 4, 0, 9, 5, 3, 15, 2]
+    walked = list(_by_piece(pieces, pos))
+    assert [(start, piece) for start, piece, _ in walked] == pieces
+    assert [js for _, _, js in walked] == [[2, 7, 5, 1], [4, 3], [], [6, 0]]
+    assert sorted(j for _, _, js in walked for j in js) == list(range(len(pos)))
+    for start, piece, js in walked:
+        held = [pos[j] for j in js]
+        assert held == sorted(held)
+        assert all(start <= p < start + len(piece) for p in held)
 
 
 def test_embed_leaves_input_unchanged():
