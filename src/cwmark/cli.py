@@ -20,13 +20,15 @@ At import this module loads only codec and errors, which need no numpy.
 params, encode and decode run on codec's integer core, and extract on
 model_io's reader, whose pieces are binary32 memoryviews, and detect's
 integer decode; none of them imports numpy. Every other data verb
-imports the modules it runs, and numpy with them, when it starts.
+imports the modules it runs, and numpy with them, when it starts. main
+sets OPENBLAS_NUM_THREADS=1 unless the caller set it or numpy is already
+loaded, so those verbs load OpenBLAS without a worker thread; json loads
+only for a --json payload.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from contextlib import nullcontext
@@ -147,6 +149,8 @@ class _Console:
 
     def flush(self) -> None:
         if self.json:
+            import json
+
             print(json.dumps(self.payload))
 
 
@@ -475,6 +479,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # No verb calls BLAS, yet OpenBLAS starts a spinning worker thread when
+    # numpy loads, and reads this variable only then. A caller's own value
+    # wins, and a caller that already loaded numpy keeps its environment.
+    if "numpy" not in sys.modules:
+        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = build_parser()
     args = parser.parse_args(argv)
     console = _Console(args)

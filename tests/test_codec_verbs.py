@@ -1,5 +1,5 @@
-"""The codec verbs (params, encode, decode), extract's start-up, and the
-package's lazy exports.
+"""The codec verbs (params, encode, decode), extract's start-up, the
+numpy verbs' BLAS threads, and the package's lazy exports.
 
 The codec verbs run on codec's integer core, and extract on model_io's
 byte-level reader and detect's integer decode, so a child that runs one
@@ -31,7 +31,7 @@ from cwmark.cli import DEMO_PARAM_GRID, main
 from cwmark.rng import random_bits
 
 # Runs the CLI on its arguments, if any, after `import cwmark`, and prints
-# its exit code; then prints whether numpy was imported.
+# its exit code; then prints whether numpy and json were imported.
 NUMPY_PROBE = """
 import sys
 import cwmark
@@ -41,17 +41,17 @@ if sys.argv[1:]:
         print("exit", main(sys.argv[1:]))
     except SystemExit:
         pass
-print("numpy" in sys.modules)
+print("numpy" in sys.modules, "json" in sys.modules)
 """
 
 
-def child_lines(script, *argv) -> list[str]:
+def child_lines(script, *argv, environ=os.environ) -> list[str]:
     """stdout lines of a fresh interpreter that runs script with argv."""
     root = os.path.dirname(os.path.dirname(cwmark.__file__))
-    path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
+    path = os.pathsep.join(filter(None, [root, environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c", script, *argv], capture_output=True, text=True,
-        env={**os.environ, "PYTHONPATH": path}, check=True,
+        env={**environ, "PYTHONPATH": path}, check=True,
     )
     return proc.stdout.splitlines()
 
@@ -74,7 +74,8 @@ def child_lines(script, *argv) -> list[str]:
          "encode-k1024", "decode", "decode-range-failure", "decode-weight-0", "help"],
 )
 def test_codec_verbs_import_no_numpy(argv):
-    assert child_lines(NUMPY_PROBE, *argv)[-1] == "False"
+    # Only a JSON payload needs json.
+    assert child_lines(NUMPY_PROBE, *argv)[-1] == f"False {'--json' in argv}"
 
 
 @pytest.fixture(scope="module")
@@ -116,7 +117,71 @@ def extract_files(tmp_path_factory):
 )
 def test_extract_imports_no_numpy(extract_files, argv, code):
     paths = [str(extract_files / arg) if "." in arg else arg for arg in argv]
-    assert child_lines(NUMPY_PROBE, *paths)[-2:] == [f"exit {code}", "False"]
+    lines = child_lines(NUMPY_PROBE, *paths)
+    assert lines[-2:] == [f"exit {code}", f"False {'--json' in argv}"]
+
+
+# The variables OpenBLAS reads for its thread count, highest priority first.
+BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+# Runs the CLI on its arguments, then prints the process's thread count and
+# the OpenBLAS setting it ends with.
+THREAD_PROBE = """
+import os
+import sys
+from cwmark.cli import main
+main(sys.argv[1:])
+print(len(os.listdir("/proc/self/task")), os.environ.get("OPENBLAS_NUM_THREADS"))
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["prune", "marked.cwcw", "out.cwcw", "--rate", "0.5"],
+        ["embed", "marked.cwcw", "out.spec", "out.cwcw", "--message", "ff",
+         "--key", "7", "-a", "10", "--rate", "0.95", "--two-sided"],
+        ["eval", "--trials", "1", "--n", "100000", "--out", "out.csv"],
+    ],
+    ids=["prune", "embed", "eval"],
+)
+def test_numpy_verbs_start_no_blas_worker(extract_files, tmp_path, argv):
+    # No verb calls BLAS, so a child that loads numpy keeps to its one
+    # thread unless the caller asked OpenBLAS for more.
+    paths = [
+        str(extract_files / arg) if arg == "marked.cwcw"
+        else str(tmp_path / arg) if arg.startswith("out.") else arg
+        for arg in argv
+    ]
+    bare = {k: v for k, v in os.environ.items() if k not in BLAS_VARIABLES}
+    assert child_lines(THREAD_PROBE, *paths, environ=bare)[-1] == "1 1"
+    if len(os.sched_getaffinity(0)) >= 2:
+        two = {**bare, "OPENBLAS_NUM_THREADS": "2"}
+        assert child_lines(THREAD_PROBE, *paths, environ=two)[-1] == "2 2"
+
+
+# Draws and prunes a small vector through the library in a fresh
+# interpreter, then prints the OpenBLAS setting it ends with.
+LIBRARY_PROBE = """
+import os
+import cwmark
+cwmark.prune(cwmark.sample_gaussian_weights(1000, 0.01, 1), 0.5)
+print(os.environ.get("OPENBLAS_NUM_THREADS"))
+"""
+
+
+def test_only_a_cli_that_loads_numpy_sets_the_blas_variable(
+    extract_files, tmp_path, monkeypatch
+):
+    # A library import or call leaves the caller's BLAS alone, and so does
+    # an in-process main once numpy is loaded.
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    assert child_lines(LIBRARY_PROBE) == ["None"]
+    cwmark.prune(sample_gaussian_weights(1000, 0.01, 1), 0.5)
+    out = str(tmp_path / "out.cwcw")
+    assert main(["--quiet", "prune", str(extract_files / "marked.cwcw"), out, "--rate", "0.5"]) == 0
+    assert "OPENBLAS_NUM_THREADS" not in os.environ
 
 
 # Binds each export named in its arguments, then prints whether numpy was imported.
