@@ -7,16 +7,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import encode, find_params
+from .codec import _bits_value, _codeword, find_params
 from .detect import _PIECE, EmbedSpec, _top_alpha
 from .errors import CwmarkError
+from .model_io import _all_finite
 from .rng import MASK64, _stream_at, random_bits, splitmix64_stream
 from .stats import (
     _check_sigma, _cutoffs, _fill_normals, _normals_at, _rms, _scratch, design_thresholds
 )
-from .watermark import (
-    _all_finite, _ArrayPieces, _check_selection, as_weight_vector, embed, select_positions
-)
+from .watermark import _ArrayPieces, _check_selection, _draw_positions, _project, as_weight_vector
 
 
 @dataclass(frozen=True)
@@ -136,7 +135,7 @@ def _add_noise_into(source, sigma_noise: float, seed: int) -> None:
                 _fill_normals(noise, seed, sigma_noise, start, scratch=scratch)
                 noise += piece
                 piece[:] = noise
-            if not _all_finite(piece):
+            if not _all_finite(bytearray(piece)):
                 raise CwmarkError(f"noise level {sigma_noise!r} overflows binary32")
         source.put(piece)
 
@@ -232,11 +231,14 @@ def _eval_trials(n, sigma, k, alpha, design_rate, two_sided, rates, seed, trials
     ps = [_prune_rank(rate, n) for rate in rates]
     for trial_seed in splitmix64_stream(seed, trials).tolist():
         weight_seed, key, message_seed = splitmix64_stream(trial_seed, 3).tolist()
-        codeword = encode(random_bits(message_seed, k), params)
-        # embed_message's selection and projection, on the selected weights alone.
-        positions = select_positions(key, n, params.L, allow_dense)
+        # encode, then embed_message's selection and projection on the selected
+        # weights alone, without their checks: the trial drew all three itself.
+        value = _bits_value(random_bits(message_seed, k))
+        codeword = np.frombuffer(_codeword(value, params.alpha, params.L), np.uint8)
+        positions = np.array(_draw_positions([key], n, params.L), dtype=np.int64)
         alone = EmbedSpec(key, params, thresholds, range(params.L))
-        marked, receipt = embed(_normals_at(weight_seed, positions, sigma), codeword, alone)
+        marked = _normals_at(weight_seed, positions, sigma).astype(np.float32)
+        (receipt,) = _project(_ArrayPieces(marked), [alone], [codeword])
         cutoffs = _cutoffs(n, sigma, weight_seed, positions, marked, ps, params.L)
         sel = np.abs(marked).astype(np.float64)
         # What prune leaves there (ties at the cutoff survive), read as extract does.

@@ -200,17 +200,27 @@ def _weight_rows(L: int, alpha: int) -> _Rows:
     of the code in a process reads each coefficient through math.comb;
     its second builds the table (see _Rows). Cached, so cache_clear()
     returns every code to its first use, as a new process finds it. A
-    code whose table would pass _LADDER_LIMIT raises CapacityError here,
-    before its first use, table-free or not, allocates anything.
+    code whose table would pass _LADDER_LIMIT raises CapacityError here
+    (see _check_table), before its first use, table-free or not, allocates
+    anything.
     """
+    _check_table(L, alpha)
+    return _Rows(L, alpha)
+
+
+def _check_table(L: int, alpha: int) -> None:
+    """Refuse a code 0 <= alpha <= L whose coding table would pass
+    _LADDER_LIMIT (CapacityError) with no big-integer work, so callers run
+    it before binomial(L, alpha); other shapes are left to their checks."""
     # 36 bytes per entry is a floor of the estimate, and keeps its loop short.
     entries = (alpha + 1) * (L + 1)
-    if 36 * entries > _LADDER_LIMIT or _ladder_bytes(L, alpha) > _LADDER_LIMIT:
+    if 0 <= alpha <= L and (
+        36 * entries > _LADDER_LIMIT or _ladder_bytes(L, alpha) > _LADDER_LIMIT
+    ):
         raise CapacityError(
             f"coding table for L={L}, alpha={alpha} is past the "
             f"{_LADDER_LIMIT >> 20} MiB limit"
         )
-    return _Rows(L, alpha)
 
 
 def _codeword(value: int, alpha: int, L: int) -> bytearray:
@@ -291,6 +301,7 @@ def encode_index(value: int, alpha: int, L: int) -> np.ndarray:
 
     if value < 0:
         raise ValueError("index must be nonnegative")
+    _check_table(L, alpha)
     if value >= binomial(L, alpha):
         raise CapacityError(
             f"index {value} >= binomial({L}, {alpha}); message exceeds code capacity"

@@ -26,7 +26,8 @@ from .errors import MessageRangeError, PositionRangeError
 # A piece source has n and one pass over its values in order, pieces(),
 # which yields (start, piece) with piece a C-contiguous buffer of at most
 # _PIECE native binary32 values. A step that changes the values changes
-# them through an array on that buffer and then hands the array to put.
+# them through an array on that buffer and then hands the array to put,
+# which takes any C-contiguous buffer of native binary32 values.
 # watermark._ArrayPieces and model_io._WeightFile are the two sources.
 _PIECE = 1 << 16
 

@@ -13,7 +13,8 @@ weight file as pieces of one reused bytearray of at most detect._PIECE
 weights, and tests each piece's finiteness on its bytes; right after its
 header, _weight_writer opens the output and writes its header, then each
 piece put. The file verbs stream through both and never hold an n-sized
-array; read_weights and write_weights are their array case.
+array; read_weights and write_weights are their array case. _all_finite and
+_swap are the one binary32 finiteness test and byte swap, for arrays too.
 
 The module imports no numpy. The reader hands each piece out as a
 binary32 memoryview of its buffer: extract gathers bit patterns from it,
@@ -30,7 +31,7 @@ import sys
 import tempfile
 from contextlib import contextmanager, nullcontext
 
-from .codec import CodeParams
+from .codec import CodeParams, _check_table
 from .detect import _PIECE, EmbedSpec, SpecDocument, ThresholdPair
 from .errors import (
     BadMagicError,
@@ -69,7 +70,8 @@ _SPEC_HEADER = (
 def _atomic_file(path):
     """A binary file written beside path, moved onto it when the block
     ends and removed if the block raises. Failing to create or move the
-    temp file raises the same OSError naming path, not the temp file."""
+    temp file raises the same OSError naming path, not the temp file. A new
+    output is owner-only (0600); one that replaces a file keeps its mode."""
     path = os.fspath(path)
     if not path:  # mkstemp would take "."; os.replace refuses "" only after the block
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
@@ -78,10 +80,16 @@ def _atomic_file(path):
         # spec inside its weight file's block, and would leave that spec.
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     try:
+        mode = os.stat(path).st_mode & 0o777
+    except OSError:  # nothing there, or a link to nothing: a new output
+        mode = None
+    try:
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", prefix=".cwmark-")
     except OSError as exc:
         raise type(exc)(exc.errno, exc.strerror, path) from None
     try:
+        if mode is not None:  # mkstemp's 0600 stays only on a new output
+            os.fchmod(fd, mode)
         with os.fdopen(fd, "wb") as handle:
             yield handle
         try:
@@ -99,10 +107,10 @@ def _atomic_file(path):
 @contextmanager
 def _weight_writer(path, n: int):
     """put(piece) for a new weight file of n weights at path (see _atomic_file):
-    the header, then each piece, a C-contiguous binary32 array, little-endian."""
+    the header, then each piece, any C-contiguous native binary32 buffer, little-endian."""
     with _atomic_file(path) as handle:
         handle.write(_HEADER.pack(MAGIC, VERSION, n))
-        yield lambda piece: handle.write(piece.byteswap() if _SWAP else piece)
+        yield lambda piece: handle.write(_swap(bytearray(piece)) if _SWAP else piece)
 
 
 def write_weights(path, weights) -> None:
@@ -162,6 +170,12 @@ def read_weights(path) -> np.ndarray:
     return w
 
 
+def _swap(raw: bytearray) -> bytearray:
+    """raw, binary32 values, with each value's four bytes reversed in place."""
+    raw[0::4], raw[1::4], raw[2::4], raw[3::4] = raw[3::4], raw[2::4], raw[1::4], raw[0::4]
+    return raw
+
+
 def _all_finite(raw) -> bool:
     """No NaN or infinity among the native binary32 values in the bytearray raw.
 
@@ -206,9 +220,7 @@ class _WeightFile:
                     f"bytes) but only {_HEADER.size + 4 * start + got} could be read"
                 )
             if _SWAP:  # before the check, which reads the values it hands out
-                buf[0::4], buf[1::4], buf[2::4], buf[3::4] = (
-                    buf[3::4], buf[2::4], buf[1::4], buf[0::4]
-                )
+                _swap(buf)
             # On the bytearray: `in` on a memoryview compares items, never bytes.
             if not self._checked and not _all_finite(buf if size == len(buf) else buf[:size]):
                 raise NonFiniteWeightError("payload contains NaN or infinity")
@@ -305,7 +317,9 @@ def read_spec(path) -> SpecDocument:
     negative key, alpha > L, duplicate positions, too little capacity).
     Each position list must hold exactly L entries before the code is
     built, so L, and with it the capacity check's work (CodeParams refuses
-    any k >= L up front), is bounded by the size of the file.
+    any k >= L up front), is bounded by the size of the file. A code whose
+    coding table would pass the codec's limit raises CapacityError before
+    any record is built, so CodeParams never computes its binomial(L, alpha).
     """
     try:
         with open(path, "r", encoding="ascii") as handle:
@@ -341,6 +355,7 @@ def read_spec(path) -> SpecDocument:
                 f"{len(positions)} positions for codeword length {big_l}"
             )
 
+    _check_table(big_l, alpha)
     try:
         params = CodeParams(k=k, alpha=alpha, L=big_l)
         thresholds = ThresholdPair(t0=t0, t1=t1)

@@ -8,7 +8,6 @@ that removes small magnitudes without touching large ones.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import chain
 
@@ -20,16 +19,12 @@ from .detect import (
     _extract_words, _join,
 )
 from .errors import MalformedCodewordError, SelectionRatioError
+from .model_io import _all_finite
 from .rng import GOLDEN_GAMMA, MASK64, _stream_at, mix64
 
 # Positions must cover at most 1/DENSITY_LIMIT of the host vector so the
 # watermark stays statistically invisible; override only for tests/toys.
 DENSITY_LIMIT = 100
-
-
-def _all_finite(w: np.ndarray) -> bool:
-    """No NaN or infinity in the nonempty w: min and max propagate both, mask-free."""
-    return math.isfinite(w.min()) and math.isfinite(w.max())
 
 
 class _ArrayPieces:
@@ -54,13 +49,13 @@ class _ArrayPieces:
 
 
 def as_weight_vector(values) -> np.ndarray:
-    """Coerce to a nonempty one-dimensional binary32 vector that _all_finite accepts."""
+    """Coerce to a nonempty one-dimensional binary32 vector free of NaN and infinity."""
     w = np.asarray(values, dtype=np.float32)
     if w.ndim != 1:
         raise ValueError("weight vector must be one-dimensional")
     if w.size < 1:
         raise ValueError("weight vector must not be empty")
-    if not _all_finite(w):
+    if not all(_all_finite(bytearray(piece)) for _, piece in _ArrayPieces(w).pieces()):
         raise ValueError("weight vector must be finite")
     return w
 

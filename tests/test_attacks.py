@@ -521,6 +521,20 @@ def test_add_noise_into_refuses_a_level_past_binary32():
         add_noise(w, float("nan"), seed=1)
 
 
+@pytest.mark.parametrize("at", [0, 2, 4], ids=["first", "middle", "last"])
+def test_add_noise_refuses_an_overflow_in_a_short_last_piece(at):
+    # One weight of the short last piece sits at the binary32 maximum, with
+    # the sign of its noise: the full piece before it noises within range.
+    n = _PIECE + 5
+    w = sample_gaussian_weights(n, sigma=0.01, seed=6)
+    w[_PIECE + at] = np.sign(standard_normals(n, 2)[_PIECE + at]) * np.finfo(np.float32).max
+    with np.errstate(over="ignore"):
+        assert not np.isfinite(old_add_noise(w, 1e34, seed=2)[_PIECE + at])
+    assert np.isfinite(add_noise(w[:_PIECE], 1e34, seed=2)).all()
+    with pytest.raises(CwmarkError, match="noise level 1e\\+34 overflows binary32"):
+        add_noise(w, 1e34, seed=2)
+
+
 @pytest.mark.parametrize("sigma", [0.0, 1e-40, 0.003])
 def test_add_noise_into_matches_binary64_recipe_in_place(sigma):
     # Each chunk reads its slice before writing it, so adding into the

@@ -1003,6 +1003,18 @@ def test_eval_rows_match_the_public_recipe(seed, n, picks, sigma):
     assert eval_rows(argv) == [row for *_, rows in recipe for row in rows]
 
 
+def test_eval_trials_trust_the_values_they_draw(monkeypatch):
+    # Each trial draws its own positions, message and Gaussian weights, so
+    # it runs none of the public checks on them: no weight vector is coerced.
+    calls = []
+    coerce = cwmark.watermark.as_weight_vector
+    monkeypatch.setattr(
+        cwmark.watermark, "as_weight_vector", lambda w: calls.append(1) or coerce(w)
+    )
+    assert len(eval_rows(["--seed", "3", *EVAL_SMALL])) == 2
+    assert calls == []
+
+
 def count_exact_samples(monkeypatch):
     """Record each call of the exact sampler, which the harness makes only
     when a rate falls back to the exact recipe."""
@@ -1095,6 +1107,38 @@ def test_eval_write_that_fails_leaves_an_existing_out_as_it_was(capsys, tmp_path
     assert err == f"cwmark: error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
     assert out.read_bytes() == b"previous"
     assert os.listdir(tmp_path) == ["e.csv"]
+
+
+def test_replaced_outputs_keep_their_mode_and_new_ones_are_owner_only(capsys, tmp_path):
+    # Each output is written to a temp file that replaces it: one that
+    # replaces a file takes that file's permission bits, and a new one
+    # keeps the temp file's 0600, which keeps a spec's key private.
+    weights = make_weights(tmp_path, n=2000)
+    outputs = {
+        "prune": [tmp_path / "p.cwcw"],
+        "embed": [tmp_path / "e.cwcw", tmp_path / "e.spec"],
+        "eval": [tmp_path / "e.csv"],
+    }
+    argv = {
+        "prune": ["prune", str(weights), str(tmp_path / "p.cwcw"), "--rate", "0.5"],
+        "embed": [
+            "embed", str(weights), str(tmp_path / "e.spec"), str(tmp_path / "e.cwcw"),
+            "--message", "ab", "--key", "3", "-a", "2", "--t0", "0.01", "--t1", "0.02",
+            "--force",
+        ],
+        "eval": [*EVAL_SMALL, "--out", str(tmp_path / "e.csv")],
+    }
+    for verb, paths in outputs.items():
+        assert run(capsys, *argv[verb])[0] == 0
+        assert [path.stat().st_mode & 0o777 for path in paths] == [0o600] * len(paths)
+        for path in paths:
+            path.chmod(0o640)
+        assert run(capsys, *argv[verb])[0] == 0
+        assert [path.stat().st_mode & 0o777 for path in paths] == [0o640] * len(paths)
+    # In place: the input is the output.
+    weights.chmod(0o644)
+    assert run(capsys, "prune", str(weights), str(weights), "--rate", "0.5")[0] == 0
+    assert weights.stat().st_mode & 0o777 == 0o644
 
 
 SIGMA_MESSAGE = "sigma must lie in (0, 3.9698e37) for a finite sample, got 3e+38"

@@ -75,6 +75,17 @@ def test_ladder_limit_admits_grid_and_refuses_before_building(monkeypatch):
         decode(word, params)
 
 
+def test_encode_index_refuses_a_code_past_the_table_limit_before_its_binomial(monkeypatch):
+    # binomial(10**6, 5 * 10**5) would take seconds to compute, only for the
+    # table limit to refuse the code after it.
+    def refused(n, r):
+        raise AssertionError(f"binomial({n}, {r}) computed")
+
+    monkeypatch.setattr(codec, "binomial", refused)
+    with pytest.raises(CapacityError, match="L=1000000, alpha=500000 is past the 256 MiB"):
+        encode_index(0, 500_000, 1_000_000)
+
+
 @pytest.mark.parametrize("L, alpha", [(12955, 127), (4323, 170), (3000, 250)])
 def test_encode_matches_scan_oracle_at_large_shapes(L, alpha):
     # The k=1024 grid rows at both ends of alpha, and a shape whose

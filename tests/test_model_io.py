@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from cwmark import (
     BadMagicError,
+    CapacityError,
     CodeParams,
     EmbedSpec,
     NonFiniteWeightError,
@@ -33,7 +34,7 @@ from cwmark import (
     write_spec,
     write_weights,
 )
-from cwmark import model_io
+from cwmark import codec, model_io
 from cwmark.cli import main
 from cwmark.rng import random_bits
 from cwmark.watermark import _PIECE
@@ -101,6 +102,12 @@ def test_weights_swap_bytes_once_per_side(tmp_path, monkeypatch):
     assert np.array_equal(read_weights(swapped).view(np.uint32), w.view(np.uint32))
     assert main(["prune", str(swapped), str(swapped_pruned), "--rate", "0.5"]) == 0
     assert swapped_pruned.read_bytes() == swapped_payload(plain_pruned.read_bytes())
+    # put takes any C-contiguous buffer of native binary32 values.
+    buffers = tmp_path / "buffers.cwcw"
+    with model_io._weight_writer(buffers, w.size) as put:
+        put(w[:_PIECE].view(np.uint32))
+        put(memoryview(w[_PIECE:]))
+    assert buffers.read_bytes() == swapped_payload(plain.read_bytes())
 
 
 def test_weights_byte_deterministic(tmp_path):
@@ -219,7 +226,9 @@ def test_byte_level_finiteness_check_on_the_top_byte_patterns(
     capsys, tmp_path, marked_file_and_spec, pattern, spot
 ):
     # read_weights and extract refuse exactly the payloads that numpy finds
-    # a NaN or an infinity in, wherever in a piece the pattern sits.
+    # a NaN or an infinity in, wherever in a piece the pattern sits; so do
+    # write_weights and extract on the payload as an array, which take the
+    # same byte-level test.
     blob, spec = marked_file_and_spec
     blob = bytearray(blob)
     struct.pack_into("<I", blob, 14 + 4 * SPOTS[spot], TOP_BYTE_PATTERNS[pattern])
@@ -229,9 +238,19 @@ def test_byte_level_finiteness_check_on_the_top_byte_patterns(
     finite = bool(np.isfinite(payload).all())
     if finite:
         assert read_weights(path).view(np.uint32).tolist() == payload.view("<u4").tolist()
+        write_weights(tmp_path / "a.cwcw", payload)
+        assert (tmp_path / "a.cwcw").read_bytes() == blob
+        assert extract(payload, read_spec(spec).spec).sum() == 10
     else:
         with pytest.raises(NonFiniteWeightError):
             read_weights(path)
+        for refused in (
+            lambda: write_weights(tmp_path / "a.cwcw", payload),
+            lambda: extract(payload, read_spec(spec).spec),
+        ):
+            with pytest.raises(ValueError, match="^weight vector must be finite$"):
+                refused()
+        assert not (tmp_path / "a.cwcw").exists()
     code = main(["extract", str(path), str(spec)])
     out, err = capsys.readouterr()
     assert (code == 3) == (not finite)
@@ -491,6 +510,29 @@ def test_spec_refuses_number_forms_write_spec_never_writes(tmp_path, edit, messa
 def test_spec_float_exponent_keeps_its_sign(tmp_path):
     path = edit_spec(tmp_path, changed(sigma="1e+16", rate="9.5e-01"))
     assert read_spec(path) == dataclasses.replace(make_doc(), sigma=1e16)
+
+
+def test_spec_past_the_table_limit_is_refused_before_its_binomial(tmp_path, monkeypatch, capsys):
+    # binomial(200000, 100000) has about 200,000 bits; read_spec and extract
+    # refuse the code on its table size alone, before any big-integer work.
+    def refused(n, r):
+        raise AssertionError(f"binomial({n}, {r}) computed")
+
+    big_l = 200_000
+    path = edit_spec(
+        tmp_path,
+        changed(k="1", alpha=str(big_l // 2), L=str(big_l),
+                positions=" ".join(map(str, range(big_l)))),
+    )
+    weights = tmp_path / "w.cwcw"
+    write_weights(weights, np.ones(10, dtype=np.float32))
+    monkeypatch.setattr(codec, "binomial", refused)
+    message = "coding table for L=200000, alpha=100000 is past the 256 MiB limit"
+    with pytest.raises(CapacityError) as err:
+        read_spec(path)
+    assert str(err.value) == message
+    assert main(["extract", str(weights), str(path)]) == 2
+    assert capsys.readouterr() == ("", f"cwmark: error: {message}\n")
 
 
 def test_spec_duplicate_field(tmp_path):
