@@ -209,6 +209,7 @@ def cmd_encode(args, console: _Console) -> int:
 def cmd_decode(args, console: _Console) -> int:
     text = args.codeword
     ones = [p for p, digit in enumerate(text) if digit == "1"]
+    codec._check_table(len(text), len(ones))  # before CodeParams' binomial
     params = codec.CodeParams(k=args.k, alpha=len(ones), L=len(text))
     try:
         message = _hex(codec._message_index(ones, params), params.k)

@@ -129,20 +129,24 @@ def test_prune_invariants_property(n, seed, rate, quantize):
 @pytest.mark.parametrize("n", [1, 5, 1000, 2**12 + 3])
 def test_prune_chunks_match_whole_vector(monkeypatch, n, rate):
     # Chunk edges at every 7 weights; zeros, -0.0 and ties at the cutoff.
+    # The select's sample is the whole vector, then every ceil(n / 8)-th
+    # weight, which brackets the cutoff loosely or misses it.
     monkeypatch.setattr(watermark, "_PIECE", 7)
     w = np.round(np.random.default_rng(n).normal(0, 1, n) * 4).astype(np.float32) / 4
     w[::5] = 0.0
     w[1::11] = -0.0
-    out, spec = prune(w, rate)
-    mask = np.abs(w) < np.float32(spec.cutoff)
-    want = w.copy()
-    want[mask] = 0.0
-    assert out.tobytes() == want.tobytes()
-    assert spec.zeroed == int(np.count_nonzero(mask))
-    assert spec.cutoff == float(np.sort(np.abs(w))[spec.p])
-    inplace = w.copy()
-    assert attacks._prune_into(_ArrayPieces(inplace), rate) == spec
-    assert inplace.tobytes() == want.tobytes()
+    for sample in (attacks._SAMPLE, 8):
+        monkeypatch.setattr(attacks, "_SAMPLE", sample)
+        out, spec = prune(w, rate)
+        mask = np.abs(w) < np.float32(spec.cutoff)
+        want = w.copy()
+        want[mask] = 0.0
+        assert out.tobytes() == want.tobytes()
+        assert spec.zeroed == int(np.count_nonzero(mask))
+        assert spec.cutoff == float(np.sort(np.abs(w))[spec.p])
+        inplace = w.copy()
+        assert attacks._prune_into(_ArrayPieces(inplace), rate) == spec
+        assert inplace.tobytes() == want.tobytes()
 
 
 def sorted_prune(w, rate):
@@ -167,7 +171,8 @@ PRUNE_SPECIAL = [
 @given(st.data())
 def test_prune_into_matches_sort(data):
     # The bit-pattern select against a sort of np.abs: the same bytes
-    # (signs of surviving zeros too), p, cutoff and zero count.
+    # (signs of surviving zeros too), p, cutoff and zero count. A sample
+    # of 8 values exercises the bracket's edges and the histogram fallback.
     values = st.one_of(
         st.sampled_from(PRUNE_SPECIAL),
         st.floats(width=32, allow_nan=False, allow_infinity=False),
@@ -178,11 +183,15 @@ def test_prune_into_matches_sort(data):
         st.sampled_from([0.0, (n - 1) / n, 0.999999])
         | st.floats(min_value=0.0, max_value=1.0, exclude_max=True)
     )
+    sample = data.draw(st.sampled_from([attacks._SAMPLE, 8]))
     want, p, cutoff, zeroed = sorted_prune(w, rate)
     out = w.copy()
-    spec = attacks._prune_into(_ArrayPieces(out), rate)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(attacks, "_SAMPLE", sample)
+        spec = attacks._prune_into(_ArrayPieces(out), rate)
     assert out.tobytes() == want.tobytes()
     assert (spec.rate, spec.p, spec.cutoff, spec.zeroed) == (rate, p, cutoff, zeroed)
+    assert type(spec.zeroed) is int
 
 
 @pytest.mark.parametrize(
@@ -203,6 +212,58 @@ def test_prune_into_zeros_and_extremes(w, rate, zeroed):
     spec = attacks._prune_into(_ArrayPieces(out), rate)
     assert out.tobytes() == want.tobytes()
     assert (spec.p, spec.cutoff, spec.zeroed) == (p, cutoff, count) == (p, cutoff, zeroed)
+
+
+def counted_fallback(monkeypatch) -> list:
+    """The ranks _pattern_at hands to its histogram fallback, from now on."""
+    ranks, select = [], attacks._histogram_select
+
+    def counted(source, rank):
+        ranks.append(rank)
+        return select(source, rank)
+
+    monkeypatch.setattr(attacks, "_histogram_select", counted)
+    return ranks
+
+
+def test_select_falls_back_when_the_sample_holds_only_zeros(monkeypatch):
+    # n > _SAMPLE, so the sample is every 2nd weight, and those are all 0:
+    # the bracket [0, 0] (or [0, all-ones] at the top) cannot hold the rank
+    # in its buffer. The histogram passes give the sort's bytes and reports.
+    n = 3 * _PIECE + 5
+    assert attacks._SAMPLE < n <= 2 * attacks._SAMPLE
+    w = sample_gaussian_weights(n, sigma=0.01, seed=12)
+    w[::2] = 0.0
+    w[1::14] = -0.0
+    ranks = counted_fallback(monkeypatch)
+    for rate in (0.3, 0.5, 0.9):
+        want, p, cutoff, zeroed = sorted_prune(w, rate)
+        out, spec = prune(w, rate)
+        assert out.tobytes() == want.tobytes()
+        assert (spec.p, spec.cutoff, spec.zeroed) == (p, cutoff, zeroed)
+        assert ranks.pop() == p
+    # suppress selects rank n - budget - 1; inflate, with too few candidates
+    # (magnitude <= RMS / 2), the budget smallest: rank budget - 1.
+    picks = [("suppress", 10), ("suppress", n // 10), ("suppress", n // 2), ("inflate", n - 1)]
+    for strategy, budget in picks:
+        out, touched = targeted_flip_attack(w, budget, seed=3, strategy=strategy)
+        want, want_touched = old_flip(w, budget, 3, strategy)
+        assert out.tobytes() == want.tobytes()
+        assert touched.tolist() == want_touched.tolist()
+        assert ranks.pop() == (n - budget - 1 if strategy == "suppress" else budget - 1)
+    assert ranks == []
+
+
+def test_select_takes_no_fallback_on_gaussian_weights(monkeypatch):
+    # A select that always fell back would be exact too, and slower: on
+    # Gaussian weights the sampled bracket holds the cutoff.
+    w = sample_gaussian_weights(1 << 22, sigma=0.01, seed=13)
+    mag = np.abs(w)
+    ranks = counted_fallback(monkeypatch)
+    for rate in (0.5, 0.9, 0.99):
+        _, spec = prune(w, rate)
+        assert spec.zeroed == int(np.count_nonzero(mag < np.float32(spec.cutoff)))
+    assert ranks == []
 
 
 def test_prune_zeroed_fraction_bound():

@@ -306,6 +306,19 @@ def test_decode_failures_match_the_library(capsys):
     assert err == "cwmark: error: alpha must satisfy 1 <= alpha <= L\n"
 
 
+def test_decode_refuses_a_code_past_the_table_limit_before_its_binomial(capsys, monkeypatch):
+    # binomial(131071, 65536) takes about 0.2 s; decode refuses the code on
+    # its table size alone, as read_spec does, before any big-integer work.
+    def refused(n, r):
+        raise AssertionError(f"binomial({n}, {r}) computed")
+
+    monkeypatch.setattr(codec, "binomial", refused)
+    word = "1" * 65536 + "0" * 65535
+    code, out, err = run(capsys, "decode", "--codeword", word, "-k", "8")
+    assert (code, out) == (2, "")
+    assert err == "cwmark: error: coding table for L=131071, alpha=65536 is past the 256 MiB limit\n"
+
+
 @pytest.mark.parametrize("k, alpha, L", [(2, 2, 4), (64, 10, 393)])
 def test_range_check_at_the_boundary(capsys, k, alpha, L):
     # Index 2**k - 1 is the largest message; 2**k is the first corrupted word.
