@@ -68,9 +68,16 @@ def _bucket_of(counts: np.ndarray, rank: int) -> tuple[int, int]:
     return bucket, rank - (int(counts[bucket - 1]) if bucket else 0)
 
 
-# Values in _pattern_at's sample: 512 KiB of patterns, the size of the
-# 2**16-entry int64 histogram that _histogram_select counts in.
+# The least count of _pattern_at's sample: 512 KiB of patterns, the size
+# of the 2**16-entry int64 histogram that _histogram_select counts in.
 _SAMPLE = 1 << 17
+
+
+def _sample_size(n: int) -> int:
+    """The count _pattern_at's sample aims at for n weights: _SAMPLE, or
+    n**(2/3) past _SAMPLE**1.5 weights (2**25.5, about 47M). Its band buffer
+    holds at most about 8 n / sqrt(count) values, so both grow as n**(2/3)."""
+    return max(_SAMPLE, round(n ** (2 / 3)))
 
 
 def _pattern_at(source, rank: int) -> tuple[int, int, int]:
@@ -80,30 +87,39 @@ def _pattern_at(source, rank: int) -> tuple[int, int, int]:
     Finite magnitudes order like their bit patterns with the sign cleared
     (-0.0 as +0.0, as np.abs gives), so no n-sized buffer is needed. The
     select brackets rank from a sample (Floyd & Rivest, CACM 1975) in two
-    passes: _bracket's sample gives edge patterns lo and hi, then _band
-    counts the patterns below lo and keeps those in [lo, hi]. When the band
-    holds rank, its partition gives the exact result; when it does not, or
-    outgrew its buffer, _histogram_select does."""
-    below, band = _band(source, *_bracket(source, rank))
-    r = rank - below
-    if band is None or not 0 <= r < band.size:
+    passes: _bracket's sample gives edge patterns lo < hi, then _band
+    counts the patterns below lo, at lo and at hi, and keeps those strictly
+    between. When rank falls at lo, at hi or in the band, those give the
+    exact result; when it does not, or the band outgrew its buffer,
+    _histogram_select does."""
+    lo, hi, size = _bracket(source, rank)
+    below, at_lo, band, at_hi = _band(source, lo, hi, size)
+    if band is not None:
+        r = rank - below - at_lo  # rank's place in the band
+        above = source.n - below - at_lo  # the count above lo
+        if -at_lo <= r < 0:
+            return lo, r + at_lo, above
+        if 0 <= r < band.size:
+            band.partition(r)
+            pattern = band[r]
+            ties = r - int(np.count_nonzero(band < pattern))
+            return int(pattern), ties, above - int(np.count_nonzero(band <= pattern))
+        if 0 <= r - band.size < at_hi:
+            return hi, r - band.size, above - band.size - at_hi
         del band  # before the histogram's passes
-        return _histogram_select(source, rank)
-    band.partition(r)
-    pattern = band[r]
-    ties = r - int(np.count_nonzero(band < pattern))
-    return int(pattern), ties, source.n - below - int(np.count_nonzero(band <= pattern))
+    return _histogram_select(source, rank)
 
 
 def _bracket(source, rank: int) -> tuple[int, int, int]:
     """_pattern_at's first pass: every step-th magnitude pattern of the source,
-    step = ceil(n / _SAMPLE), in one buffer of m <= _SAMPLE values, partitioned
+    step = ceil(n / _sample_size(n)), in one buffer of m values, partitioned
     in place at q -+ (4 sd + 2), where q = (rank + 1/2) m / n is rank's place in
     the sample and sd = sqrt(q (m - q) / m) its spread. Gives the patterns there,
-    lo and hi (0 and all-ones past either end), and the band's buffer size:
-    twice the count the bracket is expected to hold, plus 1024, at most n."""
+    lo and hi (0 and all-ones past either end; hi at least lo + 1), and the
+    band's buffer size: twice the count the bracket is expected to hold, plus
+    1024, at most n."""
     n = source.n
-    step = -(-n // _SAMPLE)
+    step = -(-n // _sample_size(n))
     sample = np.empty(-(-n // step), dtype=np.uint32)
     for start, piece in source.pieces():
         first = -start % step
@@ -122,28 +138,32 @@ def _bracket(source, rank: int) -> tuple[int, int, int]:
         lo = int(sample[a])
     if b < m:
         sample.partition(b)
-        hi = int(sample[b])
+        hi = max(int(sample[b]), lo + 1)
     return lo, hi, min(n, 2 * (b - a) * n // m + 1024)
 
 
-def _band(source, lo: int, hi: int, size: int) -> tuple[int, np.ndarray | None]:
-    """_pattern_at's second pass: the count of patterns below lo, and the
-    patterns in [lo, hi] in a buffer of size values (None, as soon as they
-    outgrow it)."""
-    band, kept, below = np.empty(size, dtype=np.uint32), 0, 0
+def _band(source, lo: int, hi: int, size: int) -> tuple[int, int, np.ndarray | None, int]:
+    """_pattern_at's second pass, for lo < hi: the counts of patterns below lo
+    and at lo, the patterns strictly between lo and hi in a buffer of size
+    values (None, as soon as they outgrow it), and the count at hi. Ties at
+    either edge are counted, not kept, so a vector of many equal weights (one
+    already pruned, say) keeps its band small."""
+    band, kept, below, at_lo, at_hi = np.empty(size, dtype=np.uint32), 0, 0, 0, 0
     hit = np.empty(min(source.n, _PIECE), dtype=bool)
     for _, _, mag in _magnitude_patterns(source):
         inside = hit[: mag.size]
         below += int(np.count_nonzero(np.less(mag, lo, out=inside)))
-        mag -= lo  # patterns below lo wrap past hi - lo
-        count = int(np.count_nonzero(np.less_equal(mag, hi - lo, out=inside)))
+        at_lo += int(np.count_nonzero(np.equal(mag, lo, out=inside)))
+        at_hi += int(np.count_nonzero(np.equal(mag, hi, out=inside)))
+        mag -= lo + 1  # lo and the patterns below it wrap past hi - lo - 1
+        count = int(np.count_nonzero(np.less(mag, hi - lo - 1, out=inside)))
         if kept + count > size:
-            return below, None
+            return below, at_lo, None, at_hi
         np.compress(inside, mag, out=band[kept : kept + count])
         kept += count
     band = band[:kept]
-    band += lo
-    return below, band
+    band += lo + 1
+    return below, at_lo, band, at_hi
 
 
 def _histogram_select(source, rank: int) -> tuple[int, int, int]:

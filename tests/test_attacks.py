@@ -135,8 +135,8 @@ def test_prune_chunks_match_whole_vector(monkeypatch, n, rate):
     w = np.round(np.random.default_rng(n).normal(0, 1, n) * 4).astype(np.float32) / 4
     w[::5] = 0.0
     w[1::11] = -0.0
-    for sample in (attacks._SAMPLE, 8):
-        monkeypatch.setattr(attacks, "_SAMPLE", sample)
+    for size in (attacks._sample_size, lambda n: 8):
+        monkeypatch.setattr(attacks, "_sample_size", size)
         out, spec = prune(w, rate)
         mask = np.abs(w) < np.float32(spec.cutoff)
         want = w.copy()
@@ -183,11 +183,11 @@ def test_prune_into_matches_sort(data):
         st.sampled_from([0.0, (n - 1) / n, 0.999999])
         | st.floats(min_value=0.0, max_value=1.0, exclude_max=True)
     )
-    sample = data.draw(st.sampled_from([attacks._SAMPLE, 8]))
+    size = data.draw(st.sampled_from([attacks._sample_size, lambda n: 8]))
     want, p, cutoff, zeroed = sorted_prune(w, rate)
     out = w.copy()
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(attacks, "_SAMPLE", sample)
+        patch.setattr(attacks, "_sample_size", size)
         spec = attacks._prune_into(_ArrayPieces(out), rate)
     assert out.tobytes() == want.tobytes()
     assert (spec.rate, spec.p, spec.cutoff, spec.zeroed) == (rate, p, cutoff, zeroed)
@@ -228,20 +228,23 @@ def counted_fallback(monkeypatch) -> list:
 
 def test_select_falls_back_when_the_sample_holds_only_zeros(monkeypatch):
     # n > _SAMPLE, so the sample is every 2nd weight, and those are all 0:
-    # the bracket [0, 0] (or [0, all-ones] at the top) cannot hold the rank
-    # in its buffer. The histogram passes give the sort's bytes and reports.
+    # the bracket is [0, 1]. The zeros' ties are counted, so a rank among
+    # them needs no fallback; a rank above them is past the bracket, and the
+    # histogram passes give it. Either way, the sort's bytes and reports.
     n = 3 * _PIECE + 5
-    assert attacks._SAMPLE < n <= 2 * attacks._SAMPLE
+    assert attacks._sample_size(n) < n <= 2 * attacks._sample_size(n)
     w = sample_gaussian_weights(n, sigma=0.01, seed=12)
     w[::2] = 0.0
     w[1::14] = -0.0
+    zeros = int(np.count_nonzero(w == 0))
     ranks = counted_fallback(monkeypatch)
     for rate in (0.3, 0.5, 0.9):
         want, p, cutoff, zeroed = sorted_prune(w, rate)
         out, spec = prune(w, rate)
         assert out.tobytes() == want.tobytes()
         assert (spec.p, spec.cutoff, spec.zeroed) == (p, cutoff, zeroed)
-        assert ranks.pop() == p
+        assert ranks == ([p] if p >= zeros else [])
+        ranks.clear()
     # suppress selects rank n - budget - 1; inflate, with too few candidates
     # (magnitude <= RMS / 2), the budget smallest: rank budget - 1.
     picks = [("suppress", 10), ("suppress", n // 10), ("suppress", n // 2), ("inflate", n - 1)]
@@ -250,8 +253,9 @@ def test_select_falls_back_when_the_sample_holds_only_zeros(monkeypatch):
         want, want_touched = old_flip(w, budget, 3, strategy)
         assert out.tobytes() == want.tobytes()
         assert touched.tolist() == want_touched.tolist()
-        assert ranks.pop() == (n - budget - 1 if strategy == "suppress" else budget - 1)
-    assert ranks == []
+        rank = n - budget - 1 if strategy == "suppress" else budget - 1
+        assert ranks == ([rank] if rank >= zeros else [])
+        ranks.clear()
 
 
 def test_select_takes_no_fallback_on_gaussian_weights(monkeypatch):
@@ -264,6 +268,57 @@ def test_select_takes_no_fallback_on_gaussian_weights(monkeypatch):
         _, spec = prune(w, rate)
         assert spec.zeroed == int(np.count_nonzero(mag < np.float32(spec.cutoff)))
     assert ranks == []
+
+
+def test_select_counts_ties_at_the_bracket_edges(monkeypatch):
+    # Many equal weights at the sampled bracket's edges: a vector pruned
+    # again (about 90% zeros), and weights on a grid of 0.005, with rates
+    # just past the start and just before the end of one grid value's run,
+    # so the rank falls among the ties at hi and at lo. The edges' ties are
+    # counted, not kept, so the band fits and nothing falls back.
+    n = 1 << 20
+    w = sample_gaussian_weights(n, sigma=0.01, seed=14)
+    pruned, _ = prune(w, 0.9)
+    grid = (np.round(w / np.float32(0.005)) * np.float32(0.005)).astype(np.float32)
+    run = np.count_nonzero(np.abs(grid) < 0.0125) / n, np.count_nonzero(np.abs(grid) < 0.0175) / n
+    ranks = counted_fallback(monkeypatch)
+    cases = [(pruned, 0.9), (pruned, 0.5), (pruned, 0.95), (grid, 0.5), (grid, run[0] + 1e-3)]
+    for v, rate in cases + [(grid, run[1] - 1e-3)]:
+        want, p, cutoff, zeroed = sorted_prune(v, rate)
+        out, spec = prune(v, rate)
+        assert out.tobytes() == want.tobytes()
+        assert (spec.p, spec.cutoff, spec.zeroed) == (p, cutoff, zeroed)
+        # The whole triple, count above included, against a sort.
+        mag = np.sort(v.view(np.uint32) & 0x7FFFFFFF)
+        at = int(mag[p])
+        first, last = np.searchsorted(mag, at), np.searchsorted(mag, at, side="right")
+        assert attacks._pattern_at(_ArrayPieces(v), p) == (at, p - first, n - last)
+    for budget in (n // 20, n // 2):
+        out, touched = targeted_flip_attack(pruned, budget, seed=5)
+        want, want_touched = old_flip(pruned, budget, 5, "suppress")
+        assert out.tobytes() == want.tobytes()
+        assert touched.tolist() == want_touched.tolist()
+    assert ranks == []
+
+
+def test_select_memory_grows_as_n_to_the_two_thirds():
+    # 2**31 weights, one Gaussian piece over and over: the sample aims at
+    # n**(2/3) values, and the band buffer at rate 0.5, the widest bracket,
+    # stays within 9 times that (with a fixed 2**17-value sample it would
+    # be about 95M values, 380 MB).
+    piece = sample_gaussian_weights(_PIECE, sigma=0.01, seed=15)
+
+    class Repeated:
+        n = 1 << 31
+
+        def pieces(self):
+            return ((start, piece) for start in range(0, self.n, _PIECE))
+
+    size = attacks._sample_size(Repeated.n)
+    assert attacks._sample_size(1 << 20) == attacks._SAMPLE
+    assert size == round(Repeated.n ** (2 / 3))
+    lo, hi, band = attacks._bracket(Repeated(), Repeated.n // 2)
+    assert lo < hi and band <= 9 * size
 
 
 def test_prune_zeroed_fraction_bound():
