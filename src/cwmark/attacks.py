@@ -1,4 +1,4 @@
-"""Attacks to exercise the watermark against: pruning, noise, targeted flips, eval's trials."""
+"""Attacks to exercise the watermark against: pruning, noise, targeted flips."""
 
 from __future__ import annotations
 
@@ -7,15 +7,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import _bits_value, _codeword, find_params
-from .detect import _PIECE, EmbedSpec, _top_alpha
+from .detect import _PIECE
 from .errors import CwmarkError
 from .model_io import _all_finite
-from .rng import MASK64, _stream_at, random_bits, splitmix64_stream
-from .stats import (
-    _check_sigma, _cutoffs, _fill_normals, _normals_at, _rms, _scratch, design_thresholds
-)
-from .watermark import _ArrayPieces, _check_selection, _draw_positions, _project, as_weight_vector
+from .rng import MASK64, _stream_at
+from .stats import _fill_normals, _prune_rank, _rms, _scratch
+from .watermark import _ArrayPieces, as_weight_vector
 
 
 @dataclass(frozen=True)
@@ -41,11 +38,6 @@ def prune(weights, rate: float) -> tuple[np.ndarray, PruneSpec]:
         raise ValueError(f"prune rate must be in [0, 1), got {rate}")
     out = w.copy()
     return out, _prune_into(_ArrayPieces(out), rate)
-
-
-def _prune_rank(rate: float, n: int) -> int:
-    """prune's p = floor(rate * n), the cutoff's rank, held below n."""
-    return min(int(math.floor(rate * n)), n - 1)
 
 
 def _magnitude_patterns(source):
@@ -312,31 +304,3 @@ def _bottom_k(source, budget: int, seed: int, bound) -> np.ndarray | None:
             keep = np.argpartition(keys, budget - 1)[:budget]
             keys, idx, cut = [keys[keep]], [idx[keep]], keys[keep].max()
     return np.sort(idx[0])
-
-
-def _eval_trials(n, sigma, k, alpha, design_rate, two_sided, rates, seed, trials, allow_dense):
-    """eval's trials: a random k-bit message embedded in a Gaussian sample of n,
-    pruned at each rate, then extracted. Checks every argument before the first
-    trial; yields (seed, receipt, [(cutoff, bit errors) per rate]) per trial."""
-    _check_sigma(sigma)
-    params = find_params(k, alpha).params
-    thresholds = design_thresholds(sigma, design_rate, two_sided=two_sided)
-    _check_selection(params.L, n, allow_dense)
-    ps = [_prune_rank(rate, n) for rate in rates]
-    for trial_seed in splitmix64_stream(seed, trials).tolist():
-        weight_seed, key, message_seed = splitmix64_stream(trial_seed, 3).tolist()
-        # encode, then embed_message's selection and projection on the selected
-        # weights alone, without their checks: the trial drew all three itself.
-        value = _bits_value(random_bits(message_seed, k))
-        codeword = np.frombuffer(_codeword(value, params.alpha, params.L), np.uint8)
-        positions = np.array(_draw_positions([key], n, params.L), dtype=np.int64)
-        alone = EmbedSpec(key, params, thresholds, range(params.L))
-        marked = _normals_at(weight_seed, positions, sigma).astype(np.float32)
-        (receipt,) = _project(_ArrayPieces(marked), [alone], [codeword])
-        cutoffs = _cutoffs(n, sigma, weight_seed, positions, marked, ps, params.L)
-        sel = np.abs(marked).astype(np.float64)
-        # What prune leaves there (ties at the cutoff survive), read as extract does.
-        kept = [np.where(sel < cutoffs[p], 0.0, sel).tolist() for p in ps]
-        words = [np.frombuffer(_top_alpha(mag, params.alpha), np.uint8) for mag in kept]
-        errors = [int(np.count_nonzero(word != codeword)) for word in words]
-        yield trial_seed, receipt, [(cutoffs[p], e) for p, e in zip(ps, errors)]

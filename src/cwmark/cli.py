@@ -339,10 +339,10 @@ def cmd_attack(args, console: _Console) -> int:
 
 
 def _eval_rows(args):
-    """The CSV rows of attacks._eval_trials: one per trial and attack rate."""
-    from . import attacks
+    """The CSV rows of stats._eval_trials: one per trial and attack rate."""
+    from . import stats
 
-    for seed, receipt, outcomes in attacks._eval_trials(
+    for seed, receipt, outcomes in stats._eval_trials(
         args.n, args.sigma, args.k, args.alpha, args.design_rate, args.two_sided,
         args.attack_rates, args.seed, args.trials, args.force,
     ):

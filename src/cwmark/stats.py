@@ -2,7 +2,8 @@
 
 Thresholds come from the standard normal tail function Q: a pruning
 attack at rate R removes the R smallest weight magnitudes, so the upper
-threshold must sit above the corresponding Gaussian quantile.
+threshold must sit above the corresponding Gaussian quantile. eval's
+trial, which tests that design, lives here beside its cutoff select.
 """
 
 from __future__ import annotations
@@ -12,9 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detect import ThresholdPair
+from .codec import _bits_value, _codeword, find_params
+from .detect import _PIECE, EmbedSpec, ThresholdPair, _top_alpha
 from .errors import ThresholdDesignError
-from .rng import GOLDEN_GAMMA, _stream_at, _stream_gather
+from .rng import GOLDEN_GAMMA, _stream_at, _stream_gather, random_bits, splitmix64_stream
+from .watermark import _ArrayPieces, _check_selection, _draw_positions, _project
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -109,13 +112,9 @@ def design_thresholds(
     return ThresholdPair(t0=t0_fraction * t1, t1=t1)
 
 
-# Largest piece of the vector squared at once (512 KiB of binary64).
-_SIGMA_CHUNK = 1 << 16
-
-
 def _pairwise(start: int, stop: int, leaf):
     """leaf(a, b) over the pieces numpy's pairwise sum splits [start, stop)
-    into, down to _SIGMA_CHUNK values, added in numpy's tree order.
+    into, down to _PIECE values, added in numpy's tree order.
 
     np.add.reduce over a contiguous binary64 vector of n > 128 values sums
     its first half, n // 2 rounded down to a multiple of 8, and its second
@@ -123,7 +122,7 @@ def _pairwise(start: int, stop: int, leaf):
     gives the bits of reducing the whole vector.
     """
     n = stop - start
-    if n <= _SIGMA_CHUNK:
+    if n <= _PIECE:
         return leaf(start, stop)
     half = n // 2
     half -= half % 8
@@ -136,7 +135,7 @@ def _rms(pieces, n: int) -> float:
     one leaf of squares held at a time (see _pairwise)."""
     ends: list[int] = []
     _pairwise(0, n, lambda a, b: ends.append(b) or 0.0)
-    squares = np.empty(min(n, _SIGMA_CHUNK), dtype=np.float64)
+    squares = np.empty(min(n, _PIECE), dtype=np.float64)
     sums: list[np.float64] = []
     filled = 0
     for start, piece in pieces:
@@ -303,20 +302,20 @@ def _bracket(p, n, L, sigma, delta):
     return np.float32(lo), np.float32(hi)
 
 
-def _cutoffs(n, sigma, seed, positions, marked, ps, L):
+def _cutoffs(n, sigma, seed, positions, marked, ps):
     """The eval harness's cutoffs, {p: the p-th smallest magnitude} for each
     p in ps, of sigma times the sample of seed with the marked values at
-    their positions. One screened pass counts the magnitudes below each p's
-    bracket and keeps those in it (Floyd & Rivest). The screened p-th
+    their L positions. One screened pass counts the magnitudes below each
+    p's bracket and keeps those in it (Floyd & Rivest). The screened p-th
     smallest, g, is within delta of the exact one; lying 2 delta inside the
     bracket, only values near it need exact recomputing. Else the exact
     sample, drawn once for every p that misses, is partitioned in place,
     which keeps its values for the next p."""
     delta = _screen_error(sigma)
-    edges = {p: _bracket(p, n, L, sigma, delta) for p in ps}
+    edges = {p: _bracket(p, n, positions.size, sigma, delta) for p in ps}
     below, band = dict.fromkeys(edges, 0), {p: [] for p in edges}
-    # Pieces of 2**16 values: the per-rate counts run once a piece.
-    buf, scratch = np.empty(min(n, 1 << 16), dtype=np.float32), _scratch()
+    # Pieces of _PIECE values: the per-rate counts run once a piece.
+    buf, scratch = np.empty(min(n, _PIECE), dtype=np.float32), _scratch()
     for start in range(0, n, buf.size):
         piece = buf[: n - start]
         _fill_normals(piece, seed, sigma, start, screen=True, scratch=scratch)
@@ -350,3 +349,36 @@ def _cutoffs(n, sigma, seed, positions, marked, ps, L):
         rank -= int(np.count_nonzero(values < w_lo))
         cutoffs[p] = float(np.partition(exact, rank)[rank])
     return cutoffs
+
+
+def _prune_rank(rate: float, n: int) -> int:
+    """prune's p = floor(rate * n), the cutoff's rank, held below n."""
+    return min(int(math.floor(rate * n)), n - 1)
+
+
+def _eval_trials(n, sigma, k, alpha, design_rate, two_sided, rates, seed, trials, allow_dense):
+    """eval's trials: a random k-bit message embedded in a Gaussian sample of n,
+    pruned at each rate, then extracted. Checks every argument before the first
+    trial; yields (seed, receipt, [(cutoff, bit errors) per rate]) per trial."""
+    _check_sigma(sigma)
+    params = find_params(k, alpha).params
+    thresholds = design_thresholds(sigma, design_rate, two_sided=two_sided)
+    _check_selection(params.L, n, allow_dense)
+    ps = [_prune_rank(rate, n) for rate in rates]
+    for trial_seed in splitmix64_stream(seed, trials).tolist():
+        weight_seed, key, message_seed = splitmix64_stream(trial_seed, 3).tolist()
+        # encode, then embed_message's selection and projection on the selected
+        # weights alone, without their checks: the trial drew all three itself.
+        value = _bits_value(random_bits(message_seed, k))
+        codeword = np.frombuffer(_codeword(value, params.alpha, params.L), np.uint8)
+        positions = np.array(_draw_positions([key], n, params.L), dtype=np.int64)
+        alone = EmbedSpec(key, params, thresholds, range(params.L))
+        marked = _normals_at(weight_seed, positions, sigma).astype(np.float32)
+        (receipt,) = _project(_ArrayPieces(marked), [alone], [codeword])
+        cutoffs = _cutoffs(n, sigma, weight_seed, positions, marked, ps)
+        sel = np.abs(marked).astype(np.float64)
+        # What prune leaves there (ties at the cutoff survive), read as extract does.
+        kept = [np.where(sel < cutoffs[p], 0.0, sel).tolist() for p in ps]
+        words = [np.frombuffer(_top_alpha(mag, params.alpha), np.uint8) for mag in kept]
+        errors = [int(np.count_nonzero(word != codeword)) for word in words]
+        yield trial_seed, receipt, [(cutoffs[p], e) for p, e in zip(ps, errors)]

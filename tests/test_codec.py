@@ -219,6 +219,22 @@ def test_as_bits_validation():
         as_bits([[0, 1]])
 
 
+@pytest.mark.parametrize("values", [[0.5], [-1], [256]])
+def test_as_bits_refuses_values_that_cast_to_bits(values):
+    # As uint8, 0.5 and 256 read as [0] and -1 as [255].
+    with pytest.raises(ValueError, match="only 0 and 1"):
+        as_bits(values)
+
+
+def test_k_below_one_is_refused():
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        int_to_bits(1, 0)
+    # k is checked before the tolerance, so both bad still name k.
+    for tolerance in (0.9, 1.0):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            find_params_for_tolerance(0, tolerance)
+
+
 def test_code_params_validation():
     CodeParams(k=1, alpha=1, L=2)
     with pytest.raises(ValueError):

@@ -1,5 +1,5 @@
-"""The codec verbs (params, encode, decode), extract's start-up, the
-numpy verbs' BLAS threads, and the package's lazy exports.
+"""The codec verbs (params, encode, decode), extract's and eval's start-up,
+the numpy verbs' BLAS threads, and the package's lazy exports.
 
 The codec verbs run on codec's integer core, and extract on model_io's
 byte-level reader and detect's integer decode, so a child that runs one
@@ -220,6 +220,23 @@ def test_star_import_binds_exactly_all():
     assert namespace["encode"] is codec.encode and cwmark.codec is codec
     assert namespace["SpecDocument"] is cwmark.model_io.SpecDocument
     assert not hasattr(cwmark, "no_such_name")
+
+
+# Runs the CLI on its arguments, then prints whether the attacks module was imported.
+ATTACKS_PROBE = """
+import sys
+from cwmark.cli import main
+print("exit", main(sys.argv[1:]))
+print("cwmark.attacks" in sys.modules)
+"""
+
+
+def test_eval_does_not_load_the_attacks():
+    # eval's trial lives in stats, beside the cutoff select it drives.
+    lines = child_lines(
+        ATTACKS_PROBE, "--quiet", "eval", "--trials", "1", "--n", "40000", "--two-sided"
+    )
+    assert lines[-2:] == ["exit 0", "False"]
 
 
 def run(capsys, *argv):

@@ -180,7 +180,7 @@ def test_estimate_sigma_matches_whole_vector_mean_bit_for_bit():
 def test_estimate_sigma_small_chunks_split_like_numpy(monkeypatch, chunk):
     # Small chunks put many splits in short vectors; a split anywhere but
     # numpy's changes the rounding of some of these sums.
-    monkeypatch.setattr(stats, "_SIGMA_CHUNK", chunk)
+    monkeypatch.setattr(stats, "_PIECE", chunk)
     for n in [*range(chunk - 8, 301 + chunk), 8193, 65537, 10**6 + 3]:
         w = normal_weights(n)
         assert estimate_sigma(w) == sigma_oracle(w), n
@@ -191,7 +191,7 @@ def test_estimate_sigma_small_chunks_split_like_numpy(monkeypatch, chunk):
 def test_rms_of_pieces_matches_whole_vector(monkeypatch, chunk, piece):
     # A file's pieces end anywhere inside numpy's leaves; the leaves are
     # still squared whole and added in numpy's order.
-    monkeypatch.setattr(stats, "_SIGMA_CHUNK", chunk)
+    monkeypatch.setattr(stats, "_PIECE", chunk)
     for n in (1, 129, 8193, 200_003):
         w = normal_weights(n)
         pieces = [(start, w[start : start + piece]) for start in range(0, n, piece)]
@@ -435,6 +435,14 @@ def test_sigma_whose_sample_can_overflow_binary32_is_refused(sigma):
         GaussianModel(sigma).sample(10, seed=0)
 
 
+def test_negative_counts_and_empty_samples_are_refused():
+    for draw in (splitmix64_stream, random_bits):
+        with pytest.raises(ValueError, match="count must be nonnegative"):
+            draw(1, -1)
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        sample_gaussian_weights(0, 0.01, 1)
+
+
 def test_sigma_bound_is_where_the_largest_sample_overflows():
     # Word pair (0, 0) is the largest radius at angle 2 pi 2**-53.
     words = np.zeros(2, dtype=np.uint64)
@@ -583,5 +591,5 @@ def test_screened_cutoffs_match_full_sort(n, seed, rates, sigma, marks):
     exact[positions] = marked
     ordered = np.sort(np.abs(exact))
     ps = [min(int(rate * n), n - 1) for rate in rates]
-    got = stats._cutoffs(n, sigma, seed, positions, marked, ps, positions.size)
+    got = stats._cutoffs(n, sigma, seed, positions, marked, ps)
     assert got == {p: float(ordered[p]) for p in ps}

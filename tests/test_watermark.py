@@ -404,6 +404,12 @@ def test_join_blocks_validation():
     assert join_blocks([[1, 0, 1, 0]], 3).tolist() == [1, 0, 1]
 
 
+def test_join_blocks_refuses_a_total_below_one():
+    # Checked before the padding, which total_bits = 0 would make all of [1, 0].
+    with pytest.raises(ValueError, match="total_bits must be >= 1"):
+        join_blocks([[1, 0]], 0)
+
+
 def test_block_mode_roundtrip_disjoint_deterministic():
     rng = np.random.default_rng(13)
     weights = rng.normal(0, 0.01, size=80_000).astype(np.float32)
