@@ -1,8 +1,6 @@
 """Entry point for ``python -m cwmark``."""
 
-import sys
-
-from .cli import main
+from .cli import _entry
 
 if __name__ == "__main__":
-    sys.exit(main())
+    _entry()

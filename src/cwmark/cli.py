@@ -12,6 +12,12 @@ one-block document, so extract takes one path for every spec.
 Exit codes: 0 success, 2 usage error, 3 unreadable or malformed data,
 4 verification failure (failed range check or failed recovery trial).
 
+A process (`cwmark`, `python -m cwmark` or `python -m cwmark.cli`) ends
+in _entry: it runs main, flushes stdout, calls gc.freeze() so the
+final collection at exit skips the heap the imports and the verb made,
+and exits with main's code. A stdout that fails that flush gets main's
+one-line error and exit 3.
+
 Messages travel as hex strings. A hex string of d digits carries k = 4d
 bits: it is read as a big-endian integer whose bit t (LSB first) becomes
 message bit t, and extraction prints the same hex back.
@@ -29,6 +35,7 @@ only for a --json payload.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from contextlib import nullcontext
@@ -490,6 +497,7 @@ def main(argv=None) -> int:
     console = _Console(args)
     try:
         code = args.func(args, console)
+        console.flush()
     except (WeightFileError, SpecFormatError, PositionRangeError, OSError) as exc:
         print(f"cwmark: error: {exc}", file=sys.stderr)
         return EXIT_DATA
@@ -500,9 +508,26 @@ def main(argv=None) -> int:
         reason = str(exc) or "allocation failed"
         print(f"cwmark: error: out of memory: {reason}", file=sys.stderr)
         return EXIT_USAGE
-    console.flush()
     return code
 
 
+def _entry() -> None:
+    """The process entry: main, then the flush, the freeze and the exit.
+
+    After a failed flush fd 1 points at os.devnull, so the interpreter's
+    own flush at exit stays silent. main does not freeze, because tests
+    and library callers run it in process many times.
+    """
+    code = main()
+    try:
+        sys.stdout.flush()
+    except OSError as exc:
+        print(f"cwmark: error: {exc}", file=sys.stderr)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_DATA
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    _entry()

@@ -306,7 +306,16 @@ def _parse(name: str, value: str | None, kind):
 def _parse_positions(name: str, value: str) -> tuple[int, ...]:
     if not value:
         raise SpecFormatError(f"field {name!r}: empty position list")
-    return tuple(_parse(name, token, int) for token in value.split())
+    tokens = value.split()
+    # One pass over the whole list. A list it refuses goes through _parse
+    # token by token, which names the first bad token.
+    try:
+        ints = list(map(int, tokens))
+        if list(map(str, ints)) == tokens:
+            return tuple(ints)
+    except ValueError:
+        pass
+    return tuple(_parse(name, token, int) for token in tokens)
 
 
 def read_spec(path) -> SpecDocument:

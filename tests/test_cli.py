@@ -4,6 +4,7 @@ import contextlib
 import csv
 import errno
 import functools
+import gc
 import hashlib
 import io
 import json
@@ -1481,13 +1482,97 @@ def test_fuzzed_files_exit_with_a_documented_code_in_every_file_verb(
 # --- entry point -------------------------------------------------------------
 
 
-def test_module_entry_point():
-    # The child imports the same package as this process, installed or not.
+def child(*args, environ=os.environ, stdout=subprocess.PIPE, cwd=None):
+    """A fresh interpreter run on args, importing the same package as this
+    process, installed or not."""
     root = os.path.dirname(os.path.dirname(cwmark.__file__))
-    path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "cwmark.cli", "--quiet", "params", "-k", "64", "-a", "10"],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+    path = os.pathsep.join(filter(None, [root, environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args], stdout=stdout, stderr=subprocess.PIPE, text=True,
+        env={**environ, "PYTHONPATH": path}, cwd=cwd,
     )
+
+
+def test_module_entry_point():
+    proc = child("-m", "cwmark.cli", "--quiet", "params", "-k", "64", "-a", "10")
     assert proc.returncode == 0
     assert "393" in proc.stdout
+
+
+PARAMS_64_10 = (
+    "     k  alpha        L   capacity  tolerance  tight\n"
+    "    64     10      393      64.23     0.9746    yes\n"
+)
+
+
+@pytest.mark.parametrize(
+    "argv, code, stdout, stderr",
+    [
+        (["params", "-k", "64", "-a", "10"], 0, PARAMS_64_10, ""),
+        (["decode", "--codeword", "0011"], 2, "",
+         "cwmark decode: error: the following arguments are required: -k"),
+        (["extract", "missing.cwcw", "missing.spec"], 3, "",
+         "cwmark: error: [Errno 2] No such file or directory: 'missing.cwcw'"),
+        (["decode", "--codeword", "0011", "-k", "2"], 4, "",
+         "cwmark: range check failed: decoded index 5 does not fit in 2 bits; "
+         "codeword is corrupted"),
+    ],
+    ids=["ok", "usage", "data", "verify"],
+)
+def test_package_entry_point_exit_codes(tmp_path, argv, code, stdout, stderr):
+    # `python -m cwmark` is the entry the benchmark's children run.
+    proc = child("-m", "cwmark", *argv, cwd=tmp_path)
+    assert (proc.returncode, proc.stdout) == (code, stdout)
+    assert proc.stderr.splitlines()[-1:] == ([stderr] if stderr else [])
+
+
+# Runs each entry module as `python -m` would, on params; an atexit hook,
+# which runs after the entry has exited, reports whether it froze the heap.
+FREEZE_PROBE = """
+import atexit, gc, runpy, sys
+atexit.register(lambda: print(gc.get_freeze_count() > 0))
+module = sys.argv[1]
+sys.argv = ["cwmark", "params", "-k", "64", "-a", "10"]
+runpy.run_module(module, run_name="__main__")
+"""
+
+
+@pytest.mark.parametrize("module", ["cwmark", "cwmark.cli"])
+def test_process_entry_freezes_the_heap_at_exit(module):
+    proc = child("-c", FREEZE_PROBE, module)
+    assert proc.returncode == 0
+    assert proc.stdout == PARAMS_64_10 + "True\n"
+
+
+def test_main_does_not_freeze_the_heap(capsys):
+    before = gc.get_freeze_count()
+    assert main(["params", "-k", "64", "-a", "10"]) == 0
+    assert capsys.readouterr().out == PARAMS_64_10
+    assert gc.get_freeze_count() == before
+
+
+@pytest.mark.parametrize("argv", [["params", "--grid"], ["--json", "params", "--grid"]],
+                         ids=["text", "json"])
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("sink", ["full", "closed-pipe"])
+def test_failed_stdout_exits_3_with_one_error_line(argv, unbuffered, sink):
+    # Buffered (the interpreter's default), the write fails only at the
+    # entry's flush; unbuffered, it fails inside the verb.
+    if sink == "full":
+        if not os.path.exists("/dev/full"):
+            pytest.skip("needs /dev/full")
+        stdout, fault = os.open("/dev/full", os.O_WRONLY), errno.ENOSPC
+    else:
+        read_end, stdout = os.pipe()
+        os.close(read_end)
+        fault = errno.EPIPE
+    environ = {name: value for name, value in os.environ.items()
+               if name != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        environ["PYTHONUNBUFFERED"] = "1"
+    try:
+        proc = child("-m", "cwmark", *argv, environ=environ, stdout=stdout)
+    finally:
+        os.close(stdout)
+    message = f"cwmark: error: [Errno {fault}] {os.strerror(fault)}\n"
+    assert (proc.returncode, proc.stderr) == (3, message)

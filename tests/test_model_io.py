@@ -507,6 +507,17 @@ def test_spec_refuses_number_forms_write_spec_never_writes(tmp_path, edit, messa
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("token", ["08", "-0", "+7", "0_7", "x"])
+def test_long_position_list_names_its_refused_last_token(tmp_path, token):
+    # A list parses in one pass; a refused token sends it through the
+    # per-token parse, which names the token as a short list does.
+    positions = " ".join([*map(str, range(12954)), token])
+    path = edit_spec(tmp_path, changed(positions=positions))
+    with pytest.raises(SpecFormatError) as err:
+        read_spec(path)
+    assert str(err.value) == f"field 'positions': not a decimal integer: {token!r}"
+
+
 def test_spec_float_exponent_keeps_its_sign(tmp_path):
     path = edit_spec(tmp_path, changed(sigma="1e+16", rate="9.5e-01"))
     assert read_spec(path) == dataclasses.replace(make_doc(), sigma=1e16)
