@@ -16,7 +16,7 @@ A process (`cwmark`, `python -m cwmark` or `python -m cwmark.cli`) ends
 in _entry: it runs main, flushes stdout, calls gc.freeze() so the
 final collection at exit skips the heap the imports and the verb made,
 and exits with main's code. A stdout that fails that flush gets main's
-one-line error and exit 3.
+one-line error and exit 3; so does --help, whose text argparse writes.
 
 Messages travel as hex strings. A hex string of d digits carries k = 4d
 bits: it is read as a big-endian integer whose bit t (LSB first) becomes
@@ -390,8 +390,19 @@ def cmd_eval(args, console: _Console) -> int:
     return EXIT_VERIFY if failures else EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse drops a failed write of its own; to stdout (--help) it
+    raises here, so main reports it as it does a verb's."""
+
+    def _print_message(self, message, file=None):
+        if message and file is sys.stdout:
+            file.write(message)
+        else:
+            super()._print_message(message, file)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cwmark",
         description=(
             "Watermark weight vectors with constant-weight codewords that "
@@ -492,10 +503,9 @@ def main(argv=None) -> int:
     # wins, and a caller that already loaded numpy keeps its environment.
     if "numpy" not in sys.modules:
         os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    console = _Console(args)
     try:
+        args = build_parser().parse_args(argv)
+        console = _Console(args)
         code = args.func(args, console)
         console.flush()
     except (WeightFileError, SpecFormatError, PositionRangeError, OSError) as exc:
@@ -514,11 +524,15 @@ def main(argv=None) -> int:
 def _entry() -> None:
     """The process entry: main, then the flush, the freeze and the exit.
 
+    argparse's own exits (--help, a usage error) take the same flush.
     After a failed flush fd 1 points at os.devnull, so the interpreter's
     own flush at exit stays silent. main does not freeze, because tests
     and library callers run it in process many times.
     """
-    code = main()
+    try:
+        code = main()
+    except SystemExit as exc:
+        code = exc.code
     try:
         sys.stdout.flush()
     except OSError as exc:

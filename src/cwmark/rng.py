@@ -39,15 +39,17 @@ def splitmix64_stream(seed: int, count: int) -> np.ndarray:
 
 def _stream_at(seed: int, first: int, count: int, scratch=None) -> np.ndarray:
     """Outputs first + 1 .. first + count of the SplitMix64 stream of
-    `seed`, in words of scratch (steps, words, spare), count or more uint64
-    each, steps[j] = (j + 1) * GOLDEN_GAMMA mod 2**64; trusts first and
-    count to be nonnegative. Without scratch, words is the steps it builds."""
+    `seed`; trusts first and count to be nonnegative. In scratch (steps,
+    words, spare), three uint64 arrays of one shape, each step c *
+    GOLDEN_GAMMA mod 2**64 takes output first + c into its place in words,
+    so the steps set the outputs' order. Without scratch they come in
+    stream order, and words is the steps it builds."""
     if scratch is None:
         steps = np.arange(1, count + 1, dtype=np.uint64) * np.uint64(GOLDEN_GAMMA)
         scratch = steps, steps, np.empty_like(steps)
     steps, z, spare = scratch
     start = np.uint64((first * GOLDEN_GAMMA + int(seed)) & MASK64)  # int: a numpy seed
-    z, spare = np.add(steps[:count], start, out=z[:count]), spare[:count]
+    z = np.add(steps, start, out=z)
     z ^= np.right_shift(z, np.uint64(30), out=spare)
     z *= np.uint64(0xBF58476D1CE4E5B9)
     z ^= np.right_shift(z, np.uint64(27), out=spare)

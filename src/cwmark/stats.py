@@ -182,24 +182,29 @@ _NORMAL_CHUNK = 1 << 14
 
 def _scratch() -> tuple:
     """One sampler pass's buffers: the draw's (steps, words, spare) (see
-    _stream_at), and u and trig, (2, _NORMAL_CHUNK // 2) binary64; the
-    words lie in trig, spare in u."""
-    steps = np.arange(1, _NORMAL_CHUNK + 1, dtype=np.uint64) * np.uint64(GOLDEN_GAMMA)
+    _stream_at), and u and trig, (2, _NORMAL_CHUNK // 2) binary64. The
+    steps are pair-ordered: row 0 holds a chunk's u1 counters 1, 3, 5, ...
+    and row 1 its u2 counters 2, 4, 6, ..., times GOLDEN_GAMMA, so each
+    row of words is contiguous. The words lie in trig, spare in u. The
+    screened kernel (see _screened) reuses them: trig holds its four
+    binary32 rows, u the binary64 radius and the shifted words."""
+    pairs = np.arange(_NORMAL_CHUNK // 2, dtype=np.uint64)
+    steps = (pairs * np.uint64(2) + np.array([[1], [2]], dtype=np.uint64)) * np.uint64(GOLDEN_GAMMA)
     u, trig = np.empty((2, 2, _NORMAL_CHUNK // 2))
     return (steps, trig.reshape(-1).view(np.uint64), u.reshape(-1).view(np.uint64)), u, trig
 
 
-def _box_muller(words: np.ndarray, scale: float, screen: bool = False, scratch=None) -> np.ndarray:
-    """scale * the Box-Muller values of the stream word pairs, in binary64: pair
-    i's cos at [0, i], its sin at [1, i] of scratch's u (see _scratch; words drawn
-    there are overwritten) or a new array. Screened, each angle is rounded to
-    binary32 and its cos and sin are taken there, 16 times faster; logs stay binary64."""
+def _box_muller(words: np.ndarray, scale: float, scratch=None) -> np.ndarray:
+    """scale * the Box-Muller values of the stream word pairs, u1s in row 0 of
+    words and u2s in row 1, in binary64: pair i's cos at [0, i], its sin at
+    [1, i] of scratch's u (see _scratch; words drawn there are overwritten) or
+    a new array."""
     half = words.size // 2
     u, trig = scratch[1:] if scratch else np.empty((2, 2, half))
-    u, trig = u[:, :half], (trig.view(np.float32) if screen else trig)[:, :half]
+    u, trig = u[:, :half], trig[:, :half]
     # u64_to_unit, in place; as int64 the top 53 bits convert faster, and exactly.
     top = np.right_shift(words, np.uint64(11), out=words if scratch else None)
-    np.copyto(u, top.view(np.int64).reshape(half, 2).T)
+    np.copyto(u, top.view(np.int64).reshape(2, half))
     u += 1.0
     u *= 2.0**-53
     radius = np.log(u[0], out=u[0])
@@ -214,6 +219,42 @@ def _box_muller(words: np.ndarray, scale: float, screen: bool = False, scratch=N
     return u
 
 
+# The screened angle's step: f32(2 pi) 2**-24, one 2**-24th of a turn.
+_TURN_STEP = np.float32(2.0 * np.pi * 2.0**-24)
+
+
+def _screened(words: np.ndarray, scale: float, scratch) -> tuple:
+    """The screened Box-Muller rows of the stream word pairs, binary32 from
+    the radius on: (radius, cos, sin), whose binary32 products radius[i] *
+    cos[i] and radius[i] * sin[i] are pair i's values.
+
+    Only the radius scale * sqrt(-2 ln u1) is binary64, rounded once to
+    binary32. The angle is u2's top 24 bits times _TURN_STEP, and binary32
+    cos and sin run about 16 times faster than binary64's. Both shifts read
+    the words before trig's rows overwrite them (see _scratch).
+    """
+    half = words.size // 2
+    u, trig = scratch[1:]
+    radius, turns = u[0, :half], u[1, :half].view(np.uint64)
+    np.right_shift(words[1], np.uint64(40), out=turns)
+    top = np.right_shift(words[0], np.uint64(11), out=radius.view(np.uint64))
+    # u64_to_unit, in place; copyto converts in place without a temporary.
+    np.copyto(radius, top.view(np.int64))
+    radius += 1.0
+    radius *= 2.0**-53
+    np.log(radius, out=radius)
+    radius *= -2.0
+    np.sqrt(radius, out=radius)
+    radius *= scale
+    rounded, angle, cos, sin = trig.view(np.float32).reshape(4, -1)[:, :half]
+    np.copyto(rounded, radius)
+    np.copyto(angle, turns)  # exact: at most 24 bits
+    angle *= _TURN_STEP
+    np.cos(angle, out=cos)
+    np.sin(angle, out=sin)
+    return rounded, cos, sin
+
+
 def _screen_error(scale: float) -> float:
     """Bounds |screened - exact| for a binary32 value of _fill_normals (README)."""
     return scale * 2.0**-12 + 2.0**-145
@@ -223,30 +264,40 @@ def _fill_normals(
     out: np.ndarray, seed: int, scale: float, first: int = 0, screen: bool = False, scratch=None
 ) -> None:
     """out[i] = scale * standard_normals(first + out.size, seed)[first + i]
-    in binary64, rounded once to out's dtype; screened (see _box_muller),
-    each binary32 value is within _screen_error(scale) of that.
+    in binary64, rounded once to out's dtype. Screened, out is binary32 and
+    takes _screened's products, each within _screen_error(scale) of that.
 
     Pair a of the sample is stream outputs 2a + 1 and 2a + 2, so each
     chunk of _NORMAL_CHUNK // 2 pairs draws only its own words, in order,
     on the calling thread, in scratch (see _scratch) that every call of one
     pass may share.
     """
-    draw, u, _ = scratch = scratch or _scratch()
+    (steps, drawn, spare), u, _ = scratch = scratch or _scratch()
     step, stop = u.shape[1], first + out.size
     total = (stop + 1) // 2
     for a in range(first // 2, total, step):
         b = min(a + step, total)
-        cos, sin = _box_muller(_stream_at(seed, 2 * a, 2 * (b - a), draw), scale, screen, scratch)
+        # The draw's row 0 takes the chunk's u1 words, row 1 its u2 words.
+        rows = [steps[:, : b - a]] + [w[: 2 * (b - a)].reshape(2, -1) for w in (drawn, spare)]
+        words = _stream_at(seed, 2 * a, 2 * (b - a), rows)
         at, end = max(2 * a, first), min(2 * b, stop)
         lo, hi, piece = at - 2 * a, end - 2 * a, out[at - first : end - first]
-        piece[lo % 2 :: 2] = cos[(lo + 1) // 2 : (hi + 1) // 2]
-        piece[1 - lo % 2 :: 2] = sin[lo // 2 : hi // 2]
+        # The pairs whose cos (even index) and sin (odd) lie in the piece.
+        even, odd = slice((lo + 1) // 2, (hi + 1) // 2), slice(lo // 2, hi // 2)
+        if screen:
+            radius, cos, sin = _screened(words, scale, scratch)
+            np.multiply(radius[even], cos[even], out=piece[lo % 2 :: 2])
+            np.multiply(radius[odd], sin[odd], out=piece[1 - lo % 2 :: 2])
+        else:
+            cos, sin = _box_muller(words, scale, scratch)
+            piece[lo % 2 :: 2] = cos[even]
+            piece[1 - lo % 2 :: 2] = sin[odd]
 
 
 def _normals_at(seed: int, index: np.ndarray, scale: float) -> np.ndarray:
     """scale * standard_normals(n, seed)[index] for any n past index, in
     binary64: the two words of each value's pair are drawn at their counters."""
-    counters = ((index // 2 * 2)[:, None] + (1, 2)).astype(np.uint64).ravel()
+    counters = (index // 2 * 2 + np.array([[1], [2]])).astype(np.uint64)
     return _box_muller(_stream_gather(seed, counters), scale)[index % 2, np.arange(index.size)]
 
 
@@ -265,8 +316,8 @@ def standard_normals(n: int, seed: int) -> np.ndarray:
     call allocates once (see _fill_normals); each chunk draws only its own
     stream words, with the same bits as the whole-vector transform.
     _normals_at recomputes any values from their own words, with the same
-    bits; the eval harness screens with binary32 angles and recomputes the
-    values its rows read.
+    bits; the eval harness screens in binary32 after the radius and
+    recomputes the values its rows read.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -302,11 +353,20 @@ def _bracket(p, n, L, sigma, delta):
     return np.float32(lo), np.float32(hi)
 
 
+def _split(mag, lo, hi):
+    """How many of mag lie below lo, and the indices of those in [lo, hi]:
+    at most hi and not below lo, from the one mask. Its masks die here."""
+    low = np.less(mag, lo)
+    inside = np.less_equal(mag, hi)
+    return int(np.count_nonzero(low)), np.flatnonzero(np.greater(inside, low, out=inside))
+
+
 def _cutoffs(n, sigma, seed, positions, marked, ps):
     """The eval harness's cutoffs, {p: the p-th smallest magnitude} for each
     p in ps, of sigma times the sample of seed with the marked values at
-    their L positions. One screened pass counts the magnitudes below each
-    p's bracket and keeps those in it (Floyd & Rivest). The screened p-th
+    their L positions. One screened pass, binary32 after the radius (see
+    _screened), counts the magnitudes below each p's bracket and keeps
+    those in it (Floyd & Rivest; see _split). The screened p-th
     smallest, g, is within delta of the exact one; lying 2 delta inside the
     bracket, only values near it need exact recomputing. Else the exact
     sample, drawn once for every p that misses, is partitioned in place,
@@ -323,8 +383,8 @@ def _cutoffs(n, sigma, seed, positions, marked, ps):
         piece[positions[here] - start] = marked[here]
         mag = np.abs(piece, out=piece)
         for p, (lo, hi) in edges.items():
-            below[p] += int(np.count_nonzero(mag < lo))
-            inside = np.flatnonzero((mag >= lo) & (mag <= hi))
+            count, inside = _split(mag, lo, hi)
+            below[p] += count
             band[p].append((start + inside, mag[inside]))
     cutoffs, w = {}, None
     for p, (lo, hi) in edges.items():

@@ -1544,6 +1544,14 @@ def test_process_entry_freezes_the_heap_at_exit(module):
     assert proc.stdout == PARAMS_64_10 + "True\n"
 
 
+def test_main_help_still_exits_through_system_exit(capsys):
+    # Only the process entry turns argparse's exit into a code.
+    with pytest.raises(SystemExit) as err:
+        main(["--help"])
+    assert err.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: cwmark")
+
+
 def test_main_does_not_freeze_the_heap(capsys):
     before = gc.get_freeze_count()
     assert main(["params", "-k", "64", "-a", "10"]) == 0
@@ -1551,13 +1559,14 @@ def test_main_does_not_freeze_the_heap(capsys):
     assert gc.get_freeze_count() == before
 
 
-@pytest.mark.parametrize("argv", [["params", "--grid"], ["--json", "params", "--grid"]],
-                         ids=["text", "json"])
+@pytest.mark.parametrize("argv", [["params", "--grid"], ["--json", "params", "--grid"],
+                                  ["--help"]], ids=["text", "json", "help"])
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
 @pytest.mark.parametrize("sink", ["full", "closed-pipe"])
 def test_failed_stdout_exits_3_with_one_error_line(argv, unbuffered, sink):
     # Buffered (the interpreter's default), the write fails only at the
-    # entry's flush; unbuffered, it fails inside the verb.
+    # entry's flush; unbuffered, it fails inside the verb, or inside
+    # argparse for --help.
     if sink == "full":
         if not os.path.exists("/dev/full"):
             pytest.skip("needs /dev/full")

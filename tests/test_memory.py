@@ -314,10 +314,12 @@ def test_extract_message_blocks_peak(weights):
 def test_eval_rows_peak():
     # Three trials, each one screened pass in pieces, in the sampler's
     # buffers, that keeps the indices and magnitudes inside each rate's
-    # bracket: 0.094 (with the temporaries of each 2**13-value chunk in
-    # place of those buffers: 0.070; with a lookup table for the marked
-    # positions: 0.144; the sample held whole, marked in place: 1.20; with
-    # a marked copy: 2.02; with that copy alive into the next trial: 3.02).
+    # bracket: 0.097, with the binary32 screened kernel in those same
+    # buffers (0.101 while a rate's masks outlived the piece loop; with
+    # the temporaries of each 2**13-value chunk in place of those buffers:
+    # 0.070; with a lookup table for the marked positions: 0.144; the
+    # sample held whole, marked in place: 1.20; with a marked copy: 2.02;
+    # with that copy alive into the next trial: 3.02).
     args = build_parser().parse_args(
         ["--seed", "24", "eval", "--trials", "3", "--n", str(N), "--two-sided"]
     )

@@ -504,25 +504,25 @@ def test_normals_at_matches_the_sampler_at_any_index(seed):
 
 
 def screened_and_exact(words, sigma):
-    """The binary32 values of the word pairs, screened and exact."""
-    return (
-        stats._box_muller(words, sigma, screen=True).astype(np.float32),
-        stats._box_muller(words, sigma).astype(np.float32),
-    )
+    """The binary32 values of the interleaved word pairs, screened and exact."""
+    rows = words.reshape(-1, 2).T
+    radius, cos, sin = stats._screened(rows, sigma, stats._scratch())
+    return np.stack([radius * cos, radius * sin]), stats._box_muller(rows, sigma).astype(np.float32)
 
 
 def whole_vector_screened(n: int, seed: int, sigma: float) -> np.ndarray:
     # The screened recipe over the whole stream at once: the binary64
-    # radius, the angle rounded to binary32, its binary32 cos and sin, times
-    # the radius and then sigma in binary64, rounded once to binary32.
+    # radius times sigma, rounded once to binary32; the angle, u2's top 24
+    # bits times f32(2 pi) 2**-24, its cos and sin and both products in
+    # binary32.
     pairs = (n + 1) // 2
-    u = u64_to_unit(splitmix64_stream(seed, 2 * pairs))
-    radius = np.sqrt(-2.0 * np.log(u[0::2]))
-    angle = ((2.0 * np.pi) * u[1::2]).astype(np.float32)
-    out = np.empty(2 * pairs, dtype=np.float64)
-    out[0::2] = radius * np.cos(angle).astype(np.float64)
-    out[1::2] = radius * np.sin(angle).astype(np.float64)
-    return (out[:n] * sigma).astype(np.float32)
+    words = splitmix64_stream(seed, 2 * pairs)
+    radius = (np.sqrt(-2.0 * np.log(u64_to_unit(words[0::2]))) * sigma).astype(np.float32)
+    angle = (words[1::2] >> np.uint64(40)).astype(np.float32) * np.float32(2 * np.pi * 2.0**-24)
+    out = np.empty(2 * pairs, dtype=np.float32)
+    out[0::2] = radius * np.cos(angle)
+    out[1::2] = radius * np.sin(angle)
+    return out[:n]
 
 
 # The README's delta assumes exactly these roundings. Stretches start inside
@@ -548,7 +548,7 @@ def test_screened_sampler_gives_the_recipe_bits(monkeypatch, chunk, sigma, first
     assert got.tobytes() == whole_vector_screened(first + stops[-1], 5, sigma)[first:].tobytes()
 
 
-@pytest.mark.parametrize("sigma", [1.0, 0.01, 1e-44, SIGMA_MAX])
+@pytest.mark.parametrize("sigma", [1.0, 0.01, 1e-44, SIGMA_MAX, 1e-40, 1e-38])
 def test_screen_error_within_a_sixteenth_of_its_bound(sigma):
     # _screen_error is 16x or more the error derived from the roundings
     # and measured over every binary32 angle. A numpy whose binary32 cos or
@@ -577,13 +577,14 @@ def test_screen_error_within_a_sixteenth_of_its_bound(sigma):
     | st.integers(min_value=2**14 - 3, max_value=40000),
     seed=st.integers(min_value=0, max_value=2**64 - 1),
     rates=st.lists(st.floats(min_value=0.0, max_value=0.999), min_size=1, max_size=6),
-    sigma=st.sampled_from([1e-44, 1.0]),
+    sigma=st.sampled_from([1e-44, 1.0, SIGMA_MAX]),
     marks=st.integers(min_value=0, max_value=40),
 )
 def test_screened_cutoffs_match_full_sort(n, seed, rates, sigma, marks):
     # Unsorted and repeated rates give the p-th smallest magnitude of the
     # marked sample, as a full sort does. The marked values copy sample
     # values, and sigma 1e-44 leaves some 60 magnitudes: ties throughout.
+    # SIGMA_MAX puts the largest values next to binary32's overflow.
     rng = np.random.default_rng(seed % 2**32)
     exact = sample_gaussian_weights(n, sigma, seed)
     positions = rng.choice(n, min(marks, n), replace=False)
