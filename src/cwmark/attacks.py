@@ -1,21 +1,22 @@
-"""Attacks to exercise the watermark against: pruning, noise, targeted flips."""
+"""Attacks to exercise the watermark against: pruning, noise, targeted flips.
+
+A prune pass needs only detect and model_io besides numpy, so the module
+imports the sampler (stats, rng) and the embedder (watermark) inside the
+functions that use them, and the CLI's prune verb loads none of the three.
+"""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .detect import _PIECE
-from .errors import CwmarkError
+from .detect import _PIECE, _prune_rank
+from .errors import CwmarkError, _record
 from .model_io import _all_finite
-from .rng import MASK64, _stream_at
-from .stats import _fill_normals, _prune_rank, _rms, _scratch
-from .watermark import _ArrayPieces, as_weight_vector
 
 
-@dataclass(frozen=True)
+@_record
 class PruneSpec:
     """What a magnitude-pruning pass actually did."""
 
@@ -33,6 +34,8 @@ def prune(weights, rate: float) -> tuple[np.ndarray, PruneSpec]:
     below it are zeroed. Ties at the cutoff survive, so the realized
     zero count can be below p.
     """
+    from .watermark import _ArrayPieces, as_weight_vector
+
     w = as_weight_vector(weights)
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"prune rate must be in [0, 1), got {rate}")
@@ -198,6 +201,8 @@ def add_noise(weights, sigma_noise: float, seed: int) -> np.ndarray:
     Noise is drawn by the deterministic generator behind standard_normals,
     added in binary64 one chunk at a time, and rounded back to binary32.
     """
+    from .watermark import _ArrayPieces, as_weight_vector
+
     w = as_weight_vector(weights)
     if not sigma_noise >= 0.0:  # also refuses NaN
         raise ValueError(f"noise level must be nonnegative, got {sigma_noise}")
@@ -211,6 +216,8 @@ def _add_noise_into(source, sigma_noise: float, seed: int) -> None:
     piece; trusts sigma_noise. Refuses a level whose noised weights leave
     binary32 (CwmarkError), at the first piece that does. The sampler draws
     each piece's noise on this thread, under its errstate."""
+    from .stats import _fill_normals, _scratch
+
     drawn, scratch = np.empty(min(source.n, _PIECE), dtype=np.float64), _scratch()
     for start, piece in source.pieces():
         piece = np.asarray(piece)
@@ -239,6 +246,8 @@ def targeted_flip_attack(
     in index order. Beside the copy, the candidate pool and the touched list
     are O(budget); budget = n touches every weight, and suppress sets each to 0.
     """
+    from .watermark import _ArrayPieces, as_weight_vector
+
     out = as_weight_vector(weights).copy()
     return out, _attack_into(_ArrayPieces(out), budget, seed, strategy)
 
@@ -246,6 +255,8 @@ def targeted_flip_attack(
 def _attack_into(source, budget: int, seed: int, strategy: str) -> np.ndarray:
     """targeted_flip_attack on the finite binary32 source: checks all, then its last
     pass puts every piece attacked and gives the touched indices in index order."""
+    from .stats import _rms
+
     n = source.n
     if budget < 0:
         raise ValueError("budget must be nonnegative")
@@ -288,6 +299,8 @@ def _bottom_k(source, budget: int, seed: int, bound) -> np.ndarray | None:
     j's key being output j + 1 of seed's stream; None, as soon as the candidates
     seen and the weights left fall short of budget. The keys are distinct; those
     held fold to the budget smallest at 2 * budget."""
+    from .rng import MASK64, _stream_at
+
     keys, idx, seen, cut = [], [], 0, np.uint64(MASK64)
     for start, _, mag in _magnitude_patterns(source):
         at = np.flatnonzero(mag.view(np.float32) <= bound)

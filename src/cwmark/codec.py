@@ -17,13 +17,12 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
 from math import floor
 from operator import getitem
 
-from .errors import CapacityError, MalformedCodewordError, MessageRangeError
+from .errors import CapacityError, MalformedCodewordError, MessageRangeError, _record
 
 
 def binomial(n: int, r: int) -> int:
@@ -33,7 +32,7 @@ def binomial(n: int, r: int) -> int:
     return math.comb(n, r)
 
 
-@dataclass(frozen=True)
+@_record
 class CodeParams:
     """Code geometry: k payload bits, Hamming weight alpha, codeword length L."""
 
@@ -405,7 +404,7 @@ def _root_up(target: int, alpha: int, log2_root: float) -> int:
         x = y
 
 
-@dataclass(frozen=True)
+@_record
 class ParamSearchResult:
     """Outcome of the minimal-length search for a (k, alpha) code."""
 

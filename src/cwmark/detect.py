@@ -5,7 +5,9 @@ _by_piece walks keyed positions through a pass over a piece source, for
 embedding (watermark._project) and extraction alike. _extract_words
 gathers the selected weights' binary32 patterns in one such pass and
 marks the alpha largest magnitudes of each block as its ones;
-_decode_blocks maps those codewords back to the message. Nothing here
+_decode_blocks maps those codewords back to the message. _prune_rank,
+the rank of a prune's cutoff, sits beside _PIECE so that attacks and
+eval's trial share it without attacks importing stats. Nothing here
 imports numpy, so the CLI's extract verb, which reads its weight file
 through model_io, runs without it. watermark, stats and model_io
 re-export these names.
@@ -16,11 +18,10 @@ from __future__ import annotations
 import math
 import struct
 from bisect import bisect_left
-from dataclasses import dataclass
 from itertools import compress
 
 from .codec import CodeParams, _message_index
-from .errors import MessageRangeError, PositionRangeError
+from .errors import MessageRangeError, PositionRangeError, _record
 
 # Weights per piece of a pass over a vector or a weight file (256 KiB).
 # A piece source has n and one pass over its values in order, pieces(),
@@ -31,10 +32,16 @@ from .errors import MessageRangeError, PositionRangeError
 # watermark._ArrayPieces and model_io._WeightFile are the two sources.
 _PIECE = 1 << 16
 
+
+def _prune_rank(rate: float, n: int) -> int:
+    """prune's p = floor(rate * n), the cutoff's rank, held below n."""
+    return min(int(math.floor(rate * n)), n - 1)
+
+
 _BINARY32_PAIR = struct.Struct("<2f")
 
 
-@dataclass(frozen=True)
+@_record
 class ThresholdPair:
     """Classification thresholds 0 < t0 < t1.
 
@@ -63,7 +70,7 @@ class ThresholdPair:
         return iter((self.t0, self.t1))
 
 
-@dataclass(frozen=True)
+@_record
 class EmbedSpec:
     """Everything needed to embed or re-extract one codeword."""
 
@@ -86,7 +93,7 @@ class EmbedSpec:
             raise ValueError("positions must be nonnegative")
 
 
-@dataclass(frozen=True)
+@_record
 class SpecDocument:
     """One watermark's full recovery record: metadata plus per-block specs.
 

@@ -9,13 +9,12 @@ trial, which tests that design, lives here beside its cutoff select.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .codec import _bits_value, _codeword, find_params
-from .detect import _PIECE, EmbedSpec, ThresholdPair, _top_alpha
-from .errors import ThresholdDesignError
+from .detect import _PIECE, EmbedSpec, ThresholdPair, _prune_rank, _top_alpha
+from .errors import ThresholdDesignError, _record
 from .rng import GOLDEN_GAMMA, _stream_at, _stream_gather, random_bits, splitmix64_stream
 from .watermark import _ArrayPieces, _check_selection, _draw_positions, _project
 
@@ -66,7 +65,7 @@ def q_inverse(p: float) -> float:
     return x
 
 
-@dataclass(frozen=True)
+@_record
 class GaussianModel:
     """Zero-mean Gaussian weight model with standard deviation sigma."""
 
@@ -353,6 +352,13 @@ def _bracket(p, n, L, sigma, delta):
     return np.float32(lo), np.float32(hi)
 
 
+def _brackets(ps, n, L, sigma):
+    """{p: _bracket's edges} for each p in ps, at the sampler's delta for
+    sigma: the same for every trial of an eval run, so built once per run."""
+    delta = _screen_error(sigma)
+    return {p: _bracket(p, n, L, sigma, delta) for p in ps}
+
+
 def _split(mag, lo, hi):
     """How many of mag lie below lo, and the indices of those in [lo, hi]:
     at most hi and not below lo, from the one mask. Its masks die here."""
@@ -361,18 +367,17 @@ def _split(mag, lo, hi):
     return int(np.count_nonzero(low)), np.flatnonzero(np.greater(inside, low, out=inside))
 
 
-def _cutoffs(n, sigma, seed, positions, marked, ps):
+def _cutoffs(n, sigma, seed, positions, marked, edges):
     """The eval harness's cutoffs, {p: the p-th smallest magnitude} for each
-    p in ps, of sigma times the sample of seed with the marked values at
+    p of edges, of sigma times the sample of seed with the marked values at
     their L positions. One screened pass, binary32 after the radius (see
-    _screened), counts the magnitudes below each p's bracket and keeps
-    those in it (Floyd & Rivest; see _split). The screened p-th
-    smallest, g, is within delta of the exact one; lying 2 delta inside the
-    bracket, only values near it need exact recomputing. Else the exact
-    sample, drawn once for every p that misses, is partitioned in place,
-    which keeps its values for the next p."""
+    _screened), counts the magnitudes below each p's bracket, edges[p] (see
+    _brackets), and keeps those in it (Floyd & Rivest; see _split). The
+    screened p-th smallest, g, is within delta of the exact one; lying
+    2 delta inside the bracket, only values near it need exact recomputing.
+    Else the exact sample, drawn once for every p that misses, is
+    partitioned in place, which keeps its values for the next p."""
     delta = _screen_error(sigma)
-    edges = {p: _bracket(p, n, positions.size, sigma, delta) for p in ps}
     below, band = dict.fromkeys(edges, 0), {p: [] for p in edges}
     # Pieces of _PIECE values: the per-rate counts run once a piece.
     buf, scratch = np.empty(min(n, _PIECE), dtype=np.float32), _scratch()
@@ -411,11 +416,6 @@ def _cutoffs(n, sigma, seed, positions, marked, ps):
     return cutoffs
 
 
-def _prune_rank(rate: float, n: int) -> int:
-    """prune's p = floor(rate * n), the cutoff's rank, held below n."""
-    return min(int(math.floor(rate * n)), n - 1)
-
-
 def _eval_trials(n, sigma, k, alpha, design_rate, two_sided, rates, seed, trials, allow_dense):
     """eval's trials: a random k-bit message embedded in a Gaussian sample of n,
     pruned at each rate, then extracted. Checks every argument before the first
@@ -425,6 +425,7 @@ def _eval_trials(n, sigma, k, alpha, design_rate, two_sided, rates, seed, trials
     thresholds = design_thresholds(sigma, design_rate, two_sided=two_sided)
     _check_selection(params.L, n, allow_dense)
     ps = [_prune_rank(rate, n) for rate in rates]
+    edges = _brackets(ps, n, params.L, sigma)
     for trial_seed in splitmix64_stream(seed, trials).tolist():
         weight_seed, key, message_seed = splitmix64_stream(trial_seed, 3).tolist()
         # encode, then embed_message's selection and projection on the selected
@@ -435,7 +436,7 @@ def _eval_trials(n, sigma, k, alpha, design_rate, two_sided, rates, seed, trials
         alone = EmbedSpec(key, params, thresholds, range(params.L))
         marked = _normals_at(weight_seed, positions, sigma).astype(np.float32)
         (receipt,) = _project(_ArrayPieces(marked), [alone], [codeword])
-        cutoffs = _cutoffs(n, sigma, weight_seed, positions, marked, ps)
+        cutoffs = _cutoffs(n, sigma, weight_seed, positions, marked, edges)
         sel = np.abs(marked).astype(np.float64)
         # What prune leaves there (ties at the cutoff survive), read as extract does.
         kept = [np.where(sel < cutoffs[p], 0.0, sel).tolist() for p in ps]

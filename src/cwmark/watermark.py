@@ -8,7 +8,6 @@ that removes small magnitudes without touching large ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
@@ -18,7 +17,7 @@ from .detect import (
     _PIECE, EmbedSpec, ThresholdPair, _by_piece, _check_positions, _decode_blocks,
     _extract_words, _join,
 )
-from .errors import MalformedCodewordError, SelectionRatioError
+from .errors import MalformedCodewordError, SelectionRatioError, _record
 from .model_io import _all_finite
 from .rng import GOLDEN_GAMMA, MASK64, _stream_at, mix64
 
@@ -114,7 +113,7 @@ def _stream_pieces(seed: int, l: int):
         start, size = start + size, 2 * size
 
 
-@dataclass(frozen=True)
+@_record
 class EmbedReceipt:
     """Audit record of one embedding."""
 

@@ -59,3 +59,52 @@ def test_cli_demo_grid_has_twenty_rows():
 
     assert len(cli.DEMO_PARAM_GRID) == 20
     assert {k for k, _ in cli.DEMO_PARAM_GRID} == {64, 128, 254, 512, 1024}
+
+
+def record_values() -> dict:
+    """Field values, in order, of one instance of each record class."""
+    params = cwmark.CodeParams(8, 3, 16)
+    pair = cwmark.ThresholdPair(0.01, 0.02)
+    spec = cwmark.EmbedSpec(42, params, pair, tuple(range(16)))
+    return {
+        "CodeParams": (64, 10, 393),
+        "ParamSearchResult": (params, 0.8125, 8.8, False),
+        "ThresholdPair": (0.01, 0.02),
+        "EmbedSpec": (42, params, pair, tuple(range(16))),
+        "SpecDocument": ((spec,), 0.01, 0.95, 8),
+        "GaussianModel": (0.01,),
+        "EmbedReceipt": (spec, 5, 0.25),
+        "PruneSpec": (0.5, 10, 0.125, 10),
+    }
+
+
+RECORDS = list(record_values())
+
+# The text that a frozen dataclass prints for these two records.
+RECORD_REPRS = {
+    "CodeParams": "CodeParams(k=64, alpha=10, L=393)",
+    "ThresholdPair": "ThresholdPair(t0=0.01, t1=0.02)",
+}
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_records_are_frozen_values(name):
+    values = record_values()
+    cls, fields = getattr(cwmark, name), values[name]
+    record = cls(*fields)
+    by_name = cls(**dict(zip(cls.__match_args__, fields)))
+    assert record == by_name and hash(record) == hash(by_name)
+    assert [getattr(record, field) for field in cls.__match_args__] == list(fields)
+    other = RECORDS[(RECORDS.index(name) + 1) % len(RECORDS)]
+    assert record != getattr(cwmark, other)(*values[other])
+    assert record != fields and fields != record
+    first = cls.__match_args__[0]
+    with pytest.raises(AttributeError):
+        setattr(record, first, fields[0])
+    with pytest.raises(AttributeError):
+        delattr(record, first)
+    with pytest.raises(TypeError):
+        cls(*fields[:-1])
+    assert record == by_name  # nothing above changed it
+    if name in RECORD_REPRS:
+        assert repr(record) == RECORD_REPRS[name]

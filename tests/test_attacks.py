@@ -21,6 +21,7 @@ from cwmark import (
     estimate_sigma,
     prune,
     read_weights,
+    rng,
     sample_gaussian_weights,
     standard_normals,
     stats,
@@ -591,13 +592,13 @@ def test_inflate_pool_stops_once_too_few_candidates_can_follow(monkeypatch, shor
                  for s in range(0, COUNTED_N, _PIECE)]
     budget = COUNTED_N - 1 if short_at == 0 else per_piece[0] + per_piece[1] + 4
     assert per_piece[0] + COUNTED_N - _PIECE >= budget or short_at == 0
-    draws, stream_at = [], attacks._stream_at
+    draws, stream_at = [], rng._stream_at
 
     def counted(seed, first, count, *rest):
         draws.append(count)
         return stream_at(seed, first, count, *rest)
 
-    monkeypatch.setattr(attacks, "_stream_at", counted)
+    monkeypatch.setattr(rng, "_stream_at", counted)  # _bottom_k imports it per call
     out, touched = targeted_flip_attack(w, budget, 5, strategy="inflate")
     assert draws == per_piece[:short_at]
     want, want_touched = old_flip(w, budget, 5, "inflate")

@@ -239,6 +239,46 @@ def test_eval_does_not_load_the_attacks():
     assert lines[-2:] == ["exit 0", "False"]
 
 
+# Runs the CLI on its arguments, then prints which of the modules that
+# some verbs never need were imported.
+LOADED_PROBE = """
+import sys
+from cwmark.cli import main
+print("exit", main(sys.argv[1:]))
+skippable = {"dataclasses", "cwmark.rng", "cwmark.stats", "cwmark.watermark"}
+print("loaded", *sorted(skippable & set(sys.modules)))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["params", "-k", "64", "-a", "10"],
+        ["encode", "--message", "0123456789abcdef", "-a", "10"],
+        ["decode", "--codeword", "0110", "-k", "2"],
+        ["extract", "marked.cwcw", "one.spec"],
+        ["prune", "marked.cwcw", "out.cwcw", "--rate", "0.5"],
+        ["embed", "marked.cwcw", "out.spec", "out.cwcw", "--message", "ff",
+         "--key", "7", "-a", "10", "--rate", "0.95", "--two-sided"],
+        ["eval", "--trials", "1", "--n", "40000", "--two-sided", "--out", "out.csv"],
+    ],
+    ids=["params", "encode", "decode", "extract", "prune", "embed", "eval"],
+)
+def test_no_verb_loads_dataclasses_and_prune_loads_no_sampler(extract_files, tmp_path, argv):
+    # The records build without dataclasses (which loads inspect, ast and
+    # dis), and prune's pass needs neither the sampler nor the embedder.
+    paths = [
+        str(extract_files / arg) if arg in ("marked.cwcw", "one.spec")
+        else str(tmp_path / arg) if arg.startswith("out.") else arg
+        for arg in argv
+    ]
+    exit_line, loaded = child_lines(LOADED_PROBE, "--quiet", *paths)[-2:]
+    assert exit_line == "exit 0"
+    assert "dataclasses" not in loaded.split()
+    if argv[0] == "prune":
+        assert loaded == "loaded"
+
+
 def run(capsys, *argv):
     """One CLI call as a new process makes it: each code at its first use."""
     codec._weight_rows.cache_clear()

@@ -550,9 +550,14 @@ def test_screened_sampler_gives_the_recipe_bits(monkeypatch, chunk, sigma, first
 
 @pytest.mark.parametrize("sigma", [1.0, 0.01, 1e-44, SIGMA_MAX, 1e-40, 1e-38])
 def test_screen_error_within_a_sixteenth_of_its_bound(sigma):
-    # _screen_error is 16x or more the error derived from the roundings
-    # and measured over every binary32 angle. A numpy whose binary32 cos or
-    # sin lost that margin would fail here, not in a wrong cutoff.
+    # _screen_error's relative term is 33x the error derived from the
+    # roundings and measured over every binary32 angle, and its absolute
+    # term 10.7x (README). A sixteenth still holds at sigma = 1e-44, where
+    # the absolute term rules: binary32 values below 2**-125 are whole
+    # multiples of 2**-149, the derived error is under two of those steps,
+    # so screened and exact differ by at most one, just under delta / 16.
+    # A numpy whose binary32 cos or sin lost that margin would fail here,
+    # not in a wrong cutoff.
     bound = stats._screen_error(sigma) / 16
     n = 1 << 21  # 2**20 pairs
     screened = np.empty(n, dtype=np.float32)
@@ -592,5 +597,6 @@ def test_screened_cutoffs_match_full_sort(n, seed, rates, sigma, marks):
     exact[positions] = marked
     ordered = np.sort(np.abs(exact))
     ps = [min(int(rate * n), n - 1) for rate in rates]
-    got = stats._cutoffs(n, sigma, seed, positions, marked, ps)
+    edges = stats._brackets(ps, n, positions.size, sigma)
+    got = stats._cutoffs(n, sigma, seed, positions, marked, edges)
     assert got == {p: float(ordered[p]) for p in ps}

@@ -1,6 +1,5 @@
 """Keyed selection, two-threshold projection, top-alpha detection, block mode."""
 
-import dataclasses
 import math
 import tracemalloc
 from itertools import islice
@@ -621,7 +620,8 @@ def test_block_extract_checks_every_position_before_decoding():
     marked[pos] = np.linspace(0.1, 1.0, len(pos), dtype=np.float32)
     with pytest.raises(MessageRangeError):
         extract_message_blocks(marked, specs, 128)
-    past = dataclasses.replace(specs[1], positions=(marked.size, *specs[1].positions[1:]))
+    spec = specs[1]
+    past = EmbedSpec(spec.key, spec.params, spec.thresholds, (marked.size, *spec.positions[1:]))
     with pytest.raises(PositionRangeError):
         extract_message_blocks(marked, [specs[0], past], 128)
 
